@@ -274,13 +274,7 @@ def _trial_worker(cfg: ExperimentConfig, file_tensor, k_idx: int, trial: int):
                     cfg.seed, _stream_id(_STREAM_SELECT, k_idx, trial, m_idx, n_idx)
                 ),
             )
-            svs_value = None
-            if "svs" in cfg.metrics:
-                kappas = [svs(mat) for _, _, mat in sub.iter_slices()]
-                if any(math.isinf(v) for v in kappas):
-                    svs_value = math.inf
-                else:
-                    svs_value = float(np.mean(kappas))
+            svs_value = svs(sub) if "svs" in cfg.metrics else None
             for rho_idx, rho_db in enumerate(cfg.rho_db_values):
                 snr = SnrSpec(rho_db)
                 if "svs" in cfg.metrics:
@@ -311,9 +305,7 @@ def _trial_worker(cfg: ExperimentConfig, file_tensor, k_idx: int, trial: int):
                         res = zf_sum_rate(sub, snr, cfg.allocation_mode)
                         zf_value = res.sum_rate_bits_per_s_per_hz
                         fairness = float(
-                            np.mean(
-                                [count_allocated_users(a) for a in res.allocations()]
-                            )
+                            np.mean([count_allocated_users(a) for a in res.allocations])
                         )
                         failure = None
                     except RankDeficiencyError as exc:
@@ -438,6 +430,10 @@ def read_result_rows(path) -> tuple:
         if len(parts) != len(RESULT_COLUMNS):
             raise InvalidInputError(f"{path}:{ln}: expected {len(RESULT_COLUMNS)} columns")
         trial, m, n, k, rho_db, metric, value, flag = parts
+        if metric not in METRIC_NAMES:
+            raise InvalidInputError(f"{path}:{ln}: unknown metric {metric!r}")
+        if flag not in ("0", "1"):
+            raise InvalidInputError(f"{path}:{ln}: degenerate_flag must be 0 or 1, got {flag!r}")
         rows.append(
             ResultRow(
                 trial=int(trial),

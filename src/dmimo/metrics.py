@@ -7,7 +7,8 @@ slice is log2 det(I + c * H^H P H) maximized over diagonal P with tr(P) = 1,
 and the ZF rate is sum_k log2(1 + c * p_k / g_k^2) with g_k^2 the k-th
 diagonal entry of (H H^H)^{-1}. Tensor-level results average the per-slice
 values over all (t, l); the subcarrier index of the rate average is read as
-l = 1..L throughout.
+l = 1..L throughout. Every metric works on the whole (T, L, K, M) stack at
+once: one batched linear-algebra call per step, none per slice.
 
 Both optimizers accept allocation_mode="per_tl" (independent allocation per
 slice, the default) or "joint" (one allocation shared by all slices, i.e. the
@@ -25,7 +26,7 @@ from .errors import DimensionError, InvalidInputError
 from .tensor import (
     COND_LIMIT,
     ChannelTensor,
-    _as_snapshot_matrix,
+    _as_snapshot_stack,
     singular_values,
     zf_effective_gains,
 )
@@ -93,37 +94,68 @@ class PowerAllocation:
 class CapacityResult:
     """Outcome of a capacity optimization.
 
-    `allocation` is a single PowerAllocation when one allocation covers the
-    input (single slice, or joint mode), otherwise a tuple with one entry per
-    (t, l) slice in snapshot-major order. `iterations` is the largest
-    iteration count any slice used.
+    `allocations` holds one PowerAllocation per (t, l) slice in
+    snapshot-major order, or a single one in joint mode. `iterations` is the
+    largest iteration count any slice used.
     """
 
     sum_rate_bits_per_s_per_hz: float
-    allocation: object
+    allocations: tuple[PowerAllocation, ...]
     iterations: int
     converged: bool
 
-    def allocations(self) -> tuple:
-        if isinstance(self.allocation, PowerAllocation):
-            return (self.allocation,)
-        return tuple(self.allocation)
+
+def _slice_stack(ch) -> np.ndarray:
+    """Tensor-or-matrix input as a (T, L, K, M) stack; a matrix is one slice.
+
+    The K <= M check that ZF and the spread need is left to the tensor
+    kernels; DPC is defined for any K.
+    """
+    if isinstance(ch, ChannelTensor):
+        return ch.data
+    m = _as_snapshot_stack(ch, require_tall=False)
+    if m.ndim != 2:
+        raise DimensionError(f"expected a ChannelTensor or one K x M matrix, got {m.ndim}-D")
+    return m[None, None]
 
 
-def svs(matrix) -> float:
-    """Singular value spread of a K x M matrix in dB.
+def svs(ch) -> float:
+    """Singular value spread in dB, averaged over the (t, l) slices.
 
-    10*log10(sigma_max/sigma_min); 0 dB means equal singular values
+    Per slice 10*log10(sigma_max/sigma_min); 0 dB means equal singular values
     (mutually orthogonal equal-gain users). Returns math.inf as an explicit
-    saturation marker when the matrix is rank deficient (condition number
+    saturation marker when any slice is rank deficient (condition number
     >= 1e12), never a silent large number.
     """
-    sv = singular_values(matrix)
-    smax = float(sv[0])
-    smin = float(sv[-1])
-    if smin <= 0.0 or smax >= COND_LIMIT * smin:
+    sv = singular_values(_slice_stack(ch))
+    smax, smin = sv[..., 0].ravel(), sv[..., -1].ravel()
+    if np.any((smin <= 0.0) | (smax >= COND_LIMIT * smin)):
         return math.inf
-    return 10.0 * math.log10(smax / smin)
+    # scalar log10 per slice: numpy's vector log10 may round differently
+    return float(np.mean([10.0 * math.log10(r) for r in (smax / smin).tolist()]))
+
+
+def _waterfill_rows(noise: np.ndarray, budget: float) -> tuple:
+    """Row-wise exact water-filling of an (S, K) noise array.
+
+    Sort-based closed form per row: p_k = max(0, mu - n_k). A +inf noise
+    marks a user that may not take power; every row needs one finite entry.
+    Returns (p with the shape of noise, water level per row).
+    """
+    rows = np.arange(noise.shape[0])
+    order = np.argsort(noise, axis=1, kind="stable")
+    sorted_noise = noise[rows[:, None], order]
+    k = noise.shape[1]
+    levels = (budget + np.cumsum(sorted_noise, axis=1)) / np.arange(1, k + 1, dtype=float)
+    # feasible active-set sizes keep every active noise strictly under water
+    feasible = levels > sorted_noise
+    active = k - np.argmax(feasible[:, ::-1], axis=1)
+    mu = levels[rows, active - 1]
+    p = np.empty_like(noise)
+    p[rows[:, None], order] = np.where(
+        np.arange(k) < active[:, None], mu[:, None] - sorted_noise, 0.0
+    )
+    return p, mu
 
 
 def waterfill(noise_levels, budget) -> PowerAllocation:
@@ -141,20 +173,8 @@ def waterfill(noise_levels, budget) -> PowerAllocation:
     budget = float(budget)
     if not (budget > 0 and math.isfinite(budget)):
         raise InvalidInputError("budget must be positive and finite")
-
-    order = np.argsort(noise, kind="stable")
-    sorted_noise = noise[order]
-    counts = np.arange(1, noise.shape[0] + 1, dtype=float)
-    levels = (budget + np.cumsum(sorted_noise)) / counts
-    # feasible active-set sizes keep every active noise strictly under water
-    feasible = np.flatnonzero(levels > sorted_noise)
-    j = int(feasible[-1]) + 1
-    mu = float(levels[j - 1])
-    p_sorted = np.zeros_like(sorted_noise)
-    p_sorted[:j] = mu - sorted_noise[:j]
-    p = np.empty_like(p_sorted)
-    p[order] = p_sorted
-    return PowerAllocation(p, water_level=mu)
+    p, mu = _waterfill_rows(noise[None, :], budget)
+    return PowerAllocation(p[0], water_level=float(mu[0]))
 
 
 def count_allocated_users(alloc: PowerAllocation) -> int:
@@ -163,23 +183,6 @@ def count_allocated_users(alloc: PowerAllocation) -> int:
         raise InvalidInputError("count_allocated_users expects a PowerAllocation")
     eps = ALLOCATED_EPSILON_FRACTION * float(alloc.p.sum())
     return int(np.count_nonzero(alloc.p > eps))
-
-
-def _slice_list(ch, require_tall: bool = True) -> list:
-    """Normalize tensor-or-matrix input to [(t, l, K x M matrix), ...].
-
-    ZF and the spread need K <= M (a tall Gram matrix); DPC is defined for
-    any K, so it opts out of that check.
-    """
-    if isinstance(ch, ChannelTensor):
-        _, _, k, mm = ch.dims
-        if require_tall and k > mm:
-            raise DimensionError(
-                f"need K <= M per snapshot, got K={k} users and M={mm} antennas"
-            )
-        return [(t, l, m) for t, l, m in ch.iter_slices()]
-    m = _as_snapshot_matrix(ch, require_tall=require_tall)
-    return [(0, 0, m)]
 
 
 def _require_snr(snr) -> SnrSpec:
@@ -207,11 +210,13 @@ def _project_simplex(v: np.ndarray) -> np.ndarray:
     return np.maximum(v - theta, 0.0)
 
 
-def _ascend_on_simplex(objective, gradient, k, tol, max_iterations):
-    """Projected gradient ascent on the simplex with Armijo backtracking.
+def _ascend_on_simplex(objective, gradient, k, tol, max_iterations) -> CapacityResult:
+    """Joint allocation by projected gradient ascent on the simplex.
 
-    Monotone by construction. Returns (p, value, iterations, converged,
-    final gradient).
+    Armijo backtracking makes it monotone. The reported water level maps the
+    KKT multiplier to a level: with a single slice the active-user gradient
+    is 1/(ln2 * mu), so mu = 1/(ln2 * max_k grad_k); over many slices it is
+    an informational analog.
     """
     p = np.full(k, 1.0 / k)
     value = objective(p)
@@ -244,20 +249,9 @@ def _ascend_on_simplex(objective, gradient, k, tol, max_iterations):
         if rel < tol:
             converged = True
             break
-    return p, value, iterations, converged, grad
-
-
-def _joint_water_level(grad: np.ndarray) -> float:
-    """Map the simplex KKT multiplier to a water level.
-
-    With a single slice the active-user gradient is 1/(ln2 * mu), so
-    mu = 1/(ln2 * max_k grad_k); kept as an informational analog for joint
-    allocations over many slices.
-    """
     top = float(np.max(grad))
-    if top <= 0.0:
-        return 1.0
-    return 1.0 / (_LN2 * top)
+    alloc = PowerAllocation(p, water_level=1.0 if top <= 0.0 else 1.0 / (_LN2 * top))
+    return CapacityResult(value, (alloc,), iterations=iterations, converged=converged)
 
 
 def zf_sum_rate(ch, snr, allocation_mode: str = "per_tl") -> CapacityResult:
@@ -271,27 +265,16 @@ def zf_sum_rate(ch, snr, allocation_mode: str = "per_tl") -> CapacityResult:
     """
     snr = _require_snr(snr)
     mode = _check_mode(allocation_mode)
-    slices = _slice_list(ch)
-    rho = snr.rho_linear
-
-    noises = []
-    for t, l, m in slices:
-        gains = zf_effective_gains(m, snapshot=t, subcarrier=l)
-        k, mm = m.shape
-        noises.append(gains * mm / (rho * k))
+    stack = _slice_stack(ch)
+    _, _, k, mm = stack.shape
+    gains = zf_effective_gains(stack).reshape(-1, k)
+    noise_grid = gains * mm / (snr.rho_linear * k)
 
     if mode == "per_tl":
-        rates = []
-        allocs = []
-        for noise in noises:
-            alloc = waterfill(noise, 1.0)
-            rates.append(float(np.log2(1.0 + alloc.p / noise).sum()))
-            allocs.append(alloc)
-        rate = float(np.mean(rates))
-        allocation = allocs[0] if len(allocs) == 1 else tuple(allocs)
-        return CapacityResult(rate, allocation, iterations=1, converged=True)
-
-    noise_grid = np.asarray(noises)
+        p, mu = _waterfill_rows(noise_grid, 1.0)
+        rates = np.log2(1.0 + p / noise_grid).sum(axis=1)
+        allocs = tuple(map(PowerAllocation, p, mu))
+        return CapacityResult(float(np.mean(rates)), allocs, iterations=1, converged=True)
 
     def objective(p):
         return float(np.mean(np.sum(np.log2(1.0 + p[None, :] / noise_grid), axis=1)))
@@ -299,84 +282,81 @@ def zf_sum_rate(ch, snr, allocation_mode: str = "per_tl") -> CapacityResult:
     def gradient(p):
         return np.mean(1.0 / (noise_grid + p[None, :]), axis=0) / _LN2
 
-    k = noise_grid.shape[1]
-    p, value, iterations, converged, grad = _ascend_on_simplex(
-        objective, gradient, k, DEFAULT_TOL, DEFAULT_MAX_ITERATIONS
-    )
-    alloc = PowerAllocation(p, water_level=_joint_water_level(grad))
-    return CapacityResult(value, alloc, iterations=iterations, converged=converged)
+    return _ascend_on_simplex(objective, gradient, k, DEFAULT_TOL, DEFAULT_MAX_ITERATIONS)
+
+
+def _dpc_system(p, gram, c):
+    """I + c P G for diagonal P, broadcast over leading dims of p and gram."""
+    k = gram.shape[-1]
+    return np.eye(k, dtype=complex) + c * p[..., :, None] * gram
 
 
 def _dpc_objective(p, gram, c):
     """log2 det(I + c P G) for diagonal P; equals the M x M form exactly."""
-    k = gram.shape[0]
-    a = np.eye(k, dtype=complex) + c * p[:, None] * gram
-    sign, logabs = np.linalg.slogdet(a)
-    return float(logabs / _LN2)
+    _, logabs = np.linalg.slogdet(_dpc_system(p, gram, c))
+    return logabs / _LN2
 
 
 def _dpc_interference_gains(p, gram, c):
-    """Diagonal of B = G (I + c P G)^{-1}, real.
+    """Diagonal of B = G (I + c P G)^{-1}, real, over leading dims.
 
     B_kk/(1 - c p_k B_kk) is user k's effective channel gain with its own
     power removed from the interference background; the gradient of the
     objective is (c/ln2) B_kk.
     """
-    k = gram.shape[0]
-    a = np.eye(k, dtype=complex) + c * p[:, None] * gram
-    b = np.linalg.solve(a.T, gram.T).T
-    return np.real(np.diag(b)).copy()
+    a = _dpc_system(p, gram, c)
+    b = np.linalg.solve(a.swapaxes(-1, -2), gram.swapaxes(-1, -2)).swapaxes(-1, -2)
+    return np.real(np.diagonal(b, axis1=-2, axis2=-1))
 
 
-def _dpc_slice(m, rho, tol, max_iterations, debug):
-    """Sum-power iterative water-filling on one K x M slice.
+def _dpc_per_slice(gram, c, tol, max_iterations):
+    """Sum-power iterative water-filling on every slice of an (S, K, K) Gram stack.
 
-    Damped best-response: water-fill against every user's interference-
-    reduced effective noise, then keep the best objective among damped steps
-    towards that best response. Monotone non-decreasing by construction; the
-    objective is checked per iteration when debug is set.
+    Damped best-response (Jindal et al., IEEE T-IT 51(4), 2005): water-fill
+    against every user's interference-reduced effective noise, then keep the
+    best objective among damped steps towards that best response, the first
+    one on ties. Monotone non-decreasing by construction. All live slices
+    step together; a slice leaves the batch once it converges, so each one
+    follows its own iterates. Returns (values, p, water levels, iterations
+    per slice, converged per slice).
     """
-    k, mm = m.shape
-    c = rho * k / mm
-    gram = m @ m.conj().T
-    steps = sorted({1.0, 0.5, 0.25, 0.125, 1.0 / k}, reverse=True)
+    s, k, _ = gram.shape
+    steps = np.array(sorted({1.0, 0.5, 0.25, 0.125, 1.0 / k}, reverse=True))
 
-    p = np.full(k, 1.0 / k)
+    p = np.full((s, k), 1.0 / k)
     value = _dpc_objective(p, gram, c)
-    mu = 1.0
-    iterations = 0
-    converged = False
+    mu = np.ones(s)
+    iterations = np.zeros(s, dtype=int)
+    converged = np.zeros(s, dtype=bool)
+    live = np.arange(s)
     for it in range(1, max_iterations + 1):
-        iterations = it
-        bkk = _dpc_interference_gains(p, gram, c)
-        denom = np.maximum(1.0 - c * p * bkk, 1e-300)
+        if live.size == 0:
+            break
+        iterations[live] = it
+        bkk = _dpc_interference_gains(p[live], gram[live], c)
+        denom = np.maximum(1.0 - c * p[live] * bkk, 1e-300)
         inv_noise = c * np.where(bkk > 0.0, bkk / denom, 0.0)
-        active = np.flatnonzero(inv_noise > 1e-300)
-        if active.size == 0:
-            converged = True
-            break
-        q = np.zeros(k)
-        response = waterfill(1.0 / inv_noise[active], 1.0)
-        q[active] = response.p
-        mu = response.water_level
+        active = inv_noise > 1e-300
+        idle = ~np.any(active, axis=1)
+        converged[live[idle]] = True
+        live, inv_noise, active = live[~idle], inv_noise[~idle], active[~idle]
+        noise = np.full_like(inv_noise, np.inf)
+        np.divide(1.0, inv_noise, out=noise, where=active)
+        q, mu[live] = _waterfill_rows(noise, 1.0)
 
-        best_value, best_p = value, p
-        for step in steps:
-            candidate = (1.0 - step) * p + step * q
-            cand_value = _dpc_objective(candidate, gram, c)
-            if cand_value > best_value:
-                best_value, best_p = cand_value, candidate
-        if best_value <= value:
-            converged = True
-            break
-        if debug and best_value < value:
-            raise AssertionError("iterative water-filling objective decreased")
-        rel = (best_value - value) / max(abs(best_value), 1e-12)
-        p, value = best_p, best_value
-        if rel < tol:
-            converged = True
-            break
-    return value, PowerAllocation(p, water_level=mu), iterations, converged
+        candidates = (1.0 - steps[:, None]) * p[live][:, None, :] + steps[:, None] * q[:, None, :]
+        cand_values = _dpc_objective(candidates, gram[live][:, None], c)
+        rows = np.arange(live.size)
+        best = np.argmax(cand_values, axis=1)
+        best_value = cand_values[rows, best]
+        improved = best_value > value[live]
+        rel = (best_value - value[live]) / np.maximum(np.abs(best_value), 1e-12)
+        p[live[improved]] = candidates[rows, best][improved]
+        value[live[improved]] = best_value[improved]
+        done = ~improved | (rel < tol)
+        converged[live[done]] = True
+        live = live[~done]
+    return value, p, mu, iterations, converged
 
 
 def dpc_capacity(
@@ -385,7 +365,6 @@ def dpc_capacity(
     allocation_mode: str = "per_tl",
     tol: float = DEFAULT_TOL,
     max_iterations: int = DEFAULT_MAX_ITERATIONS,
-    debug: bool = False,
 ) -> CapacityResult:
     """DPC sum capacity via sum-power iterative water-filling.
 
@@ -403,43 +382,24 @@ def dpc_capacity(
         raise InvalidInputError("tol must be positive and finite")
     if int(max_iterations) < 1:
         raise InvalidInputError("max_iterations must be >= 1")
-    slices = _slice_list(ch, require_tall=False)
-    rho = snr.rho_linear
+    stack = _slice_stack(ch)
+    _, _, k, mm = stack.shape
+    gram = (stack @ stack.conj().swapaxes(-1, -2)).reshape(-1, k, k)
+    c = snr.rho_linear * k / mm
 
     if mode == "per_tl":
-        values = []
-        allocs = []
-        iterations = 0
-        converged = True
-        for _, _, m in slices:
-            v, alloc, its, ok = _dpc_slice(m, rho, tol, int(max_iterations), debug)
-            values.append(v)
-            allocs.append(alloc)
-            iterations = max(iterations, its)
-            converged = converged and ok
-        rate = float(np.mean(values))
-        allocation = allocs[0] if len(allocs) == 1 else tuple(allocs)
-        return CapacityResult(rate, allocation, iterations=iterations, converged=converged)
-
-    grams = []
-    cs = []
-    for _, _, m in slices:
-        k, mm = m.shape
-        grams.append(m @ m.conj().T)
-        cs.append(rho * k / mm)
-    k = grams[0].shape[0]
+        values, p, mu, iterations, converged = _dpc_per_slice(
+            gram, c, tol, int(max_iterations)
+        )
+        allocs = tuple(map(PowerAllocation, p, mu))
+        return CapacityResult(
+            float(np.mean(values)), allocs, int(iterations.max()), bool(converged.all())
+        )
 
     def objective(p):
-        return float(np.mean([_dpc_objective(p, g, c) for g, c in zip(grams, cs)]))
+        return float(np.mean(_dpc_objective(p, gram, c)))
 
     def gradient(p):
-        parts = [
-            c * _dpc_interference_gains(p, g, c) for g, c in zip(grams, cs)
-        ]
-        return np.mean(parts, axis=0) / _LN2
+        return np.mean(c * _dpc_interference_gains(p, gram, c), axis=0) / _LN2
 
-    p, value, iterations, converged, grad = _ascend_on_simplex(
-        objective, gradient, k, tol, int(max_iterations)
-    )
-    alloc = PowerAllocation(p, water_level=_joint_water_level(grad))
-    return CapacityResult(value, alloc, iterations=iterations, converged=converged)
+    return _ascend_on_simplex(objective, gradient, k, tol, int(max_iterations))

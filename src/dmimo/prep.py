@@ -21,7 +21,7 @@ from .errors import (
     InvalidInputError,
     TopologyError,
 )
-from .tensor import ChannelTensor, RngHandle
+from .tensor import ChannelTensor, _generator
 
 
 @dataclass(frozen=True)
@@ -135,12 +135,7 @@ def select_subarray(ch: ChannelTensor, m_total: int, n_aps: int, rng) -> tuple:
         raise ApCapacityError(
             f"need W={w} elements per AP but the smallest AP has {smallest}"
         )
-    if isinstance(rng, RngHandle):
-        gen = rng.generator()
-    elif isinstance(rng, np.random.Generator):
-        gen = rng
-    else:
-        raise InvalidInputError("rng must be an RngHandle or numpy Generator")
+    gen = _generator(rng)
 
     chosen = np.sort(gen.choice(np.asarray(available), size=n_aps, replace=False))
     columns = []

@@ -21,7 +21,7 @@ from .errors import (
     InvalidInputError,
     PlacementError,
 )
-from .tensor import ChannelTensor, RngHandle
+from .tensor import ChannelTensor, _generator
 
 SPEED_OF_LIGHT = 299_792_458.0
 
@@ -30,14 +30,6 @@ NLOS = "nlos"
 
 # rejection budget for constrained user placement
 _MAX_PLACEMENT_REJECTS = 100_000
-
-
-def _generator(rng) -> np.random.Generator:
-    if isinstance(rng, RngHandle):
-        return rng.generator()
-    if isinstance(rng, np.random.Generator):
-        return rng
-    raise InvalidInputError("rng must be an RngHandle or numpy Generator")
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,8 @@ every separability metric builds on.
 
 A ChannelTensor holds complex coefficients indexed (snapshot t, subcarrier l,
 user k, antenna m) with the antenna axis fastest-varying, plus a per-antenna
-access-point map. Metric kernels consume one K x M snapshot matrix per (t, l).
+access-point map. The kernels here take one K x M snapshot matrix or a stack
+of them with leading dims, and run one batched LAPACK call over the stack.
 """
 
 from __future__ import annotations
@@ -100,12 +101,6 @@ class ChannelTensor:
         """The K x M snapshot matrix at (snapshot t, subcarrier l)."""
         return self.data[t, l]
 
-    def iter_slices(self):
-        """Yield (t, l, K x M matrix) for every slice, snapshot-major."""
-        for t in range(self.num_snapshots):
-            for l in range(self.num_subcarriers):
-                yield t, l, self.data[t, l]
-
 
 @dataclass(frozen=True)
 class RngHandle:
@@ -133,13 +128,23 @@ class RngHandle:
         return np.random.Generator(np.random.PCG64(seq))
 
 
-def _as_snapshot_matrix(matrix, require_tall: bool = True) -> np.ndarray:
+def _generator(rng) -> np.random.Generator:
+    """The draw source behind an RngHandle or numpy Generator argument."""
+    if isinstance(rng, RngHandle):
+        return rng.generator()
+    if isinstance(rng, np.random.Generator):
+        return rng
+    raise InvalidInputError("rng must be an RngHandle or numpy Generator")
+
+
+def _as_snapshot_stack(matrix, require_tall: bool = True) -> np.ndarray:
+    """A K x M snapshot matrix, or a stack of them with leading dims."""
     m = np.asarray(matrix, dtype=np.complex128)
-    if m.ndim != 2:
-        raise DimensionError(f"snapshot matrix must be 2-D (K, M), got {m.ndim}-D")
-    if require_tall and m.shape[0] > m.shape[1]:
+    if m.ndim < 2:
+        raise DimensionError(f"snapshot matrix must be (..., K, M), got {m.ndim}-D")
+    if require_tall and m.shape[-2] > m.shape[-1]:
         raise DimensionError(
-            f"need K <= M, got K={m.shape[0]} users over M={m.shape[1]} antennas"
+            f"need K <= M, got K={m.shape[-2]} users over M={m.shape[-1]} antennas"
         )
     if not np.all(np.isfinite(m)):
         raise InvalidInputError("snapshot matrix entries must all be finite")
@@ -147,37 +152,41 @@ def _as_snapshot_matrix(matrix, require_tall: bool = True) -> np.ndarray:
 
 
 def singular_values(matrix) -> np.ndarray:
-    """Singular values of a K x M snapshot matrix, descending.
+    """Singular values of a K x M snapshot matrix (or a stack), descending.
 
-    Satisfies sum(sigma_k^2) = ||m||_F^2 and sigma_k >= 0.
+    Satisfies sum(sigma_k^2) = ||m||_F^2 and sigma_k >= 0 per matrix.
     """
-    m = _as_snapshot_matrix(matrix)
-    return np.linalg.svd(m, compute_uv=False)
+    return np.linalg.svd(_as_snapshot_stack(matrix), compute_uv=False)
 
 
-def zf_effective_gains(matrix, snapshot=None, subcarrier=None) -> np.ndarray:
+def zf_effective_gains(matrix) -> np.ndarray:
     """Diagonal of (H @ H^H)^-1: per-user squared gains under zero-forcing.
 
-    Raises RankDeficiencyError when the Gram matrix has condition number
-    >= COND_LIMIT; `snapshot`/`subcarrier` tag the error when the matrix is
-    one slice of a tensor sweep.
+    Accepts one K x M matrix or a stack with leading dims and returns gains
+    of shape (..., K). Raises RankDeficiencyError when a Gram matrix has
+    condition number >= COND_LIMIT; on a (T, L, K, M) stack the error names
+    the first offending (t, l) in snapshot-major order.
     """
-    m = _as_snapshot_matrix(matrix)
+    m = _as_snapshot_stack(matrix)
     sv = np.linalg.svd(m, compute_uv=False)
+    smax, smin = sv[..., 0], sv[..., -1]
     # gram condition is the squared singular-value ratio
-    if sv[-1] <= 0.0 or sv[0] * sv[0] >= COND_LIMIT * (sv[-1] * sv[-1]):
-        raise RankDeficiencyError(
-            "channel Gram matrix is singular or near-singular "
-            f"(squared condition >= {COND_LIMIT:.0e})",
-            snapshot=snapshot,
-            subcarrier=subcarrier,
-        )
-    gram = m @ m.conj().T
-    gains = np.real(np.diag(np.linalg.inv(gram))).copy()
-    if not np.all(gains > 0.0):
-        raise RankDeficiencyError(
-            "channel Gram inverse lost positive definiteness",
-            snapshot=snapshot,
-            subcarrier=subcarrier,
-        )
+    _raise_at_first(
+        (smin <= 0.0) | (smax * smax >= COND_LIMIT * (smin * smin)),
+        "channel Gram matrix is singular or near-singular "
+        f"(squared condition >= {COND_LIMIT:.0e})",
+    )
+    gram = m @ m.conj().swapaxes(-1, -2)
+    gains = np.real(np.diagonal(np.linalg.inv(gram), axis1=-2, axis2=-1)).copy()
+    _raise_at_first(
+        ~np.all(gains > 0.0, axis=-1), "channel Gram inverse lost positive definiteness"
+    )
     return gains
+
+
+def _raise_at_first(bad: np.ndarray, message: str) -> None:
+    """Raise at the first flagged matrix; on a (T, L) grid of flags, name its (t, l)."""
+    if np.any(bad):
+        where = np.unravel_index(int(np.argmax(bad)), bad.shape)
+        t, l = map(int, where) if bad.ndim == 2 else (None, None)
+        raise RankDeficiencyError(message, snapshot=t, subcarrier=l)

@@ -1,106 +1,14 @@
-"""Hand-rolled reference implementations used to cross-check the library.
+"""Test-only helpers: an exact Gaussian CDF and exactly orthogonal channels.
 
-Every frozen expected value in the unit tests was computed by one of these
-functions. None of them share code paths with the library: singular values
-come from an eigendecomposition of the Gram matrix instead of an SVD, matrix
-inversion is cofactor expansion, water-filling is bisection on the water
-level, capacities come from brute-force grid search over the two-user
-simplex, and CDF values come from a direct counting loop.
+The reference oracles the frozen values come from (bisection water-filling,
+Gram-eigen singular values, cofactor inverses, two-user grid searches and
+counting CDFs) live in `dmimo.selfcheck`, so the `dmimo oracle` subcommand
+and the test suite check the library against the same references.
 """
 
 import math
 
 import numpy as np
-
-
-def waterfill_bisection(noise, budget=1.0, tol=1e-15):
-    """Water-filling by bisection on the water level.
-
-    p_k(mu) = max(mu - n_k, 0) is nondecreasing in mu, so the level that
-    spends exactly `budget` is found by bisection.
-    """
-    noise = np.asarray(noise, dtype=float)
-    lo = float(np.min(noise))
-    hi = float(np.max(noise)) + float(budget)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if np.maximum(mid - noise, 0.0).sum() > budget:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= tol * max(1.0, abs(hi)):
-            break
-    mu = 0.5 * (lo + hi)
-    return np.maximum(mu - noise, 0.0), mu
-
-
-def singular_values_gram(matrix):
-    """Singular values via eigendecomposition of the Gram matrix H @ H^H."""
-    gram = matrix @ matrix.conj().T
-    eigvals = np.linalg.eigvalsh(gram)
-    return np.sqrt(np.maximum(eigvals[::-1], 0.0))
-
-
-def inverse_cofactor_3x3(a):
-    """Inverse of a 3x3 complex matrix by cofactor expansion."""
-    a = np.asarray(a)
-    cof = np.empty((3, 3), dtype=complex)
-    for i in range(3):
-        for j in range(3):
-            minor = np.delete(np.delete(a, i, axis=0), j, axis=1)
-            cof[i, j] = (-1) ** (i + j) * (
-                minor[0, 0] * minor[1, 1] - minor[0, 1] * minor[1, 0]
-            )
-    det = a[0, 0] * cof[0, 0] + a[0, 1] * cof[0, 1] + a[0, 2] * cof[0, 2]
-    return cof.T / det
-
-
-def zf_gains_cofactor(matrix):
-    """Diagonal of (H @ H^H)^-1 for a 3-user channel, via cofactor inverse."""
-    gram = matrix @ matrix.conj().T
-    return np.real(np.diag(inverse_cofactor_3x3(gram)))
-
-
-def dpc_capacity_grid_2user(matrix, rho_linear, step=1e-4):
-    """Brute-force two-user DPC sum capacity: scan p0 on a grid, p1 = 1 - p0.
-
-    Uses the closed-form 2x2 determinant of I + c P G, c = rho K / M.
-    """
-    k, m = matrix.shape
-    if k != 2:
-        raise ValueError("grid oracle is two-user only")
-    c = rho_linear * k / m
-    gram = matrix @ matrix.conj().T
-    p0 = np.arange(0.0, 1.0 + step / 2, step)
-    p0 = np.minimum(p0, 1.0)
-    a = 1.0 + c * p0 * np.real(gram[0, 0])
-    d = 1.0 + c * (1.0 - p0) * np.real(gram[1, 1])
-    cross = (c * c) * p0 * (1.0 - p0) * (np.abs(gram[0, 1]) ** 2)
-    det = a * d - cross
-    return float(np.max(np.log2(det)))
-
-
-def zf_rate_grid_2user(matrix, rho_linear, step=1e-4):
-    """Brute-force two-user ZF sum rate with a closed-form 2x2 Gram inverse."""
-    k, m = matrix.shape
-    if k != 2:
-        raise ValueError("grid oracle is two-user only")
-    gram = matrix @ matrix.conj().T
-    det = np.real(gram[0, 0]) * np.real(gram[1, 1]) - np.abs(gram[0, 1]) ** 2
-    gains_sq = np.array([np.real(gram[1, 1]) / det, np.real(gram[0, 0]) / det])
-    noise = gains_sq * m / (rho_linear * k)
-    p0 = np.arange(0.0, 1.0 + step / 2, step)
-    p0 = np.minimum(p0, 1.0)
-    rates = np.log2(1.0 + p0 / noise[0]) + np.log2(1.0 + (1.0 - p0) / noise[1])
-    return float(np.max(rates))
-
-
-def cdf_by_counting(samples, grid):
-    """Empirical CDF by direct counting; non-finite samples only inflate n."""
-    samples = np.asarray(samples, dtype=float)
-    finite = samples[np.isfinite(samples)]
-    n = len(samples)
-    return np.array([np.count_nonzero(finite <= x) / n for x in grid])
 
 
 def normal_cdf(x, mean=0.0, std=1.0):

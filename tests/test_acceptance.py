@@ -29,11 +29,8 @@ from dmimo import (
     zf_sum_rate,
 )
 
-from oracles import (
-    dpc_capacity_grid_2user,
-    orthogonal_rows,
-    zf_rate_grid_2user,
-)
+from dmimo.selfcheck import dpc_capacity_grid_2user, zf_rate_grid_2user
+from oracles import orthogonal_rows
 
 
 def cplx(rng, shape):

@@ -148,6 +148,35 @@ class TestRowLayout:
         with pytest.raises(InvalidInputError):
             read_result_rows(short)
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("0,8,1,2,0.0,capacity,1.5,0", "unknown metric 'capacity'"),
+            ("0,8,1,2,0.0,dpc,1.5,2", "degenerate_flag must be 0 or 1, got '2'"),
+            ("0,8,1,2,0.0,dpc,1.5,", "degenerate_flag must be 0 or 1, got ''"),
+        ],
+    )
+    def test_read_result_rows_rejects_bad_fields(self, tmp_path, row, message):
+        path = tmp_path / "results.csv"
+        good = "0,8,1,2,0.0,svs,3.25,0"
+        path.write_text("\n".join([",".join(RESULT_COLUMNS), good, row]) + "\n")
+        with pytest.raises(InvalidInputError) as info:
+            read_result_rows(path)
+        assert str(info.value) == f"{path}:3: {message}"
+
+    def test_read_result_rows_parses_well_formed_file(self, tmp_path):
+        path = tmp_path / "results.csv"
+        lines = [
+            ",".join(RESULT_COLUMNS),
+            "0,8,1,2,0.0,svs,inf,1",
+            "1,8,1,2,15.0,fairness,2.0,0",
+        ]
+        path.write_text("\n".join(lines) + "\n")
+        assert read_result_rows(path) == (
+            ResultRow(0, 8, 1, 2, 0.0, "svs", math.inf, True),
+            ResultRow(1, 8, 1, 2, 15.0, "fairness", 2.0, False),
+        )
+
 
 class TestAggregates:
     def test_cells_recompute_from_rows(self):

@@ -22,17 +22,42 @@ from dmimo import (
     zf_sum_rate,
 )
 
-from oracles import (
+from dmimo.metrics import _waterfill_rows
+from dmimo.selfcheck import (
     dpc_capacity_grid_2user,
-    orthogonal_rows,
     singular_values_gram,
     waterfill_bisection,
     zf_rate_grid_2user,
 )
+from oracles import orthogonal_rows
 
 
 def cplx(rng, shape):
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+
+
+def mixed_effort_tensor():
+    """Six i.i.d. slices whose DPC solves stop after 2, 3 or 4 iterations."""
+    return gen_iid_rayleigh((2, 3, 3, 12), RngHandle(56, 0))
+
+
+def per_slice_results(fn, ch):
+    """`fn` on each (t, l) matrix of `ch` alone, snapshot-major."""
+    return [
+        fn(ch.slice_matrix(t, l))
+        for t in range(ch.num_snapshots)
+        for l in range(ch.num_subcarriers)
+    ]
+
+
+def assert_matches_slices(out, singles):
+    """A tensor result is exactly the slice results, averaged."""
+    rates = [r.sum_rate_bits_per_s_per_hz for r in singles]
+    assert out.sum_rate_bits_per_s_per_hz == np.mean(rates)
+    assert len(out.allocations) == len(singles)
+    for alloc, single in zip(out.allocations, singles):
+        assert np.array_equal(alloc.p, single.allocations[0].p)
+        assert alloc.water_level == single.allocations[0].water_level
 
 
 # frozen from the bisection water-filling oracle:
@@ -121,6 +146,13 @@ class TestSvs:
         mat = cplx(rng, (3, 6))
         assert svs(2.5 * mat) == pytest.approx(svs(mat), abs=1e-10)
 
+    def test_tensor_averages_slices(self):
+        ch = mixed_effort_tensor()
+        assert svs(ch) == np.mean(per_slice_results(svs, ch))
+        data = np.array(ch.data)
+        data[1, 2, 1] = data[1, 2, 0]
+        assert svs(ChannelTensor(data, ch.antenna_ap_map)) == math.inf
+
 
 class TestWaterfill:
     def test_equal_noise_splits_evenly(self):
@@ -164,6 +196,19 @@ class TestWaterfill:
             assert np.all(np.abs(alloc.p[active] + noise[active] - mu) <= 1e-10 * max(1.0, mu))
             assert np.all(noise[~active] >= mu - 1e-10 * max(1.0, mu))
 
+    def test_rows_with_barred_users_match_the_subset(self):
+        # DPC bars a user from power by giving it +inf noise in the row kernel
+        rng = np.random.default_rng(70)
+        noise = rng.uniform(0.05, 5.0, (50, 9))
+        barred = rng.random((50, 9)) < 0.4
+        barred[:, 4] = False
+        p, mu = _waterfill_rows(np.where(barred, np.inf, noise), 1.0)
+        for row in range(50):
+            alone = waterfill(noise[row, ~barred[row]], 1.0)
+            assert np.array_equal(p[row, ~barred[row]], alone.p)
+            assert np.all(p[row, barred[row]] == 0.0)
+            assert mu[row] == alone.water_level
+
     def test_errors(self):
         with pytest.raises(InvalidInputError):
             waterfill([1.0, -1.0], 1.0)
@@ -195,7 +240,7 @@ class TestZfSumRate:
         out = zf_sum_rate(np.eye(2), SnrSpec.from_linear(2.0))
         assert out.sum_rate_bits_per_s_per_hz == pytest.approx(2.0, rel=1e-12)
         assert out.converged
-        assert np.allclose(out.allocation.p, [0.5, 0.5])
+        assert np.allclose(out.allocations[0].p, [0.5, 0.5])
 
     def test_frozen_grid_value(self):
         mat = cplx(np.random.default_rng(7), (2, 4))
@@ -211,15 +256,10 @@ class TestZfSumRate:
             assert out.sum_rate_bits_per_s_per_hz == pytest.approx(ref, abs=1e-3)
 
     def test_tensor_averages_slices(self):
-        ch = gen_iid_rayleigh((2, 3, 3, 12), RngHandle(56, 0))
+        ch = mixed_effort_tensor()
         snr = SnrSpec(5.0)
         out = zf_sum_rate(ch, snr)
-        per_slice = [
-            zf_sum_rate(m, snr).sum_rate_bits_per_s_per_hz
-            for _, _, m in ch.iter_slices()
-        ]
-        assert out.sum_rate_bits_per_s_per_hz == pytest.approx(np.mean(per_slice), rel=1e-12)
-        assert len(out.allocations()) == 6
+        assert_matches_slices(out, per_slice_results(lambda m: zf_sum_rate(m, snr), ch))
 
     def test_rank_deficient_slice_named(self):
         rng = np.random.default_rng(57)
@@ -252,7 +292,7 @@ class TestDpcCapacity:
     def test_identity_channel(self):
         out = dpc_capacity(np.eye(2), SnrSpec.from_linear(2.0))
         assert out.sum_rate_bits_per_s_per_hz == pytest.approx(2.0, rel=1e-9)
-        assert np.allclose(out.allocation.p, [0.5, 0.5], atol=1e-9)
+        assert np.allclose(out.allocations[0].p, [0.5, 0.5], atol=1e-9)
 
     def test_frozen_grid_value(self):
         mat = cplx(np.random.default_rng(7), (2, 4))
@@ -265,7 +305,7 @@ class TestDpcCapacity:
         for rho_db in (0.0, 10.0, 20.0):
             mat = cplx(rng, (2, 8))
             ref = dpc_capacity_grid_2user(mat, 10.0 ** (rho_db / 10.0))
-            out = dpc_capacity(mat, SnrSpec(rho_db), debug=True)
+            out = dpc_capacity(mat, SnrSpec(rho_db))
             assert out.sum_rate_bits_per_s_per_hz == pytest.approx(ref, abs=1e-3)
 
     def test_dominates_zf(self):
@@ -308,15 +348,16 @@ class TestDpcCapacity:
         assert b == pytest.approx(a, rel=1e-9)
 
     def test_tensor_averages_slices(self):
-        ch = gen_iid_rayleigh((2, 2, 3, 9), RngHandle(64, 0))
-        snr = SnrSpec(8.0)
+        # slices leave the batch at different iterations without disturbing
+        # the slices still iterating
+        ch = mixed_effort_tensor()
+        snr = SnrSpec(5.0)
         out = dpc_capacity(ch, snr)
-        per_slice = [
-            dpc_capacity(m, snr).sum_rate_bits_per_s_per_hz
-            for _, _, m in ch.iter_slices()
-        ]
-        assert out.sum_rate_bits_per_s_per_hz == pytest.approx(np.mean(per_slice), rel=1e-9)
-        assert len(out.allocations()) == 4
+        singles = per_slice_results(lambda m: dpc_capacity(m, snr), ch)
+        iterations = [r.iterations for r in singles]
+        assert len(set(iterations)) > 1
+        assert out.iterations == max(iterations)
+        assert_matches_slices(out, singles)
 
     def test_iteration_cap_reports_not_raises(self):
         mat = cplx(np.random.default_rng(65), (6, 24))
@@ -324,11 +365,15 @@ class TestDpcCapacity:
         assert isinstance(out, CapacityResult)
         assert not out.converged
         assert out.iterations == 1
+        out = dpc_capacity(mixed_effort_tensor(), SnrSpec(15.0), max_iterations=1)
+        assert not out.converged
+        assert out.iterations == 1
+        assert len(out.allocations) == 6
 
     def test_more_users_than_antennas_is_defined(self):
         # unlike ZF, the DPC bound exists for K > M
         ch = gen_iid_rayleigh((1, 1, 5, 4), RngHandle(66, 0))
-        out = dpc_capacity(ch, SnrSpec(10.0), debug=True)
+        out = dpc_capacity(ch, SnrSpec(10.0))
         assert out.converged
         assert math.isfinite(out.sum_rate_bits_per_s_per_hz)
         assert out.sum_rate_bits_per_s_per_hz > 0
@@ -366,6 +411,6 @@ class TestJointAllocationMode:
     def test_joint_returns_single_allocation(self):
         ch = gen_iid_rayleigh((2, 2, 3, 8), RngHandle(69, 0))
         out = dpc_capacity(ch, SnrSpec(10.0), allocation_mode="joint")
-        assert isinstance(out.allocation, PowerAllocation)
-        assert len(out.allocations()) == 1
-        assert out.allocation.p.sum() == pytest.approx(1.0, abs=1e-9)
+        assert len(out.allocations) == 1
+        assert isinstance(out.allocations[0], PowerAllocation)
+        assert out.allocations[0].p.sum() == pytest.approx(1.0, abs=1e-9)

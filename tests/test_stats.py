@@ -5,7 +5,8 @@ import pytest
 
 from dmimo import CdfTable, EmptySampleError, InvalidInputError, compute_cdf
 
-from oracles import cdf_by_counting, normal_cdf
+from dmimo.selfcheck import cdf_by_counting
+from oracles import normal_cdf
 
 
 class TestComputeCdf:
