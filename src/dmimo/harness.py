@@ -1,10 +1,19 @@
 """Monte-Carlo experiment execution, aggregation, and result serialization.
 
-Execution layout: one full-size tensor is drawn (or loaded) per (K, trial)
-and shared by every (M, N, rho) sweep cell, so topologies are compared on
-the same channel realization. Every random purpose gets its own stream id
-derived from (purpose, K index, trial, M index, N index), which makes runs
-byte-identical for a fixed seed no matter how many worker threads execute.
+Execution layout: one full-size tensor is drawn (or loaded) and normalized
+per (K, trial) and shared by every (M, N, rho) sweep cell, so topologies are
+compared on the same channel realization. Trials run in chunks of
+consecutive trials of one K, at most CHUNK_SLICES (t, l) slices per chunk.
+Per (M, N), each trial of a chunk draws its own subarray, and the subarrays
+are stacked into one SliceBatch: one batched SVD serves the spread and the
+ZF condition check, one Gram product serves ZF and DPC, the ZF gains are
+computed once for every rho, and each rho costs one water-fill and one DPC
+pass over the whole chunk. A degenerate trial is flagged on its own; it
+never fails the rest of its chunk. Every random purpose gets its own stream
+id derived from (purpose, K index, trial, M index, N index), and every
+kernel treats each slice on its own, so for a fixed seed the output bytes
+do not depend on the chunk size or on how many worker threads execute the
+chunks. The chunk cap only bounds the memory a chunk holds.
 
 Result rows are sorted by (M index, N index, rho index, K index, trial,
 metric) before serialization; aggregates (mean, median, 512-point CDF) skip
@@ -17,6 +26,7 @@ import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -36,9 +46,15 @@ from .errors import (
     InvalidInputError,
     RankDeficiencyError,
 )
-from .metrics import SnrSpec, count_allocated_users, dpc_capacity, svs, zf_sum_rate
-from .prep import normalize, select_subarray
-from .stats import CdfTable, compute_cdf
+from .metrics import (
+    DEFAULT_MAX_ITERATIONS,
+    DEFAULT_TOL,
+    SliceBatch,
+    SnrSpec,
+    _allocated_counts,
+)
+from .prep import _ap_columns, _draw_columns, normalize
+from .stats import compute_cdf
 from .synth import gen_geometric, gen_trajectory_users
 from .tensor import ChannelTensor, RngHandle
 
@@ -50,8 +66,27 @@ _STREAM_USERS = 1
 _STREAM_CHANNEL = 2
 _STREAM_SELECT = 3
 
+# (t, l) slices one chunk of trials stacks at most; bounds a chunk's memory,
+# never changes output bytes
+CHUNK_SLICES = 64
+
 
 def _stream_id(tag: int, k_idx: int, trial: int, m_idx: int = 0, n_idx: int = 0) -> int:
+    """Pack a random purpose and its sweep position into one 64-bit stream id.
+
+    High to low: tag, K index, M index and N index in 8 bits each, then the
+    trial in 32 bits. A value that does not fit raises ValueError instead of
+    colliding with another stream.
+    """
+    for name, value, bits in (
+        ("tag", tag, 8),
+        ("k_idx", k_idx, 8),
+        ("m_idx", m_idx, 8),
+        ("n_idx", n_idx, 8),
+        ("trial", trial, 32),
+    ):
+        if not 0 <= value < 1 << bits:
+            raise ValueError(f"stream id field {name}={value} does not fit in {bits} bits")
     return (tag << 56) | (k_idx << 48) | (m_idx << 40) | (n_idx << 32) | trial
 
 
@@ -167,15 +202,12 @@ def _cell_to_dict(cell: CellAggregate) -> dict:
 
 
 def _source_inventory(cfg: ExperimentConfig):
-    """(num_aps, smallest AP antenna count, file user count or None, tensor)."""
+    """(antenna -> AP map, (T, L) of every drawn tensor, file tensor or None)."""
     if isinstance(cfg.source, SceneSource):
         scene = cfg.source.scene
-        return scene.num_aps, scene.antennas_per_ap, None, None
+        return scene.antenna_ap_map(), (scene.num_snapshots, scene.num_subcarriers), None
     tensor = read_channel_file(cfg.source.path)
-    sizes = [
-        int(np.count_nonzero(tensor.antenna_ap_map == ap)) for ap in tensor.ap_ids
-    ]
-    return tensor.num_aps, min(sizes), tensor.num_users, tensor
+    return tensor.antenna_ap_map, tensor.dims[:2], tensor
 
 
 def _validate_feasibility(cfg: ExperimentConfig, num_aps: int, ap_antennas: int, k_file):
@@ -234,13 +266,23 @@ def _metric_index(name: str) -> int:
     return METRIC_NAMES.index(name)
 
 
-def _trial_worker(cfg: ExperimentConfig, file_tensor, k_idx: int, trial: int):
-    """All rows of one (K, trial): returns (keyed rows, degenerate records)."""
+def _chunks(cfg: ExperimentConfig, slices_per_trial: int) -> list:
+    """(K index, trials) work units: consecutive trials of one K, CHUNK_SLICES slices at most."""
+    size = max(1, CHUNK_SLICES // slices_per_trial)
+    return [
+        (k_idx, range(start, min(start + size, cfg.trials)))
+        for k_idx in range(len(cfg.k_values))
+        for start in range(0, cfg.trials, size)
+    ]
+
+
+def _chunk_worker(cfg: ExperimentConfig, file_tensor, blocks: dict, k_idx: int, trials):
+    """All rows of one chunk of trials: returns (keyed rows, degenerate records)."""
     k = cfg.k_values[k_idx]
     rows = []
     notes = []
 
-    def emit(m_idx, n_idx, rho_idx, metric, value, degenerate, reason=None):
+    def emit(trial, m_idx, n_idx, rho_idx, metric, value, degenerate, reason=None):
         m = cfg.m_values[m_idx]
         n = cfg.n_values[n_idx]
         rho = cfg.rho_db_values[rho_idx]
@@ -253,74 +295,83 @@ def _trial_worker(cfg: ExperimentConfig, file_tensor, k_idx: int, trial: int):
                 (key, DegenerateRecord(trial, m, n, k, rho, metric, reason or ""))
             )
 
-    try:
-        norm = normalize(_draw_full_tensor(cfg, file_tensor, k_idx, trial))
-    except DegenerateUserError as exc:
-        reason = str(exc)
-        for m_idx in range(len(cfg.m_values)):
-            for n_idx in range(len(cfg.n_values)):
-                for rho_idx in range(len(cfg.rho_db_values)):
-                    for metric in cfg.metrics:
-                        emit(m_idx, n_idx, rho_idx, metric, math.nan, True, reason)
+    cells = list(
+        product(
+            range(len(cfg.m_values)), range(len(cfg.n_values)), range(len(cfg.rho_db_values))
+        )
+    )
+    drawn = []  # (trial, normalized (T, L, K, M) data)
+    for trial in trials:
+        try:
+            norm = normalize(_draw_full_tensor(cfg, file_tensor, k_idx, trial))
+        except DegenerateUserError as exc:
+            for cell in cells:
+                for metric in cfg.metrics:
+                    emit(trial, *cell, metric, math.nan, True, str(exc))
+            continue
+        drawn.append((trial, norm.data))
+    if not drawn:
         return rows, notes
 
-    for m_idx in range(len(cfg.m_values)):
-        for n_idx in range(len(cfg.n_values)):
-            sub, _ = select_subarray(
-                norm,
-                cfg.m_values[m_idx],
-                cfg.n_values[n_idx],
-                RngHandle(
-                    cfg.seed, _stream_id(_STREAM_SELECT, k_idx, trial, m_idx, n_idx)
-                ),
-            )
-            svs_value = svs(sub) if "svs" in cfg.metrics else None
-            for rho_idx, rho_db in enumerate(cfg.rho_db_values):
-                snr = SnrSpec(rho_db)
-                if "svs" in cfg.metrics:
+    for m_idx, n_idx in product(range(len(cfg.m_values)), range(len(cfg.n_values))):
+        m, n = cfg.m_values[m_idx], cfg.n_values[n_idx]
+        stack = np.empty((len(drawn),) + drawn[0][1].shape[:3] + (m,), dtype=np.complex128)
+        for out, (trial, data) in zip(stack, drawn):
+            gen = RngHandle(
+                cfg.seed, _stream_id(_STREAM_SELECT, k_idx, trial, m_idx, n_idx)
+            ).generator()
+            cols = _draw_columns(blocks, n, m // n, gen)[0]
+            # the columns are valid, so "clip" only lets take write in place
+            np.take(data, cols, axis=3, out=out, mode="clip")
+        batch = SliceBatch(stack)
+        spreads = batch.spreads() if "svs" in cfg.metrics else None
+        for rho_idx, rho_db in enumerate(cfg.rho_db_values):
+            snr = SnrSpec(rho_db)
+            dpc = zf = None
+            if "dpc" in cfg.metrics:
+                dpc = batch.dpc(
+                    snr, cfg.allocation_mode, DEFAULT_TOL, DEFAULT_MAX_ITERATIONS
+                )
+            if "zf" in cfg.metrics or "fairness" in cfg.metrics:
+                zf = batch.zf(snr, cfg.allocation_mode)
+            for i, (trial, _) in enumerate(drawn):
+                cell = (trial, m_idx, n_idx, rho_idx)
+                if spreads is not None:
                     emit(
-                        m_idx,
-                        n_idx,
-                        rho_idx,
+                        *cell,
                         "svs",
-                        svs_value,
-                        math.isinf(svs_value),
+                        spreads[i],
+                        math.isinf(spreads[i]),
                         "saturated singular-value spread (rank-deficient draw)",
                     )
-                if "dpc" in cfg.metrics:
-                    res = dpc_capacity(sub, snr, cfg.allocation_mode)
+                if dpc is not None:
+                    res = dpc[i]
                     emit(
-                        m_idx,
-                        n_idx,
-                        rho_idx,
+                        *cell,
                         "dpc",
-                        res.sum_rate_bits_per_s_per_hz,
+                        res.value,
                         not res.converged,
                         None
                         if res.converged
                         else "iterative water-filling hit the iteration cap",
                     )
-                if "zf" in cfg.metrics or "fairness" in cfg.metrics:
-                    try:
-                        res = zf_sum_rate(sub, snr, cfg.allocation_mode)
-                        zf_value = res.sum_rate_bits_per_s_per_hz
-                        fairness = float(
-                            np.mean([count_allocated_users(a) for a in res.allocations])
-                        )
-                        failure = None
-                    except RankDeficiencyError as exc:
+                if zf is not None:
+                    res = zf[i]
+                    if isinstance(res, RankDeficiencyError):
                         zf_value = math.nan
                         fairness = math.nan
                         failure = (
-                            f"rank-deficient slice at (t={exc.snapshot}, "
-                            f"l={exc.subcarrier})"
+                            f"rank-deficient slice at (t={res.snapshot}, "
+                            f"l={res.subcarrier})"
                         )
+                    else:
+                        zf_value = res.value
+                        fairness = float(np.mean(_allocated_counts(res.p)))
+                        failure = None
                     if "zf" in cfg.metrics:
-                        emit(m_idx, n_idx, rho_idx, "zf", zf_value, failure is not None, failure)
+                        emit(*cell, "zf", zf_value, failure is not None, failure)
                     if "fairness" in cfg.metrics:
-                        emit(
-                            m_idx, n_idx, rho_idx, "fairness", fairness, failure is not None, failure
-                        )
+                        emit(*cell, "fairness", fairness, failure is not None, failure)
     return rows, notes
 
 
@@ -375,9 +426,9 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     """Execute the full sweep grid for cfg.trials Monte-Carlo trials.
 
     Feasibility of every sweep cell is checked before any trial runs.
-    `threads` only sets the worker-pool width; results are identical for any
-    value because each trial owns pre-assigned random streams and rows are
-    merged in sweep order, not completion order.
+    `threads` only sets how many trial chunks run at once; results are
+    identical for any value because each trial owns pre-assigned random
+    streams and rows are merged in sweep order, not completion order.
     """
     if not isinstance(cfg, ExperimentConfig):
         raise ConfigError("run_experiment expects an ExperimentConfig")
@@ -385,21 +436,24 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     if threads < 1:
         raise ConfigError("threads must be >= 1")
 
-    num_aps, ap_antennas, k_file, file_tensor = _source_inventory(cfg)
-    _validate_feasibility(cfg, num_aps, ap_antennas, k_file)
+    ap_map, grid, file_tensor = _source_inventory(cfg)
+    blocks = _ap_columns(ap_map)
+    _validate_feasibility(
+        cfg,
+        len(blocks),
+        min(len(block) for block in blocks.values()),
+        None if file_tensor is None else file_tensor.num_users,
+    )
 
-    tasks = [
-        (k_idx, trial)
-        for k_idx in range(len(cfg.k_values))
-        for trial in range(cfg.trials)
-    ]
+    def work(chunk):
+        return _chunk_worker(cfg, file_tensor, blocks, *chunk)
+
+    chunks = _chunks(cfg, grid[0] * grid[1])
     if threads == 1:
-        outcomes = [_trial_worker(cfg, file_tensor, *task) for task in tasks]
+        outcomes = [work(chunk) for chunk in chunks]
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(
-                pool.map(lambda task: _trial_worker(cfg, file_tensor, *task), tasks)
-            )
+            outcomes = list(pool.map(work, chunks))
 
     keyed_rows = []
     keyed_notes = []

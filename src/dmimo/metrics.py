@@ -7,8 +7,11 @@ slice is log2 det(I + c * H^H P H) maximized over diagonal P with tr(P) = 1,
 and the ZF rate is sum_k log2(1 + c * p_k / g_k^2) with g_k^2 the k-th
 diagonal entry of (H H^H)^{-1}. Tensor-level results average the per-slice
 values over all (t, l); the subcarrier index of the rate average is read as
-l = 1..L throughout. Every metric works on the whole (T, L, K, M) stack at
-once: one batched linear-algebra call per step, none per slice.
+l = 1..L throughout. Every metric runs on a SliceBatch: the (T, L) slices of
+one or more equal-shape tensors stacked into one array, with one batched
+linear-algebra call per step and none per slice. Work that does not depend
+on the metric or the SNR (singular values, Gram matrices, ZF gains) is done
+once per batch.
 
 Both optimizers accept allocation_mode="per_tl" (independent allocation per
 slice, the default) or "joint" (one allocation shared by all slices, i.e. the
@@ -19,16 +22,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionError, InvalidInputError
+from .errors import DimensionError, InvalidInputError, RankDeficiencyError
 from .tensor import (
     COND_LIMIT,
     ChannelTensor,
     _as_snapshot_stack,
+    _zf_gains,
     singular_values,
-    zf_effective_gains,
 )
 
 _LN2 = math.log(2.0)
@@ -105,6 +110,24 @@ class CapacityResult:
     converged: bool
 
 
+class _ItemResult(NamedTuple):
+    """One tensor's optimizer outcome before it becomes a CapacityResult.
+
+    `p` and `mu` hold one row per (t, l) slice, or a single row in joint mode.
+    """
+
+    value: float
+    p: np.ndarray
+    mu: np.ndarray
+    iterations: int
+    converged: bool
+
+
+def _capacity(item: _ItemResult) -> CapacityResult:
+    allocs = tuple(map(PowerAllocation, item.p, item.mu))
+    return CapacityResult(item.value, allocs, item.iterations, item.converged)
+
+
 def _slice_stack(ch) -> np.ndarray:
     """Tensor-or-matrix input as a (T, L, K, M) stack; a matrix is one slice.
 
@@ -127,12 +150,7 @@ def svs(ch) -> float:
     saturation marker when any slice is rank deficient (condition number
     >= 1e12), never a silent large number.
     """
-    sv = singular_values(_slice_stack(ch))
-    smax, smin = sv[..., 0].ravel(), sv[..., -1].ravel()
-    if np.any((smin <= 0.0) | (smax >= COND_LIMIT * smin)):
-        return math.inf
-    # scalar log10 per slice: numpy's vector log10 may round differently
-    return float(np.mean([10.0 * math.log10(r) for r in (smax / smin).tolist()]))
+    return SliceBatch(_slice_stack(ch)[None]).spreads()[0]
 
 
 def _waterfill_rows(noise: np.ndarray, budget: float) -> tuple:
@@ -181,8 +199,13 @@ def count_allocated_users(alloc: PowerAllocation) -> int:
     """Number of users holding more than 1e-12 of the total power."""
     if not isinstance(alloc, PowerAllocation):
         raise InvalidInputError("count_allocated_users expects a PowerAllocation")
-    eps = ALLOCATED_EPSILON_FRACTION * float(alloc.p.sum())
-    return int(np.count_nonzero(alloc.p > eps))
+    return int(_allocated_counts(alloc.p))
+
+
+def _allocated_counts(p: np.ndarray) -> np.ndarray:
+    """count_allocated_users for every row of a power array (..., K)."""
+    eps = ALLOCATED_EPSILON_FRACTION * p.sum(axis=-1, keepdims=True)
+    return np.count_nonzero(p > eps, axis=-1)
 
 
 def _require_snr(snr) -> SnrSpec:
@@ -210,7 +233,7 @@ def _project_simplex(v: np.ndarray) -> np.ndarray:
     return np.maximum(v - theta, 0.0)
 
 
-def _ascend_on_simplex(objective, gradient, k, tol, max_iterations) -> CapacityResult:
+def _ascend_on_simplex(objective, gradient, k, tol, max_iterations) -> _ItemResult:
     """Joint allocation by projected gradient ascent on the simplex.
 
     Armijo backtracking makes it monotone. The reported water level maps the
@@ -250,8 +273,8 @@ def _ascend_on_simplex(objective, gradient, k, tol, max_iterations) -> CapacityR
             converged = True
             break
     top = float(np.max(grad))
-    alloc = PowerAllocation(p, water_level=1.0 if top <= 0.0 else 1.0 / (_LN2 * top))
-    return CapacityResult(value, (alloc,), iterations=iterations, converged=converged)
+    level = 1.0 if top <= 0.0 else 1.0 / (_LN2 * top)
+    return _ItemResult(value, p[None], np.array([level]), iterations, converged)
 
 
 def zf_sum_rate(ch, snr, allocation_mode: str = "per_tl") -> CapacityResult:
@@ -265,16 +288,14 @@ def zf_sum_rate(ch, snr, allocation_mode: str = "per_tl") -> CapacityResult:
     """
     snr = _require_snr(snr)
     mode = _check_mode(allocation_mode)
-    stack = _slice_stack(ch)
-    _, _, k, mm = stack.shape
-    gains = zf_effective_gains(stack).reshape(-1, k)
-    noise_grid = gains * mm / (snr.rho_linear * k)
+    (item,) = SliceBatch(_slice_stack(ch)[None]).zf(snr, mode)
+    if isinstance(item, RankDeficiencyError):
+        raise item
+    return _capacity(item)
 
-    if mode == "per_tl":
-        p, mu = _waterfill_rows(noise_grid, 1.0)
-        rates = np.log2(1.0 + p / noise_grid).sum(axis=1)
-        allocs = tuple(map(PowerAllocation, p, mu))
-        return CapacityResult(float(np.mean(rates)), allocs, iterations=1, converged=True)
+
+def _zf_joint(noise_grid: np.ndarray) -> _ItemResult:
+    """One ZF allocation shared by the slices of an (S, K) effective-noise grid."""
 
     def objective(p):
         return float(np.mean(np.sum(np.log2(1.0 + p[None, :] / noise_grid), axis=1)))
@@ -282,6 +303,7 @@ def zf_sum_rate(ch, snr, allocation_mode: str = "per_tl") -> CapacityResult:
     def gradient(p):
         return np.mean(1.0 / (noise_grid + p[None, :]), axis=0) / _LN2
 
+    k = noise_grid.shape[1]
     return _ascend_on_simplex(objective, gradient, k, DEFAULT_TOL, DEFAULT_MAX_ITERATIONS)
 
 
@@ -382,19 +404,12 @@ def dpc_capacity(
         raise InvalidInputError("tol must be positive and finite")
     if int(max_iterations) < 1:
         raise InvalidInputError("max_iterations must be >= 1")
-    stack = _slice_stack(ch)
-    _, _, k, mm = stack.shape
-    gram = (stack @ stack.conj().swapaxes(-1, -2)).reshape(-1, k, k)
-    c = snr.rho_linear * k / mm
+    (item,) = SliceBatch(_slice_stack(ch)[None]).dpc(snr, mode, tol, int(max_iterations))
+    return _capacity(item)
 
-    if mode == "per_tl":
-        values, p, mu, iterations, converged = _dpc_per_slice(
-            gram, c, tol, int(max_iterations)
-        )
-        allocs = tuple(map(PowerAllocation, p, mu))
-        return CapacityResult(
-            float(np.mean(values)), allocs, int(iterations.max()), bool(converged.all())
-        )
+
+def _dpc_joint(gram: np.ndarray, c: float, tol: float, max_iterations: int) -> _ItemResult:
+    """One DPC allocation shared by the slices of an (S, K, K) Gram stack."""
 
     def objective(p):
         return float(np.mean(_dpc_objective(p, gram, c)))
@@ -402,4 +417,102 @@ def dpc_capacity(
     def gradient(p):
         return np.mean(c * _dpc_interference_gains(p, gram, c), axis=0) / _LN2
 
-    return _ascend_on_simplex(objective, gradient, k, tol, int(max_iterations))
+    return _ascend_on_simplex(objective, gradient, gram.shape[-1], tol, max_iterations)
+
+
+def _per_item(items: int, values, p, mu, iterations, converged) -> list:
+    """Split per-slice solver output into one _ItemResult per item of equal slice runs."""
+    s = values.shape[0] // items
+    return [
+        _ItemResult(
+            float(np.mean(values[a : a + s])),
+            p[a : a + s],
+            mu[a : a + s],
+            int(iterations[a : a + s].max()),
+            bool(converged[a : a + s].all()),
+        )
+        for a in range(0, items * s, s)
+    ]
+
+
+class SliceBatch:
+    """Equal-shape channel tensors ("items") evaluated together, slice by slice.
+
+    Built from an (items, T, L, K, M) array. Every metric method returns one
+    entry per item, equal to what the public metric returns on that item's
+    (T, L, K, M) tensor alone: each kernel treats every slice on its own, so
+    stacking neither mixes items nor changes a bit. The work that does not
+    depend on the metric or on the SNR is computed at most once per batch:
+    the singular values (spread and ZF condition check), the Gram matrices
+    (ZF inverse and DPC) and the ZF gains.
+    """
+
+    def __init__(self, stack: np.ndarray):
+        self.items, t, l, self.k, self.m = stack.shape
+        self.grid = (t, l)
+        self.h = stack.reshape(-1, self.k, self.m)
+
+    @cached_property
+    def sv(self) -> np.ndarray:
+        """(S, K) singular values, descending; needs K <= M."""
+        return singular_values(self.h)
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """(S, K, K) Gram matrices H H^H."""
+        return self.h @ self.h.conj().swapaxes(-1, -2)
+
+    def spreads(self) -> list:
+        """Per item: svs() of its slices."""
+        smax, smin = self.sv[:, 0], self.sv[:, -1]
+        saturated = (smin <= 0.0) | (smax >= COND_LIMIT * smin)
+        ratios = np.divide(smax, smin, out=np.ones_like(smax), where=~saturated)
+        out = []
+        for bad, item in zip(
+            saturated.reshape(self.items, -1).any(axis=1).tolist(),
+            ratios.reshape(self.items, -1).tolist(),
+        ):
+            # scalar log10 per slice: numpy's vector log10 may round differently
+            out.append(
+                math.inf if bad else float(np.mean([10.0 * math.log10(r) for r in item]))
+            )
+        return out
+
+    @cached_property
+    def _zf(self) -> tuple:
+        """(ZF gains (items, T, L, K), a RankDeficiencyError or None per item)."""
+        shape = (self.items,) + self.grid
+        return _zf_gains(
+            self.sv.reshape(shape + (self.k,)), self.gram.reshape(shape + (self.k, self.k))
+        )
+
+    def zf(self, snr: SnrSpec, mode: str) -> list:
+        """Per item: zf_sum_rate's outcome, or the RankDeficiencyError it raises."""
+        gains, failures = self._zf
+        ok = [i for i, f in enumerate(failures) if f is None]
+        out = list(failures)
+        if not ok:
+            return out
+        noise = gains[ok].reshape(len(ok), -1, self.k) * self.m / (snr.rho_linear * self.k)
+        if mode == "per_tl":
+            rows = noise.reshape(-1, self.k)
+            p, mu = _waterfill_rows(rows, 1.0)
+            rates = np.log2(1.0 + p / rows).sum(axis=1)
+            ones = np.ones(rates.shape[0], dtype=int)
+            results = _per_item(len(ok), rates, p, mu, ones, ones.astype(bool))
+        else:
+            results = [_zf_joint(grid) for grid in noise]
+        for i, result in zip(ok, results):
+            out[i] = result
+        return out
+
+    def dpc(self, snr: SnrSpec, mode: str, tol: float, max_iterations: int) -> list:
+        """Per item: dpc_capacity's outcome."""
+        c = snr.rho_linear * self.k / self.m
+        if mode == "per_tl":
+            return _per_item(self.items, *_dpc_per_slice(self.gram, c, tol, max_iterations))
+        s = self.gram.shape[0] // self.items
+        return [
+            _dpc_joint(self.gram[a : a + s], c, tol, max_iterations)
+            for a in range(0, self.gram.shape[0], s)
+        ]

@@ -117,40 +117,47 @@ def select_subarray(ch: ChannelTensor, m_total: int, n_aps: int, rng) -> tuple:
         raise InvalidInputError("select_subarray expects a ChannelTensor")
     m_total = int(m_total)
     n_aps = int(n_aps)
-    available = ch.ap_ids
-    if n_aps < 1 or n_aps > len(available):
+    blocks = _ap_columns(ch.antenna_ap_map)
+    if n_aps < 1 or n_aps > len(blocks):
         raise TopologyError(
-            f"requested {n_aps} APs but the tensor has {len(available)}"
+            f"requested {n_aps} APs but the tensor has {len(blocks)}"
         )
     if m_total < 1 or m_total % n_aps != 0:
         raise TopologyError(
             f"m_total={m_total} is not divisible by n_aps={n_aps}"
         )
     w = m_total // n_aps
-    group_sizes = {
-        ap: int(np.count_nonzero(ch.antenna_ap_map == ap)) for ap in available
-    }
-    smallest = min(group_sizes.values())
+    smallest = min(len(block) for block in blocks.values())
     if w > smallest:
         raise ApCapacityError(
             f"need W={w} elements per AP but the smallest AP has {smallest}"
         )
-    gen = _generator(rng)
-
-    chosen = np.sort(gen.choice(np.asarray(available), size=n_aps, replace=False))
-    columns = []
-    element_groups = []
-    for ap in chosen:
-        block = np.flatnonzero(ch.antenna_ap_map == ap)
-        picks = np.sort(gen.choice(len(block), size=w, replace=False))
-        columns.append(block[picks])
-        element_groups.append(tuple(int(e) for e in picks))
-    cols = np.concatenate(columns)
+    cols, chosen, picks = _draw_columns(blocks, n_aps, w, _generator(rng))
     topo = Topology(
         n_aps=n_aps,
         per_ap_antennas=w,
         chosen_ap_ids=tuple(int(a) for a in chosen),
-        chosen_element_ids=tuple(element_groups),
+        chosen_element_ids=tuple(tuple(int(e) for e in grp) for grp in picks),
     )
     sliced = ChannelTensor(ch.data[:, :, :, cols], ch.antenna_ap_map[cols])
     return sliced, topo
+
+
+def _ap_columns(antenna_ap_map: np.ndarray) -> dict:
+    """Each AP id, in antenna order, mapped to the antenna columns it owns."""
+    boundaries = np.flatnonzero(np.diff(antenna_ap_map) != 0) + 1
+    ap_ids = antenna_ap_map[np.concatenate(([0], boundaries))]
+    return {int(ap): np.flatnonzero(antenna_ap_map == ap) for ap in ap_ids}
+
+
+def _draw_columns(blocks: dict, n_aps: int, w: int, gen: np.random.Generator) -> tuple:
+    """The random subarray draw behind select_subarray, for a checked (n_aps, w).
+
+    Draws `n_aps` of the APs in `blocks` (see _ap_columns), then `w` elements
+    of each chosen AP in ascending AP order; this call order fixes the
+    stream. Returns (antenna columns, chosen AP ids, element picks per AP).
+    """
+    chosen = np.sort(gen.choice(np.asarray(list(blocks)), size=n_aps, replace=False))
+    picks = [np.sort(gen.choice(len(blocks[ap]), size=w, replace=False)) for ap in chosen.tolist()]
+    cols = np.concatenate([blocks[ap][grp] for ap, grp in zip(chosen.tolist(), picks)])
+    return cols, chosen, picks

@@ -382,36 +382,46 @@ def gen_geometric(scene: Scene, users: UserLayout, rng=None) -> ChannelTensor:
     half_spread = math.radians(scene.angular_spread_deg) / 2.0
     two_pi_over_c = 2.0 * math.pi / SPEED_OF_LIGHT
 
+    # per-AP element coordinates, one (W,) array per axis
+    patches = [ant_pos[n * w : (n + 1) * w].T for n in range(scene.num_aps)]
+
     data = np.zeros((t_dim, l_dim, k_dim, scene.total_antennas), dtype=np.complex128)
     for k in range(k_dim):
         user = users.positions[k]
+        ux, uy, uz = user
         for n, ap in enumerate(scene.ap_positions):
             ap = np.asarray(ap)
             cols = slice(n * w, (n + 1) * w)
-            elements = ant_pos[cols]
+            ex, ey, ez = patches[n]
             direct = user - ap
             azimuth = math.atan2(direct[1], direct[0])
             link_dist = float(np.linalg.norm(direct))
 
-            # scatterer points: direct-azimuth fan at a fraction of the link range
+            # scatterer points: direct-azimuth fan at a fraction of the link range,
+            # at the AP's height
             angles = azimuth + gen.uniform(-half_spread, half_spread, s)
             ranges = gen.uniform(0.2, 1.0, s) * max(link_dist, 1e-3)
-            scat = ap + np.column_stack(
-                [np.cos(angles) * ranges, np.sin(angles) * ranges, np.zeros(s)]
-            )
+            sx = ap[0] + np.cos(angles) * ranges
+            sy = ap[1] + np.sin(angles) * ranges
             gains = (
                 gen.standard_normal((t_dim, s)) + 1j * gen.standard_normal((t_dim, s))
             ) / math.sqrt(2.0 * s)
 
-            # per-ray path length: AP element -> scatterer -> user
-            d_elem = np.linalg.norm(scat[:, None, :] - elements[None, :, :], axis=2)
-            d_user = np.linalg.norm(scat - user[None, :], axis=1)
+            # per-ray path length: AP element -> scatterer -> user; every distance
+            # sums its squared coordinate offsets in x, y, z order
+            dx = sx[:, None] - ex[None, :]
+            dy = sy[:, None] - ey[None, :]
+            dz = ap[2] - ez
+            d_elem = np.sqrt((dx * dx + dy * dy) + (dz * dz)[None, :])
+            dx, dy, dz = sx - ux, sy - uy, ap[2] - uz
+            d_user = np.sqrt((dx * dx + dy * dy) + dz * dz)
             paths = d_elem + d_user[:, None]
             phases = np.exp(1j * two_pi_over_c * freqs[:, None, None] * paths[None, :, :])
             scattered = np.einsum("ts,lsw->tlw", gains, phases)
 
             if scene.condition_per_ap[n] == LOS:
-                d_los = np.linalg.norm(elements - user[None, :], axis=1)
+                dx, dy, dz = ex - ux, ey - uy, ez - uz
+                d_los = np.sqrt((dx * dx + dy * dy) + dz * dz)
                 los = los_amp * np.exp(
                     1j * two_pi_over_c * freqs[:, None] * d_los[None, :]
                 )

@@ -169,24 +169,51 @@ def zf_effective_gains(matrix) -> np.ndarray:
     """
     m = _as_snapshot_stack(matrix)
     sv = np.linalg.svd(m, compute_uv=False)
-    smax, smin = sv[..., 0], sv[..., -1]
-    # gram condition is the squared singular-value ratio
-    _raise_at_first(
-        (smin <= 0.0) | (smax * smax >= COND_LIMIT * (smin * smin)),
-        "channel Gram matrix is singular or near-singular "
-        f"(squared condition >= {COND_LIMIT:.0e})",
-    )
     gram = m @ m.conj().swapaxes(-1, -2)
-    gains = np.real(np.diagonal(np.linalg.inv(gram), axis1=-2, axis2=-1)).copy()
-    _raise_at_first(
-        ~np.all(gains > 0.0, axis=-1), "channel Gram inverse lost positive definiteness"
-    )
+    (gains,), (error,) = _zf_gains(sv[None], gram[None])
+    if error is not None:
+        raise error
     return gains
 
 
-def _raise_at_first(bad: np.ndarray, message: str) -> None:
-    """Raise at the first flagged matrix; on a (T, L) grid of flags, name its (t, l)."""
-    if np.any(bad):
-        where = np.unravel_index(int(np.argmax(bad)), bad.shape)
-        t, l = map(int, where) if bad.ndim == 2 else (None, None)
-        raise RankDeficiencyError(message, snapshot=t, subcarrier=l)
+_GRAM_SINGULAR = (
+    "channel Gram matrix is singular or near-singular "
+    f"(squared condition >= {COND_LIMIT:.0e})"
+)
+_GRAM_INDEFINITE = "channel Gram inverse lost positive definiteness"
+
+
+def _zf_gains(sv: np.ndarray, gram: np.ndarray) -> tuple:
+    """zf_effective_gains of each item of a stack, without raising.
+
+    `sv` (items, ..., K) holds each matrix's descending singular values and
+    `gram` (items, ..., K, K) its Gram matrix. Returns (gains (items, ..., K),
+    errors): errors[i] is the RankDeficiencyError item i fails with, or None.
+    A failed item keeps NaN gains; an ill-conditioned one never reaches the
+    batched inverse, so one singular Gram matrix cannot fail the others.
+    """
+    items = sv.shape[0]
+    smax, smin = sv[..., 0], sv[..., -1]
+    # gram condition is the squared singular-value ratio
+    singular = (smin <= 0.0) | (smax * smax >= COND_LIMIT * (smin * smin))
+    errors = _rank_errors(singular, _GRAM_SINGULAR, [None] * items)
+    ok = np.array([e is None for e in errors])
+    gains = np.full(sv.shape, np.nan)
+    gains[ok] = np.real(np.diagonal(np.linalg.inv(gram[ok]), axis1=-2, axis2=-1))
+    return gains, _rank_errors(~np.all(gains > 0.0, axis=-1), _GRAM_INDEFINITE, errors)
+
+
+def _rank_errors(bad: np.ndarray, message: str, errors: list) -> list:
+    """`errors` with a RankDeficiencyError added for each item that has none yet
+    but a flagged matrix in `bad` (items, ...).
+
+    The error names the item's first flagged matrix, snapshot-major: its
+    (t, l) when the item is a (T, L) grid of matrices.
+    """
+    out = list(errors)
+    for i in np.flatnonzero(bad.reshape(len(out), -1).any(axis=1)):
+        if out[i] is None:
+            where = np.unravel_index(int(np.argmax(bad[i])), bad[i].shape)
+            t, l = map(int, where) if bad[i].ndim == 2 else (None, None)
+            out[i] = RankDeficiencyError(message, snapshot=t, subcarrier=l)
+    return out

@@ -22,7 +22,8 @@ from dmimo import (
     write_channel_file,
     RngHandle,
 )
-from dmimo.harness import RESULT_COLUMNS, ResultRow
+from dmimo import harness
+from dmimo.harness import RESULT_COLUMNS, ResultRow, _stream_id
 
 
 def small_scene(**overrides):
@@ -271,6 +272,97 @@ class TestDegenerateHandling:
         assert sum(1 for r in back if r.degenerate) == len(result.degenerate)
         svs_rows = [r for r in back if r.metric == "svs"]
         assert all(r.value == math.inf for r in svs_rows)
+
+
+class TestChunking:
+    """Trials run in chunks; the chunk cap must never change a byte of output."""
+
+    @staticmethod
+    def outputs(cfg, threads=1):
+        result = run_experiment(cfg, threads=threads)
+        return result.to_csv_text(), json.dumps(
+            result.aggregates_dict(), indent=2, sort_keys=True
+        )
+
+    def test_outputs_do_not_depend_on_chunk_cap_or_threads(self, tmp_path, monkeypatch):
+        # user 4 copies user 1 (trials holding both are ZF rank-deficient);
+        # user 5 is all zero (trials holding it cannot be normalized)
+        data = gen_iid_rayleigh((1, 1, 6, 8), RngHandle(94, 0)).data.copy()
+        data[0, 0, 4] = data[0, 0, 1]
+        data[0, 0, 5] = 0.0
+        cfg = file_config(
+            tmp_path,
+            data,
+            np.repeat([0, 1], 4),
+            m_values=(8, 4),
+            rho_db_values=(0.0, 10.0),
+            k_values=(3,),
+            trials=12,
+            seed=3,
+        )
+        reference = self.outputs(cfg)
+        result = run_experiment(cfg)
+        unnormalizable = {d.trial for d in result.degenerate if "all-zero" in d.reason}
+        rank_deficient = {
+            d.trial for d in result.degenerate if d.reason.startswith("rank-deficient")
+        }
+        # both kinds sit mid-chunk at a cap of 3 (chunks 0-2, 3-5, ...) and of 64
+        assert any(t % 3 == 1 for t in unnormalizable)
+        assert any(t % 3 == 1 for t in rank_deficient)
+        for cap, chunks in ((1, 12), (3, 4), (harness.CHUNK_SLICES, 1)):
+            monkeypatch.setattr(harness, "CHUNK_SLICES", cap)
+            assert len(harness._chunks(cfg, 1)) == chunks
+            for threads in (1, 3):
+                assert self.outputs(cfg, threads) == reference, (cap, threads)
+
+    def test_singular_trial_leaves_its_chunk_intact(self, tmp_path, monkeypatch):
+        # user 2 is silent at (t=1, l=0) only: a trial holding it has an exactly
+        # singular Gram matrix in that slice and nowhere else
+        data = gen_iid_rayleigh((2, 2, 6, 8), RngHandle(95, 0)).data.copy()
+        data[1, 0, 2] = 0.0
+        cfg = file_config(
+            tmp_path, data, np.repeat([0, 1], 4), rho_db_values=(0.0, 10.0), trials=6, seed=1
+        )
+        assert len(harness._chunks(cfg, 4)) == 1
+        chunked = run_experiment(cfg)
+        monkeypatch.setattr(harness, "CHUNK_SLICES", 1)
+        single = run_experiment(cfg)
+
+        def zf_rows(result, trial):
+            return [
+                r for r in result.rows if r.trial == trial and r.metric in ("zf", "fairness")
+            ]
+
+        failed = {d.trial for d in chunked.degenerate if d.metric == "zf"}
+        assert failed == {1}
+        assert {d.reason for d in chunked.degenerate if d.metric in ("zf", "fairness")} == {
+            "rank-deficient slice at (t=1, l=0)"
+        }
+        for trial in (0, 2, 3, 4, 5):
+            rows = zf_rows(chunked, trial)
+            assert rows and not any(r.degenerate for r in rows)
+            assert rows == zf_rows(single, trial)
+
+
+class TestStreamId:
+    def test_packs_fields(self):
+        assert _stream_id(3, 2, 7, 5, 1) == (3 << 56) | (2 << 48) | (5 << 40) | (1 << 32) | 7
+        assert _stream_id(255, 255, 2**32 - 1, 255, 255) == 2**64 - 1
+
+    @pytest.mark.parametrize(
+        "field, args",
+        [
+            ("tag", (256, 0, 0)),
+            ("k_idx", (1, 256, 0)),
+            ("trial", (1, 0, 2**32)),
+            ("trial", (1, 0, -1)),
+            ("m_idx", (1, 0, 0, 256)),
+            ("n_idx", (1, 0, 0, 0, 256)),
+        ],
+    )
+    def test_rejects_values_wider_than_their_field(self, field, args):
+        with pytest.raises(ValueError, match=field):
+            _stream_id(*args)
 
 
 class TestFileSource:

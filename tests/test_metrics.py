@@ -22,7 +22,7 @@ from dmimo import (
     zf_sum_rate,
 )
 
-from dmimo.metrics import _waterfill_rows
+from dmimo.metrics import SliceBatch, _waterfill_rows
 from dmimo.selfcheck import (
     dpc_capacity_grid_2user,
     singular_values_gram,
@@ -414,3 +414,33 @@ class TestJointAllocationMode:
         assert len(out.allocations) == 1
         assert isinstance(out.allocations[0], PowerAllocation)
         assert out.allocations[0].p.sum() == pytest.approx(1.0, abs=1e-9)
+
+
+class TestSliceBatch:
+    """A batch of tensors gives each tensor exactly its own public result."""
+
+    @staticmethod
+    def tensors():
+        # three (2, 2, 3, 8) tensors; the middle one has a singular slice at (1, 0)
+        data = cplx(np.random.default_rng(70), (3, 2, 2, 3, 8))
+        data[1, 1, 0, 2] = data[1, 1, 0, 0]
+        return data, [ChannelTensor(item, np.zeros(8)) for item in data]
+
+    @pytest.mark.parametrize("mode", ["per_tl", "joint"])
+    def test_items_match_public_metrics(self, mode):
+        data, items = self.tensors()
+        batch = SliceBatch(data)
+        snr = SnrSpec(8.0)
+        assert batch.spreads() == [svs(ch) for ch in items]
+        for result, ch in zip(batch.dpc(snr, mode, 1e-8, 500), items):
+            single = dpc_capacity(ch, snr, allocation_mode=mode)
+            assert result.value == single.sum_rate_bits_per_s_per_hz
+            assert result.iterations == single.iterations
+            assert np.array_equal(result.p, [a.p for a in single.allocations])
+        zf = batch.zf(snr, mode)
+        assert isinstance(zf[1], RankDeficiencyError)
+        assert (zf[1].snapshot, zf[1].subcarrier) == (1, 0)
+        for result, ch in zip(zf[::2], items[::2]):
+            single = zf_sum_rate(ch, snr, allocation_mode=mode)
+            assert result.value == single.sum_rate_bits_per_s_per_hz
+            assert np.array_equal(result.p, [a.p for a in single.allocations])

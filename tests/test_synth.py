@@ -1,5 +1,6 @@
 """Scene model and channel synthesis: geometry, statistics, seeded behavior."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -230,6 +231,34 @@ class TestGeometric:
         assert ch.num_aps == 4
         again = gen_geometric(scene, users, rng=RngHandle(20, 1))
         assert np.array_equal(ch.data, again.data)
+
+    @pytest.mark.parametrize(
+        "scene, num_users, seed, dims, digest",
+        [
+            (
+                default_scene("los"),
+                4,
+                7,
+                (1, 1, 4, 128),
+                "1a857796144a88f4839f15cb5e6f3035eebf059a2f50dac2a228c315bccd19c5",
+            ),
+            (
+                default_scene("mixed", num_subcarriers=4, num_snapshots=2),
+                3,
+                11,
+                (2, 4, 3, 128),
+                "bc0ed1badf6380918e3118d2d4016488b6b1da9fab0c4e816249eda29cdce6a5",
+            ),
+        ],
+        ids=["los", "mixed"],
+    )
+    def test_frozen_bits(self, scene, num_users, seed, dims, digest):
+        # any change to the draw order or to the floating-point expressions
+        # of the synthesis moves these bytes
+        users = gen_trajectory_users(scene, num_users, (0.1, 5.0), RngHandle(seed, 1))
+        ch = gen_geometric(scene, users, RngHandle(seed, 2))
+        assert ch.dims == dims
+        assert hashlib.sha256(ch.data.tobytes()).hexdigest() == digest
 
     def test_user_outside_region_rejected(self):
         scene = default_scene()
