@@ -2,18 +2,19 @@
 
 Execution layout: one full-size tensor is drawn (or loaded) and normalized
 per (K, trial) and shared by every (M, N, rho) sweep cell, so topologies are
-compared on the same channel realization. Trials run in chunks of
-consecutive trials of one K, at most CHUNK_SLICES (t, l) slices per chunk.
-Per (M, N), each trial of a chunk draws its own subarray, and the subarrays
-are stacked into one SliceBatch: one batched SVD serves the spread and the
-ZF condition check, one Gram product serves ZF and DPC, the ZF gains are
-computed once for every rho, and each rho costs one water-fill and one DPC
-pass over the whole chunk. A degenerate trial is flagged on its own; it
-never fails the rest of its chunk. Every random purpose gets its own stream
-id derived from (purpose, K index, trial, M index, N index), and every
-kernel treats each slice on its own, so for a fixed seed the output bytes
-do not depend on the chunk size or on how many worker threads execute the
-chunks. The chunk cap only bounds the memory a chunk holds.
+compared on the same channel realization. Trials run in chunks: consecutive
+trials of one K whose full-size tensors hold at most CHUNK_ELEMENTS complex
+entries together (a larger trial runs alone), so the cap bounds the memory
+a chunk holds. Per (M, N), each trial of a chunk draws its own subarray and
+the subarrays are stacked: a SliceBatch gives every trial's spread and ZF
+rate from one batched SVD, with the ZF gains computed once for every rho,
+and per rho one dpc_capacity call on the trials folded into its snapshot
+axis gives every trial's DPC slice rates (joint allocation is per trial). A
+degenerate trial is flagged on its own; it never fails the rest of its
+chunk. Every random purpose gets its own stream id derived from (purpose,
+K index, trial, M index, N index), and every kernel treats each slice on
+its own, so for a fixed seed the output bytes do not depend on the chunk
+cap or on how many worker threads execute the chunks.
 
 Result rows are sorted by (M index, N index, rho index, K index, trial,
 metric) before serialization; aggregates (mean, median, 512-point CDF) skip
@@ -46,17 +47,11 @@ from .errors import (
     InvalidInputError,
     RankDeficiencyError,
 )
-from .metrics import (
-    DEFAULT_MAX_ITERATIONS,
-    DEFAULT_TOL,
-    SliceBatch,
-    SnrSpec,
-    _allocated_counts,
-)
-from .prep import _ap_columns, _draw_columns, normalize
+from .metrics import SliceBatch, SnrSpec, count_allocated_users, dpc_capacity
+from .prep import draw_subarray_columns, normalize
 from .stats import compute_cdf
 from .synth import gen_geometric, gen_trajectory_users
-from .tensor import ChannelTensor, RngHandle
+from .tensor import ChannelTensor, RngHandle, ap_columns
 
 RESULT_COLUMNS = ("trial", "M", "N", "K", "rho_db", "metric", "value", "degenerate_flag")
 
@@ -66,9 +61,10 @@ _STREAM_USERS = 1
 _STREAM_CHANNEL = 2
 _STREAM_SELECT = 3
 
-# (t, l) slices one chunk of trials stacks at most; bounds a chunk's memory,
-# never changes output bytes
-CHUNK_SLICES = 64
+# complex entries that the full-size tensors of one chunk of trials hold at
+# most (1.5 MiB): 64 trials of the paper's sweep (T = L = 1, K = 12 users,
+# 128 antennas). Bounds a chunk's memory, never changes output bytes.
+CHUNK_ELEMENTS = 64 * 12 * 128
 
 
 def _stream_id(tag: int, k_idx: int, trial: int, m_idx: int = 0, n_idx: int = 0) -> int:
@@ -266,14 +262,35 @@ def _metric_index(name: str) -> int:
     return METRIC_NAMES.index(name)
 
 
-def _chunks(cfg: ExperimentConfig, slices_per_trial: int) -> list:
-    """(K index, trials) work units: consecutive trials of one K, CHUNK_SLICES slices at most."""
-    size = max(1, CHUNK_SLICES // slices_per_trial)
-    return [
-        (k_idx, range(start, min(start + size, cfg.trials)))
-        for k_idx in range(len(cfg.k_values))
-        for start in range(0, cfg.trials, size)
-    ]
+def _chunks(cfg: ExperimentConfig, entries_per_user: int) -> list:
+    """(K index, trials) work units: consecutive trials of one K whose full-size
+    tensors, of `entries_per_user` = T*L*M_total entries per user, hold
+    CHUNK_ELEMENTS entries at most; a larger trial is a chunk of its own."""
+    out = []
+    for k_idx, k in enumerate(cfg.k_values):
+        size = max(1, CHUNK_ELEMENTS // (k * entries_per_user))
+        out.extend(
+            (k_idx, range(start, min(start + size, cfg.trials)))
+            for start in range(0, cfg.trials, size)
+        )
+    return out
+
+
+def _chunk_dpc(stack: np.ndarray, snr: SnrSpec, mode: str) -> list:
+    """(DPC rate, converged) of each trial of an (items, T, L, K, M) stack.
+
+    Per-slice allocation treats every slice on its own, so one dpc_capacity
+    call on the trials folded into the snapshot axis gives each trial's
+    slice rates unchanged; joint allocation is one call per trial.
+    """
+    if mode == "joint":
+        results = [dpc_capacity(item, snr, mode) for item in stack]
+        return [(r.sum_rate_bits_per_s_per_hz, r.converged) for r in results]
+    items, t, l, k, m = stack.shape
+    res = dpc_capacity(stack.reshape(items * t, l, k, m), snr, mode)
+    rates = res.slice_rates.reshape(items, -1)
+    converged = res.slice_converged.reshape(items, -1).all(axis=1)
+    return [(float(np.mean(r)), bool(c)) for r, c in zip(rates, converged.tolist())]
 
 
 def _chunk_worker(cfg: ExperimentConfig, file_tensor, blocks: dict, k_idx: int, trials):
@@ -317,10 +334,8 @@ def _chunk_worker(cfg: ExperimentConfig, file_tensor, blocks: dict, k_idx: int, 
         m, n = cfg.m_values[m_idx], cfg.n_values[n_idx]
         stack = np.empty((len(drawn),) + drawn[0][1].shape[:3] + (m,), dtype=np.complex128)
         for out, (trial, data) in zip(stack, drawn):
-            gen = RngHandle(
-                cfg.seed, _stream_id(_STREAM_SELECT, k_idx, trial, m_idx, n_idx)
-            ).generator()
-            cols = _draw_columns(blocks, n, m // n, gen)[0]
+            rng = RngHandle(cfg.seed, _stream_id(_STREAM_SELECT, k_idx, trial, m_idx, n_idx))
+            cols = draw_subarray_columns(blocks, m, n, rng)[0]
             # the columns are valid, so "clip" only lets take write in place
             np.take(data, cols, axis=3, out=out, mode="clip")
         batch = SliceBatch(stack)
@@ -329,9 +344,7 @@ def _chunk_worker(cfg: ExperimentConfig, file_tensor, blocks: dict, k_idx: int, 
             snr = SnrSpec(rho_db)
             dpc = zf = None
             if "dpc" in cfg.metrics:
-                dpc = batch.dpc(
-                    snr, cfg.allocation_mode, DEFAULT_TOL, DEFAULT_MAX_ITERATIONS
-                )
+                dpc = _chunk_dpc(stack, snr, cfg.allocation_mode)
             if "zf" in cfg.metrics or "fairness" in cfg.metrics:
                 zf = batch.zf(snr, cfg.allocation_mode)
             for i, (trial, _) in enumerate(drawn):
@@ -345,15 +358,13 @@ def _chunk_worker(cfg: ExperimentConfig, file_tensor, blocks: dict, k_idx: int, 
                         "saturated singular-value spread (rank-deficient draw)",
                     )
                 if dpc is not None:
-                    res = dpc[i]
+                    rate, converged = dpc[i]
                     emit(
                         *cell,
                         "dpc",
-                        res.value,
-                        not res.converged,
-                        None
-                        if res.converged
-                        else "iterative water-filling hit the iteration cap",
+                        rate,
+                        not converged,
+                        None if converged else "iterative water-filling hit the iteration cap",
                     )
                 if zf is not None:
                     res = zf[i]
@@ -365,8 +376,10 @@ def _chunk_worker(cfg: ExperimentConfig, file_tensor, blocks: dict, k_idx: int, 
                             f"l={res.subcarrier})"
                         )
                     else:
-                        zf_value = res.value
-                        fairness = float(np.mean(_allocated_counts(res.p)))
+                        zf_value = res.sum_rate_bits_per_s_per_hz
+                        fairness = float(
+                            np.mean([count_allocated_users(a) for a in res.allocations])
+                        )
                         failure = None
                     if "zf" in cfg.metrics:
                         emit(*cell, "zf", zf_value, failure is not None, failure)
@@ -437,7 +450,7 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
         raise ConfigError("threads must be >= 1")
 
     ap_map, grid, file_tensor = _source_inventory(cfg)
-    blocks = _ap_columns(ap_map)
+    blocks = ap_columns(ap_map)
     _validate_feasibility(
         cfg,
         len(blocks),
@@ -448,7 +461,7 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     def work(chunk):
         return _chunk_worker(cfg, file_tensor, blocks, *chunk)
 
-    chunks = _chunks(cfg, grid[0] * grid[1])
+    chunks = _chunks(cfg, grid[0] * grid[1] * len(ap_map))
     if threads == 1:
         outcomes = [work(chunk) for chunk in chunks]
     else:

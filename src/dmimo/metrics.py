@@ -7,11 +7,13 @@ slice is log2 det(I + c * H^H P H) maximized over diagonal P with tr(P) = 1,
 and the ZF rate is sum_k log2(1 + c * p_k / g_k^2) with g_k^2 the k-th
 diagonal entry of (H H^H)^{-1}. Tensor-level results average the per-slice
 values over all (t, l); the subcarrier index of the rate average is read as
-l = 1..L throughout. Every metric runs on a SliceBatch: the (T, L) slices of
-one or more equal-shape tensors stacked into one array, with one batched
-linear-algebra call per step and none per slice. Work that does not depend
-on the metric or the SNR (singular values, Gram matrices, ZF gains) is done
-once per batch.
+l = 1..L throughout. Every metric runs one batched linear-algebra call per
+step over all slices it is given and none per slice. A channel argument is a
+ChannelTensor or an array of K x M matrices read as (T, L, K, M), so a caller
+may fold several equal-shape tensors into the snapshot axis; per-slice
+results (`CapacityResult.slice_rates`) then belong to each tensor unchanged.
+SliceBatch evaluates the spread and ZF for several tensors at once, with the
+singular values, Gram matrices and ZF gains computed once for every SNR.
 
 Both optimizers accept allocation_mode="per_tl" (independent allocation per
 slice, the default) or "joint" (one allocation shared by all slices, i.e. the
@@ -23,7 +25,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -100,36 +101,38 @@ class CapacityResult:
     """Outcome of a capacity optimization.
 
     `allocations` holds one PowerAllocation per (t, l) slice in
-    snapshot-major order, or a single one in joint mode. `iterations` is the
-    largest iteration count any slice used.
+    snapshot-major order, or a single one in joint mode. `slice_rates` holds
+    each slice's rate (under the shared allocation in joint mode) and
+    `slice_converged` whether its optimizer converged, in the same order;
+    the sum rate is the mean of `slice_rates`. `iterations` is the largest
+    iteration count any slice used.
     """
 
     sum_rate_bits_per_s_per_hz: float
     allocations: tuple[PowerAllocation, ...]
     iterations: int
     converged: bool
+    slice_rates: np.ndarray
+    slice_converged: np.ndarray
 
 
-class _ItemResult(NamedTuple):
-    """One tensor's optimizer outcome before it becomes a CapacityResult.
-
-    `p` and `mu` hold one row per (t, l) slice, or a single row in joint mode.
-    """
-
-    value: float
-    p: np.ndarray
-    mu: np.ndarray
-    iterations: int
-    converged: bool
-
-
-def _capacity(item: _ItemResult) -> CapacityResult:
-    allocs = tuple(map(PowerAllocation, item.p, item.mu))
-    return CapacityResult(item.value, allocs, item.iterations, item.converged)
+def _result(rates, p, mu, iterations, converged) -> CapacityResult:
+    """A CapacityResult from per-slice rates and convergence flags plus one
+    (p, water level) row per allocation."""
+    rates.setflags(write=False)
+    converged.setflags(write=False)
+    return CapacityResult(
+        float(np.mean(rates)),
+        tuple(map(PowerAllocation, p, mu)),
+        int(iterations),
+        bool(np.all(converged)),
+        rates,
+        converged,
+    )
 
 
 def _slice_stack(ch) -> np.ndarray:
-    """Tensor-or-matrix input as a (T, L, K, M) stack; a matrix is one slice.
+    """A ChannelTensor's data, or an array of 2 to 4 dims read as (T, L, K, M).
 
     The K <= M check that ZF and the spread need is left to the tensor
     kernels; DPC is defined for any K.
@@ -137,9 +140,12 @@ def _slice_stack(ch) -> np.ndarray:
     if isinstance(ch, ChannelTensor):
         return ch.data
     m = _as_snapshot_stack(ch, require_tall=False)
-    if m.ndim != 2:
-        raise DimensionError(f"expected a ChannelTensor or one K x M matrix, got {m.ndim}-D")
-    return m[None, None]
+    if m.ndim > 4:
+        raise DimensionError(
+            f"expected a ChannelTensor or an array of K x M matrices with at most "
+            f"2 leading dims, got {m.ndim}-D"
+        )
+    return m.reshape((1,) * (4 - m.ndim) + m.shape)
 
 
 def svs(ch) -> float:
@@ -199,13 +205,8 @@ def count_allocated_users(alloc: PowerAllocation) -> int:
     """Number of users holding more than 1e-12 of the total power."""
     if not isinstance(alloc, PowerAllocation):
         raise InvalidInputError("count_allocated_users expects a PowerAllocation")
-    return int(_allocated_counts(alloc.p))
-
-
-def _allocated_counts(p: np.ndarray) -> np.ndarray:
-    """count_allocated_users for every row of a power array (..., K)."""
-    eps = ALLOCATED_EPSILON_FRACTION * p.sum(axis=-1, keepdims=True)
-    return np.count_nonzero(p > eps, axis=-1)
+    eps = ALLOCATED_EPSILON_FRACTION * float(alloc.p.sum())
+    return int(np.count_nonzero(alloc.p > eps))
 
 
 def _require_snr(snr) -> SnrSpec:
@@ -233,16 +234,18 @@ def _project_simplex(v: np.ndarray) -> np.ndarray:
     return np.maximum(v - theta, 0.0)
 
 
-def _ascend_on_simplex(objective, gradient, k, tol, max_iterations) -> _ItemResult:
+def _ascend_on_simplex(rates_at, gradient, k, tol, max_iterations) -> CapacityResult:
     """Joint allocation by projected gradient ascent on the simplex.
 
-    Armijo backtracking makes it monotone. The reported water level maps the
-    KKT multiplier to a level: with a single slice the active-user gradient
-    is 1/(ln2 * mu), so mu = 1/(ln2 * max_k grad_k); over many slices it is
-    an informational analog.
+    `rates_at(p)` gives every slice's rate under p; the objective is their
+    mean. Armijo backtracking makes it monotone. The reported water level
+    maps the KKT multiplier to a level: with a single slice the active-user
+    gradient is 1/(ln2 * mu), so mu = 1/(ln2 * max_k grad_k); over many
+    slices it is an informational analog.
     """
     p = np.full(k, 1.0 / k)
-    value = objective(p)
+    rates = rates_at(p)
+    value = float(np.mean(rates))
     grad = gradient(p)
     step = 1.0
     iterations = 0
@@ -251,13 +254,14 @@ def _ascend_on_simplex(objective, gradient, k, tol, max_iterations) -> _ItemResu
         iterations = it
         accepted = False
         candidate = p
-        cand_value = value
+        cand_rates, cand_value = rates, value
         for _ in range(60):
             candidate = _project_simplex(p + step * grad)
             ascent = float(grad @ (candidate - p))
             if ascent <= 0.0:
                 break
-            cand_value = objective(candidate)
+            cand_rates = rates_at(candidate)
+            cand_value = float(np.mean(cand_rates))
             if cand_value >= value + 1e-4 * ascent:
                 accepted = True
                 break
@@ -266,7 +270,7 @@ def _ascend_on_simplex(objective, gradient, k, tol, max_iterations) -> _ItemResu
             converged = True
             break
         rel = (cand_value - value) / max(abs(cand_value), 1e-12)
-        p, value = candidate, cand_value
+        p, rates, value = candidate, cand_rates, cand_value
         grad = gradient(p)
         step = min(step * 2.0, 1e6)
         if rel < tol:
@@ -274,7 +278,7 @@ def _ascend_on_simplex(objective, gradient, k, tol, max_iterations) -> _ItemResu
             break
     top = float(np.max(grad))
     level = 1.0 if top <= 0.0 else 1.0 / (_LN2 * top)
-    return _ItemResult(value, p[None], np.array([level]), iterations, converged)
+    return _result(rates, p[None], [level], iterations, np.full(rates.shape, converged))
 
 
 def zf_sum_rate(ch, snr, allocation_mode: str = "per_tl") -> CapacityResult:
@@ -288,23 +292,23 @@ def zf_sum_rate(ch, snr, allocation_mode: str = "per_tl") -> CapacityResult:
     """
     snr = _require_snr(snr)
     mode = _check_mode(allocation_mode)
-    (item,) = SliceBatch(_slice_stack(ch)[None]).zf(snr, mode)
-    if isinstance(item, RankDeficiencyError):
-        raise item
-    return _capacity(item)
+    (result,) = SliceBatch(_slice_stack(ch)[None]).zf(snr, mode)
+    if isinstance(result, RankDeficiencyError):
+        raise result
+    return result
 
 
-def _zf_joint(noise_grid: np.ndarray) -> _ItemResult:
+def _zf_joint(noise_grid: np.ndarray) -> CapacityResult:
     """One ZF allocation shared by the slices of an (S, K) effective-noise grid."""
 
-    def objective(p):
-        return float(np.mean(np.sum(np.log2(1.0 + p[None, :] / noise_grid), axis=1)))
+    def rates_at(p):
+        return np.sum(np.log2(1.0 + p[None, :] / noise_grid), axis=1)
 
     def gradient(p):
         return np.mean(1.0 / (noise_grid + p[None, :]), axis=0) / _LN2
 
     k = noise_grid.shape[1]
-    return _ascend_on_simplex(objective, gradient, k, DEFAULT_TOL, DEFAULT_MAX_ITERATIONS)
+    return _ascend_on_simplex(rates_at, gradient, k, DEFAULT_TOL, DEFAULT_MAX_ITERATIONS)
 
 
 def _dpc_system(p, gram, c):
@@ -402,49 +406,46 @@ def dpc_capacity(
     mode = _check_mode(allocation_mode)
     if not (tol > 0 and math.isfinite(tol)):
         raise InvalidInputError("tol must be positive and finite")
-    if int(max_iterations) < 1:
+    max_iterations = int(max_iterations)
+    if max_iterations < 1:
         raise InvalidInputError("max_iterations must be >= 1")
-    (item,) = SliceBatch(_slice_stack(ch)[None]).dpc(snr, mode, tol, int(max_iterations))
-    return _capacity(item)
+    h = _slice_stack(ch)
+    k, m = h.shape[-2:]
+    gram = _gram(h.reshape(-1, k, m))
+    c = snr.rho_linear * k / m
+    if mode == "joint":
+        return _dpc_joint(gram, c, tol, max_iterations)
+    values, p, mu, iterations, converged = _dpc_per_slice(gram, c, tol, max_iterations)
+    return _result(values, p, mu, iterations.max(), converged)
 
 
-def _dpc_joint(gram: np.ndarray, c: float, tol: float, max_iterations: int) -> _ItemResult:
+def _dpc_joint(gram: np.ndarray, c: float, tol: float, max_iterations: int) -> CapacityResult:
     """One DPC allocation shared by the slices of an (S, K, K) Gram stack."""
 
-    def objective(p):
-        return float(np.mean(_dpc_objective(p, gram, c)))
+    def rates_at(p):
+        return _dpc_objective(p, gram, c)
 
     def gradient(p):
         return np.mean(c * _dpc_interference_gains(p, gram, c), axis=0) / _LN2
 
-    return _ascend_on_simplex(objective, gradient, gram.shape[-1], tol, max_iterations)
+    return _ascend_on_simplex(rates_at, gradient, gram.shape[-1], tol, max_iterations)
 
 
-def _per_item(items: int, values, p, mu, iterations, converged) -> list:
-    """Split per-slice solver output into one _ItemResult per item of equal slice runs."""
-    s = values.shape[0] // items
-    return [
-        _ItemResult(
-            float(np.mean(values[a : a + s])),
-            p[a : a + s],
-            mu[a : a + s],
-            int(iterations[a : a + s].max()),
-            bool(converged[a : a + s].all()),
-        )
-        for a in range(0, items * s, s)
-    ]
+def _gram(h: np.ndarray) -> np.ndarray:
+    """Gram matrices H H^H of a stack of K x M matrices."""
+    return h @ h.conj().swapaxes(-1, -2)
 
 
 class SliceBatch:
-    """Equal-shape channel tensors ("items") evaluated together, slice by slice.
+    """Equal-shape channel tensors ("items") whose spread and ZF rate are
+    evaluated together, with per-item results.
 
-    Built from an (items, T, L, K, M) array. Every metric method returns one
-    entry per item, equal to what the public metric returns on that item's
+    Built from an (items, T, L, K, M) array. `spreads` and `zf` return one
+    entry per item, equal to what svs and zf_sum_rate return on that item's
     (T, L, K, M) tensor alone: each kernel treats every slice on its own, so
-    stacking neither mixes items nor changes a bit. The work that does not
-    depend on the metric or on the SNR is computed at most once per batch:
-    the singular values (spread and ZF condition check), the Gram matrices
-    (ZF inverse and DPC) and the ZF gains.
+    stacking neither mixes items nor changes a bit. One batched SVD serves
+    the spread and the ZF condition check, and the ZF gains are computed
+    once for every SNR. A rank-deficient item fails alone.
     """
 
     def __init__(self, stack: np.ndarray):
@@ -456,11 +457,6 @@ class SliceBatch:
     def sv(self) -> np.ndarray:
         """(S, K) singular values, descending; needs K <= M."""
         return singular_values(self.h)
-
-    @cached_property
-    def gram(self) -> np.ndarray:
-        """(S, K, K) Gram matrices H H^H."""
-        return self.h @ self.h.conj().swapaxes(-1, -2)
 
     def spreads(self) -> list:
         """Per item: svs() of its slices."""
@@ -482,12 +478,11 @@ class SliceBatch:
     def _zf(self) -> tuple:
         """(ZF gains (items, T, L, K), a RankDeficiencyError or None per item)."""
         shape = (self.items,) + self.grid
-        return _zf_gains(
-            self.sv.reshape(shape + (self.k,)), self.gram.reshape(shape + (self.k, self.k))
-        )
+        gram = _gram(self.h).reshape(shape + (self.k, self.k))
+        return _zf_gains(self.sv.reshape(shape + (self.k,)), gram)
 
     def zf(self, snr: SnrSpec, mode: str) -> list:
-        """Per item: zf_sum_rate's outcome, or the RankDeficiencyError it raises."""
+        """Per item: zf_sum_rate's CapacityResult, or the RankDeficiencyError it raises."""
         gains, failures = self._zf
         ok = [i for i, f in enumerate(failures) if f is None]
         out = list(failures)
@@ -495,24 +490,16 @@ class SliceBatch:
             return out
         noise = gains[ok].reshape(len(ok), -1, self.k) * self.m / (snr.rho_linear * self.k)
         if mode == "per_tl":
-            rows = noise.reshape(-1, self.k)
-            p, mu = _waterfill_rows(rows, 1.0)
-            rates = np.log2(1.0 + p / rows).sum(axis=1)
-            ones = np.ones(rates.shape[0], dtype=int)
-            results = _per_item(len(ok), rates, p, mu, ones, ones.astype(bool))
+            p, mu = _waterfill_rows(noise.reshape(-1, self.k), 1.0)
+            rates = np.log2(1.0 + p / noise.reshape(-1, self.k)).sum(axis=1)
+            s = noise.shape[1]
+            done = np.ones(s, dtype=bool)
+            results = [
+                _result(rates[a : a + s], p[a : a + s], mu[a : a + s], 1, done)
+                for a in range(0, rates.shape[0], s)
+            ]
         else:
             results = [_zf_joint(grid) for grid in noise]
         for i, result in zip(ok, results):
             out[i] = result
         return out
-
-    def dpc(self, snr: SnrSpec, mode: str, tol: float, max_iterations: int) -> list:
-        """Per item: dpc_capacity's outcome."""
-        c = snr.rho_linear * self.k / self.m
-        if mode == "per_tl":
-            return _per_item(self.items, *_dpc_per_slice(self.gram, c, tol, max_iterations))
-        s = self.gram.shape[0] // self.items
-        return [
-            _dpc_joint(self.gram[a : a + s], c, tol, max_iterations)
-            for a in range(0, self.gram.shape[0], s)
-        ]

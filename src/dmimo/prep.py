@@ -21,7 +21,7 @@ from .errors import (
     InvalidInputError,
     TopologyError,
 )
-from .tensor import ChannelTensor, _generator
+from .tensor import ChannelTensor, _generator, ap_columns
 
 
 @dataclass(frozen=True)
@@ -115,9 +115,30 @@ def select_subarray(ch: ChannelTensor, m_total: int, n_aps: int, rng) -> tuple:
     """
     if not isinstance(ch, ChannelTensor):
         raise InvalidInputError("select_subarray expects a ChannelTensor")
+    cols, chosen, picks = draw_subarray_columns(
+        ap_columns(ch.antenna_ap_map), m_total, n_aps, rng
+    )
+    topo = Topology(
+        n_aps=len(chosen),
+        per_ap_antennas=len(picks[0]),
+        chosen_ap_ids=tuple(int(a) for a in chosen),
+        chosen_element_ids=tuple(tuple(int(e) for e in grp) for grp in picks),
+    )
+    sliced = ChannelTensor(ch.data[:, :, :, cols], ch.antenna_ap_map[cols])
+    return sliced, topo
+
+
+def draw_subarray_columns(blocks: dict, m_total: int, n_aps: int, rng) -> tuple:
+    """The random draw behind select_subarray, on an AP -> columns map
+    (see tensor.ap_columns).
+
+    Checks that W = m_total / n_aps elements can come from each of `n_aps`
+    APs, then draws the APs uniformly without replacement and W elements of
+    each chosen AP in ascending AP order; this call order fixes the stream.
+    Returns (antenna columns, chosen AP ids, element picks per AP).
+    """
     m_total = int(m_total)
     n_aps = int(n_aps)
-    blocks = _ap_columns(ch.antenna_ap_map)
     if n_aps < 1 or n_aps > len(blocks):
         raise TopologyError(
             f"requested {n_aps} APs but the tensor has {len(blocks)}"
@@ -132,31 +153,7 @@ def select_subarray(ch: ChannelTensor, m_total: int, n_aps: int, rng) -> tuple:
         raise ApCapacityError(
             f"need W={w} elements per AP but the smallest AP has {smallest}"
         )
-    cols, chosen, picks = _draw_columns(blocks, n_aps, w, _generator(rng))
-    topo = Topology(
-        n_aps=n_aps,
-        per_ap_antennas=w,
-        chosen_ap_ids=tuple(int(a) for a in chosen),
-        chosen_element_ids=tuple(tuple(int(e) for e in grp) for grp in picks),
-    )
-    sliced = ChannelTensor(ch.data[:, :, :, cols], ch.antenna_ap_map[cols])
-    return sliced, topo
-
-
-def _ap_columns(antenna_ap_map: np.ndarray) -> dict:
-    """Each AP id, in antenna order, mapped to the antenna columns it owns."""
-    boundaries = np.flatnonzero(np.diff(antenna_ap_map) != 0) + 1
-    ap_ids = antenna_ap_map[np.concatenate(([0], boundaries))]
-    return {int(ap): np.flatnonzero(antenna_ap_map == ap) for ap in ap_ids}
-
-
-def _draw_columns(blocks: dict, n_aps: int, w: int, gen: np.random.Generator) -> tuple:
-    """The random subarray draw behind select_subarray, for a checked (n_aps, w).
-
-    Draws `n_aps` of the APs in `blocks` (see _ap_columns), then `w` elements
-    of each chosen AP in ascending AP order; this call order fixes the
-    stream. Returns (antenna columns, chosen AP ids, element picks per AP).
-    """
+    gen = _generator(rng)
     chosen = np.sort(gen.choice(np.asarray(list(blocks)), size=n_aps, replace=False))
     picks = [np.sort(gen.choice(len(blocks[ap]), size=w, replace=False)) for ap in chosen.tolist()]
     cols = np.concatenate([blocks[ap][grp] for ap, grp in zip(chosen.tolist(), picks)])

@@ -55,8 +55,7 @@ class ChannelTensor:
         if np.any(ap_map < 0):
             raise InvalidInputError("antenna_ap_map entries must be non-negative")
         # every AP id must occupy a single unbroken run of antenna columns
-        boundaries = np.flatnonzero(np.diff(ap_map) != 0) + 1
-        run_ids = ap_map[np.concatenate(([0], boundaries))]
+        run_ids = _ap_runs(ap_map)
         if len(np.unique(run_ids)) != len(run_ids):
             raise InvalidInputError(
                 "antenna_ap_map must group each AP's antennas contiguously"
@@ -89,9 +88,7 @@ class ChannelTensor:
     @property
     def ap_ids(self) -> tuple[int, ...]:
         """Distinct AP ids in antenna order."""
-        boundaries = np.flatnonzero(np.diff(self.antenna_ap_map) != 0) + 1
-        starts = np.concatenate(([0], boundaries))
-        return tuple(int(i) for i in self.antenna_ap_map[starts])
+        return tuple(ap_columns(self.antenna_ap_map))
 
     @property
     def num_aps(self) -> int:
@@ -100,6 +97,18 @@ class ChannelTensor:
     def slice_matrix(self, t: int, l: int) -> np.ndarray:
         """The K x M snapshot matrix at (snapshot t, subcarrier l)."""
         return self.data[t, l]
+
+
+def _ap_runs(antenna_ap_map: np.ndarray) -> np.ndarray:
+    """The AP id of each unbroken run of antenna columns, in antenna order."""
+    boundaries = np.flatnonzero(np.diff(antenna_ap_map) != 0) + 1
+    return antenna_ap_map[np.concatenate(([0], boundaries))]
+
+
+def ap_columns(antenna_ap_map: np.ndarray) -> dict:
+    """Each AP id of a valid antenna map, in antenna order, mapped to the
+    antenna columns it owns."""
+    return {int(ap): np.flatnonzero(antenna_ap_map == ap) for ap in _ap_runs(antenna_ap_map)}
 
 
 @dataclass(frozen=True)

@@ -306,14 +306,25 @@ class TestChunking:
         rank_deficient = {
             d.trial for d in result.degenerate if d.reason.startswith("rank-deficient")
         }
-        # both kinds sit mid-chunk at a cap of 3 (chunks 0-2, 3-5, ...) and of 64
+        # both kinds sit mid-chunk at 3 trials per chunk (0-2, 3-5, ...) and at 12
         assert any(t % 3 == 1 for t in unnormalizable)
         assert any(t % 3 == 1 for t in rank_deficient)
-        for cap, chunks in ((1, 12), (3, 4), (harness.CHUNK_SLICES, 1)):
-            monkeypatch.setattr(harness, "CHUNK_SLICES", cap)
-            assert len(harness._chunks(cfg, 1)) == chunks
+        trial_entries = 3 * 8  # K x T*L*M_total
+        for cap, chunks in ((1, 12), (3 * trial_entries, 4), (harness.CHUNK_ELEMENTS, 1)):
+            monkeypatch.setattr(harness, "CHUNK_ELEMENTS", cap)
+            assert len(harness._chunks(cfg, 8)) == chunks
             for threads in (1, 3):
                 assert self.outputs(cfg, threads) == reference, (cap, threads)
+
+    def test_chunk_cap_counts_entries_not_slices(self, tmp_path):
+        data = gen_iid_rayleigh((1, 1, 2, 8), RngHandle(96, 0)).data
+        cfg = file_config(tmp_path, data, np.repeat([0, 1], 4), k_values=(12, 256), trials=200)
+        # the paper's sweep: one slice, K = 12 over 128 antennas
+        paper, large = harness._chunks(cfg, 1 * 1 * 128)[:4], harness._chunks(cfg, 4096)
+        assert [len(trials) for _, trials in paper] == [64, 64, 64, 8]
+        # one slice over 4096 antennas: a K = 12 trial holds 49152 entries, K = 256 over 1M
+        assert {len(trials) for k_idx, trials in large if k_idx == 0} == {2}
+        assert {len(trials) for k_idx, trials in large if k_idx == 1} == {1}
 
     def test_singular_trial_leaves_its_chunk_intact(self, tmp_path, monkeypatch):
         # user 2 is silent at (t=1, l=0) only: a trial holding it has an exactly
@@ -323,9 +334,9 @@ class TestChunking:
         cfg = file_config(
             tmp_path, data, np.repeat([0, 1], 4), rho_db_values=(0.0, 10.0), trials=6, seed=1
         )
-        assert len(harness._chunks(cfg, 4)) == 1
+        assert len(harness._chunks(cfg, 2 * 2 * 8)) == 1
         chunked = run_experiment(cfg)
-        monkeypatch.setattr(harness, "CHUNK_SLICES", 1)
+        monkeypatch.setattr(harness, "CHUNK_ELEMENTS", 1)
         single = run_experiment(cfg)
 
         def zf_rows(result, trial):
@@ -342,6 +353,8 @@ class TestChunking:
             rows = zf_rows(chunked, trial)
             assert rows and not any(r.degenerate for r in rows)
             assert rows == zf_rows(single, trial)
+        # every metric of every trial, DPC's per-trial share of the slice rates included
+        assert chunked.to_csv_text() == single.to_csv_text()
 
 
 class TestStreamId:

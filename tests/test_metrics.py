@@ -432,15 +432,43 @@ class TestSliceBatch:
         batch = SliceBatch(data)
         snr = SnrSpec(8.0)
         assert batch.spreads() == [svs(ch) for ch in items]
-        for result, ch in zip(batch.dpc(snr, mode, 1e-8, 500), items):
-            single = dpc_capacity(ch, snr, allocation_mode=mode)
-            assert result.value == single.sum_rate_bits_per_s_per_hz
-            assert result.iterations == single.iterations
-            assert np.array_equal(result.p, [a.p for a in single.allocations])
         zf = batch.zf(snr, mode)
         assert isinstance(zf[1], RankDeficiencyError)
         assert (zf[1].snapshot, zf[1].subcarrier) == (1, 0)
         for result, ch in zip(zf[::2], items[::2]):
             single = zf_sum_rate(ch, snr, allocation_mode=mode)
-            assert result.value == single.sum_rate_bits_per_s_per_hz
-            assert np.array_equal(result.p, [a.p for a in single.allocations])
+            assert result.sum_rate_bits_per_s_per_hz == single.sum_rate_bits_per_s_per_hz
+            assert np.array_equal(result.slice_rates, single.slice_rates)
+            assert np.array_equal(
+                [a.p for a in result.allocations], [a.p for a in single.allocations]
+            )
+
+
+class TestSliceRates:
+    @pytest.mark.parametrize("fn", [dpc_capacity, zf_sum_rate])
+    @pytest.mark.parametrize("mode", ["per_tl", "joint"])
+    def test_sum_rate_is_the_mean_of_slice_rates(self, fn, mode):
+        ch = gen_iid_rayleigh((2, 3, 3, 8), RngHandle(71, 0))
+        out = fn(ch, SnrSpec(10.0), allocation_mode=mode)
+        assert out.slice_rates.shape == out.slice_converged.shape == (6,)
+        assert out.sum_rate_bits_per_s_per_hz == float(np.mean(out.slice_rates))
+        assert out.slice_converged.all() == out.converged
+
+    def test_slice_convergence_is_per_slice(self):
+        ch = mixed_effort_tensor()
+        snr = SnrSpec(5.0)
+        needed = [r.iterations for r in per_slice_results(lambda m: dpc_capacity(m, snr), ch)]
+        out = dpc_capacity(ch, snr, max_iterations=2)
+        assert out.slice_converged.tolist() == [n <= 2 for n in needed]
+        assert not out.converged
+
+    def test_tensors_folded_into_the_snapshot_axis_keep_their_slice_results(self):
+        data = cplx(np.random.default_rng(72), (3, 2, 2, 3, 8))
+        snr = SnrSpec(12.0)
+        folded = dpc_capacity(data.reshape(6, 2, 3, 8), snr)
+        for i, item in enumerate(data):
+            single = dpc_capacity(ChannelTensor(item, np.zeros(8)), snr)
+            own = slice(4 * i, 4 * i + 4)
+            assert np.array_equal(folded.slice_rates[own], single.slice_rates)
+            assert np.array_equal(folded.slice_converged[own], single.slice_converged)
+            assert float(np.mean(folded.slice_rates[own])) == single.sum_rate_bits_per_s_per_hz
