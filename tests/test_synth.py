@@ -249,8 +249,29 @@ class TestGeometric:
                 (2, 4, 3, 128),
                 "bc0ed1badf6380918e3118d2d4016488b6b1da9fab0c4e816249eda29cdce6a5",
             ),
+            (
+                default_scene("nlos", num_subcarriers=3, num_snapshots=2),
+                5,
+                13,
+                (2, 3, 5, 128),
+                "659099b01f33e1e1009d9b21b7b156c443b32fa71750fa08f8989adfb26eadb4",
+            ),
+            (
+                default_scene("los", num_subcarriers=16, num_snapshots=4),
+                12,
+                17,
+                (4, 16, 12, 128),
+                "71f924dc8712c60114abc11456ce70346eac0fa73f017065c62926ca8559b40f",
+            ),
+            (
+                default_scene("mixed"),
+                1,
+                19,
+                (1, 1, 1, 128),
+                "41ad993b524c5fc78481e912e46e11f75dbea013ddb3faf2f41292915d93325c",
+            ),
         ],
-        ids=["los", "mixed"],
+        ids=["los", "mixed", "nlos", "wideband", "one_user"],
     )
     def test_frozen_bits(self, scene, num_users, seed, dims, digest):
         # any change to the draw order or to the floating-point expressions
@@ -259,6 +280,19 @@ class TestGeometric:
         ch = gen_geometric(scene, users, RngHandle(seed, 2))
         assert ch.dims == dims
         assert hashlib.sha256(ch.data.tobytes()).hexdigest() == digest
+
+    def test_caller_generator_consumption_is_frozen(self):
+        # a caller's Generator is drawn from in place: the tensor and the
+        # Generator's next draw pin how many numbers one call consumes
+        scene = default_scene("mixed", num_subcarriers=2, num_snapshots=3)
+        users = gen_trajectory_users(scene, 4, (0.1, 5.0), RngHandle(23, 1))
+        gen = np.random.default_rng(23)
+        ch = gen_geometric(scene, users, gen)
+        assert (
+            hashlib.sha256(ch.data.tobytes()).hexdigest()
+            == "96da32f345db5cf2c9ad9507e0b8775fccb9dae0e72e8c2a32b45863ee2917e1"
+        )
+        assert gen.random() == 0.00946698693834036
 
     def test_user_outside_region_rejected(self):
         scene = default_scene()
