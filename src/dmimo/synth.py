@@ -31,6 +31,12 @@ NLOS = "nlos"
 # rejection budget for constrained user placement
 _MAX_PLACEMENT_REJECTS = 100_000
 
+# complex phase entries (L * S * W per link) that one block of the geometry
+# pass of gen_geometric holds at most: the 48 links of the paper's scene
+# (12 users x 4 APs, L = 1 subcarrier, S = 24 scatterers, W = 32 elements).
+# Bounds the block's temporaries, never changes output bytes.
+GEOMETRY_BLOCK_ENTRIES = 48 * 1 * 24 * 32
+
 
 @dataclass(frozen=True)
 class Region:
@@ -359,6 +365,14 @@ def gen_geometric(scene: Scene, users: UserLayout, rng=None) -> ChannelTensor:
     its exact path length per subcarrier frequency, so the array geometry,
     frequency selectivity, and AP-position diversity are all in the tensor.
     Mean link power is 1.
+
+    Draw order, which fixes the output for a given stream: links run
+    user-major, then AP; each link draws its S scatterer azimuth offsets
+    (`uniform`), its S range fractions (`uniform`) and then its T x S real
+    and T x S imaginary gain parts (`standard_normal`). The geometry is then
+    evaluated for blocks of consecutive links holding at most
+    GEOMETRY_BLOCK_ENTRIES phase entries; every link is computed on its own,
+    so the block size never changes the output bytes.
     """
     if not isinstance(users, UserLayout):
         raise InvalidInputError("users must be a UserLayout")
@@ -371,63 +385,102 @@ def gen_geometric(scene: Scene, users: UserLayout, rng=None) -> ChannelTensor:
     t_dim = scene.num_snapshots
     l_dim = scene.num_subcarriers
     k_dim = users.num_users
+    num_aps = scene.num_aps
     w = scene.antennas_per_ap
     s = scene.num_scatterers
 
     freqs = scene.subcarrier_frequencies()
-    ant_pos = scene.antenna_positions()
     rice_linear = 10.0 ** (scene.rice_k_db / 10.0)
     los_amp = math.sqrt(rice_linear / (rice_linear + 1.0))
-    scatter_power_los = 1.0 / (rice_linear + 1.0)
+    scatter_amp_los = math.sqrt(1.0 / (rice_linear + 1.0))
     half_spread = math.radians(scene.angular_spread_deg) / 2.0
-    two_pi_over_c = 2.0 * math.pi / SPEED_OF_LIGHT
+    # 2*pi*f/c per subcarrier, the factor of every path length in a phase
+    wavenumbers = (2.0 * math.pi / SPEED_OF_LIGHT) * freqs
 
-    # per-AP element coordinates, one (W,) array per axis
-    patches = [ant_pos[n * w : (n + 1) * w].T for n in range(scene.num_aps)]
-
-    data = np.zeros((t_dim, l_dim, k_dim, scene.total_antennas), dtype=np.complex128)
+    # phase 1: the random draws and the per-link scalars, link by link in
+    # draw order. atan2, the direct-path length and its floor stay scalar
+    # per link: their vectorized numpy forms round differently.
+    aps = np.array(scene.ap_positions)
+    direct = users.positions[:, None, :] - aps[None, :, :]
+    azimuth = np.empty((k_dim, num_aps))
+    scale = np.empty((k_dim, num_aps))
+    angle_offsets = np.empty((k_dim, num_aps, s))
+    range_fractions = np.empty((k_dim, num_aps, s))
+    normals = np.empty((k_dim, num_aps, 2, t_dim, s))
     for k in range(k_dim):
-        user = users.positions[k]
-        ux, uy, uz = user
-        for n, ap in enumerate(scene.ap_positions):
-            ap = np.asarray(ap)
-            cols = slice(n * w, (n + 1) * w)
-            ex, ey, ez = patches[n]
-            direct = user - ap
-            azimuth = math.atan2(direct[1], direct[0])
-            link_dist = float(np.linalg.norm(direct))
+        for n in range(num_aps):
+            d = direct[k, n]
+            azimuth[k, n] = math.atan2(d[1], d[0])
+            scale[k, n] = max(math.sqrt(d.dot(d)), 1e-3)
+            angle_offsets[k, n] = gen.uniform(-half_spread, half_spread, s)
+            range_fractions[k, n] = gen.uniform(0.2, 1.0, s)
+            gen.standard_normal(out=normals[k, n])
 
-            # scatterer points: direct-azimuth fan at a fraction of the link range,
-            # at the AP's height
-            angles = azimuth + gen.uniform(-half_spread, half_spread, s)
-            ranges = gen.uniform(0.2, 1.0, s) * max(link_dist, 1e-3)
-            sx = ap[0] + np.cos(angles) * ranges
-            sy = ap[1] + np.sin(angles) * ranges
-            gains = (
-                gen.standard_normal((t_dim, s)) + 1j * gen.standard_normal((t_dim, s))
-            ) / math.sqrt(2.0 * s)
+    # scatterer points: direct-azimuth fan at a fraction of the link range,
+    # at the AP's height; links are flattened user-major, then AP
+    num_links = k_dim * num_aps
+    angles = (azimuth[:, :, None] + angle_offsets).reshape(num_links, s)
+    ranges = (range_fractions * scale[:, :, None]).reshape(num_links, s)
+    gains = (
+        (normals[:, :, 0] + 1j * normals[:, :, 1]) / math.sqrt(2.0 * s)
+    ).reshape(num_links, t_dim, s)
+    ap_of = np.tile(np.arange(num_aps), k_dim)
+    user_of = np.repeat(np.arange(k_dim), num_aps)
+    link_ap = aps[ap_of]
+    link_user = users.positions[user_of]
+    elems = scene.antenna_positions().reshape(num_aps, w, 3)
+    is_los = np.array([c == LOS for c in scene.condition_per_ap])[ap_of]
 
-            # per-ray path length: AP element -> scatterer -> user; every distance
-            # sums its squared coordinate offsets in x, y, z order
-            dx = sx[:, None] - ex[None, :]
-            dy = sy[:, None] - ey[None, :]
-            dz = ap[2] - ez
-            d_elem = np.sqrt((dx * dx + dy * dy) + (dz * dz)[None, :])
-            dx, dy, dz = sx - ux, sy - uy, ap[2] - uz
-            d_user = np.sqrt((dx * dx + dy * dy) + dz * dz)
-            paths = d_elem + d_user[:, None]
-            phases = np.exp(1j * two_pi_over_c * freqs[:, None, None] * paths[None, :, :])
-            scattered = np.einsum("ts,lsw->tlw", gains, phases)
+    # phase 2: the geometry of a block of links at a time. Every distance sums
+    # its squared coordinate offsets in x, y, z order.
+    data = np.empty((t_dim, l_dim, k_dim, scene.total_antennas), dtype=np.complex128)
+    out = data.reshape(t_dim, l_dim, num_links, w)
+    block = max(1, GEOMETRY_BLOCK_ENTRIES // (l_dim * s * w))
+    for start in range(0, num_links, block):
+        b = slice(start, min(start + block, num_links))
+        ap_x, ap_y, ap_z = link_ap[b].T
+        u_x, u_y, u_z = link_user[b].T
+        e_x, e_y, e_z = elems[ap_of[b]].transpose(2, 0, 1)
+        sx = ap_x[:, None] + np.cos(angles[b]) * ranges[b]
+        sy = ap_y[:, None] + np.sin(angles[b]) * ranges[b]
 
-            if scene.condition_per_ap[n] == LOS:
-                dx, dy, dz = ex - ux, ey - uy, ez - uz
-                d_los = np.sqrt((dx * dx + dy * dy) + dz * dz)
-                los = los_amp * np.exp(
-                    1j * two_pi_over_c * freqs[:, None] * d_los[None, :]
-                )
-                link = los[None, :, :] + math.sqrt(scatter_power_los) * scattered
-            else:
-                link = scattered
-            data[:, :, k, cols] = link
+        # per-ray path length: AP element -> scatterer -> user, (B, S, W)
+        paths = sx[:, :, None] - e_x[:, None, :]
+        paths *= paths
+        dy = sy[:, :, None] - e_y[:, None, :]
+        dy *= dy
+        paths += dy
+        dz = ap_z[:, None] - e_z
+        paths += (dz * dz)[:, None, :]
+        np.sqrt(paths, out=paths)
+        dx, dy, dz = sx - u_x[:, None], sy - u_y[:, None], ap_z - u_z
+        d_user = np.sqrt((dx * dx + dy * dy) + (dz * dz)[:, None])
+        paths += d_user[:, :, None]
+
+        scattered = np.einsum("bts,blsw->btlw", gains[b], _unit_phasors(wavenumbers, paths))
+        los = np.flatnonzero(is_los[b])
+        if los.size:
+            dx = e_x[los] - u_x[los, None]
+            dy = e_y[los] - u_y[los, None]
+            dz = e_z[los] - u_z[los, None]
+            d_los = np.sqrt((dx * dx + dy * dy) + dz * dz)
+            plane = _unit_phasors(wavenumbers, d_los)
+            plane *= los_amp
+            scattered[los] = plane[:, None] + scatter_amp_los * scattered[los]
+        out[:, :, b, :] = scattered.transpose(1, 2, 0, 3)
 
     return ChannelTensor(data, scene.antenna_ap_map())
+
+
+def _unit_phasors(wavenumbers: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """exp(1j * k * length) for every wavenumber k: (B, ...) lengths give (B, L, ...).
+
+    The exponent is built with an exact +0 real part and k * length as its
+    imaginary part, the same bits as exp(1j * k * length).
+    """
+    b = lengths.shape[0]
+    shape = (b, wavenumbers.size) + lengths.shape[1:]
+    out = np.zeros(shape, dtype=np.complex128)
+    k = wavenumbers.reshape((1, -1) + (1,) * (lengths.ndim - 1))
+    np.multiply(k, lengths[:, None], out=out.imag)
+    return np.exp(out, out=out)
