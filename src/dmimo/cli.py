@@ -28,6 +28,17 @@ from .synth import gen_geometric, gen_trajectory_users
 from .tensor import RngHandle
 
 
+def _synth_field(obj: dict, key: str, default, kind):
+    """obj[key] (or `default`) as an int or a non-NaN float; booleans and
+    strings raise ConfigError."""
+    value = obj.get(key, default)
+    accepted = (int,) if kind is int else (int, float)
+    if isinstance(value, bool) or not isinstance(value, accepted) or value != value:
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"synth config {key!r} must be {noun}, got {value!r}")
+    return kind(value)
+
+
 def _cmd_synth(args) -> int:
     try:
         obj = json.loads(Path(args.config).read_text())
@@ -45,10 +56,13 @@ def _cmd_synth(args) -> int:
     if "scene" not in obj or "num_users" not in obj:
         raise ConfigError("synth config needs 'scene' and 'num_users'")
     scene = scene_from_dict(obj["scene"])
-    seed = args.seed if args.seed is not None else int(obj.get("seed", 0))
-    spacing = (obj.get("min_spacing_m", 0.1), obj.get("max_spacing_m", 5.0))
+    seed = args.seed if args.seed is not None else _synth_field(obj, "seed", 0, int)
+    spacing = (
+        _synth_field(obj, "min_spacing_m", 0.1, float),
+        _synth_field(obj, "max_spacing_m", 5.0, float),
+    )
     users = gen_trajectory_users(
-        scene, int(obj["num_users"]), spacing, RngHandle(seed, 0)
+        scene, _synth_field(obj, "num_users", None, int), spacing, RngHandle(seed, 0)
     )
     tensor = gen_geometric(scene, users, RngHandle(seed, 1))
     out_dir = Path(args.out)

@@ -11,7 +11,8 @@ rate from one batched SVD, with the ZF gains computed once for every rho,
 and per rho one dpc_capacity call on the trials folded into its snapshot
 axis gives every trial's DPC slice rates (joint allocation is per trial). A
 degenerate trial is flagged on its own; it never fails the rest of its
-chunk. Every random purpose gets its own stream id derived from (purpose,
+chunk. A trial whose users cannot be placed within the spacing bounds, or
+whose tensor has a silent user, gets degenerate rows with the reason. Every random purpose gets its own stream id derived from (purpose,
 K index, trial, M index, N index), and every kernel treats each slice on
 its own, so for a fixed seed the output bytes do not depend on the chunk
 cap or on how many worker threads execute the chunks.
@@ -44,6 +45,7 @@ from .errors import (
     ConfigError,
     DegenerateUserError,
     EmptySampleError,
+    InfeasibleLayoutError,
     InvalidInputError,
     RankDeficiencyError,
 )
@@ -321,7 +323,7 @@ def _chunk_worker(cfg: ExperimentConfig, file_tensor, blocks: dict, k_idx: int, 
     for trial in trials:
         try:
             norm = normalize(_draw_full_tensor(cfg, file_tensor, k_idx, trial))
-        except DegenerateUserError as exc:
+        except (DegenerateUserError, InfeasibleLayoutError) as exc:
             for cell in cells:
                 for metric in cfg.metrics:
                     emit(trial, *cell, metric, math.nan, True, str(exc))

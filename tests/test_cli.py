@@ -129,6 +129,36 @@ class TestErrors:
         assert code == 2
         assert "bogus" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("num_users", "four"),
+            ("num_users", True),
+            ("num_users", 2.5),
+            ("min_spacing_m", "near"),
+            ("max_spacing_m", False),
+            ("max_spacing_m", None),
+            ("seed", "x"),
+            ("seed", True),
+            ("seed", 1.5),
+        ],
+    )
+    def test_malformed_synth_field_exits_2(self, tmp_path, capsys, field, value):
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps({"scene": "los", "num_users": 2, field: value}))
+        code = main(["synth", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and repr(field) in err
+        assert not (tmp_path / "o").exists()
+
+    def test_nan_spacing_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "scene.json"
+        path.write_text('{"scene": "los", "num_users": 2, "min_spacing_m": NaN}')
+        code = main(["synth", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "'min_spacing_m' must be a number" in capsys.readouterr().err
+
     def test_infeasible_sweep_exits_2(self, tmp_path, capsys):
         synth_cfg = write_synth_config(tmp_path)
         out1 = tmp_path / "channels"

@@ -22,7 +22,7 @@ from dmimo import (
     write_channel_file,
     RngHandle,
 )
-from dmimo import harness
+from dmimo import harness, synth
 from dmimo.harness import RESULT_COLUMNS, ResultRow, _stream_id
 
 
@@ -272,6 +272,26 @@ class TestDegenerateHandling:
         assert sum(1 for r in back if r.degenerate) == len(result.degenerate)
         svs_rows = [r for r in back if r.metric == "svs"]
         assert all(r.value == math.inf for r in svs_rows)
+
+
+    def test_infeasible_layout_flags_only_its_trial(self, monkeypatch):
+        # with a 3-candidate rejection budget, trials 0, 1, 2 and 4 cannot place
+        # three users 1.5 m apart; trials 3 and 5 place them within budget
+        src = SceneSource(scene=small_scene(), min_spacing_m=1.5, max_spacing_m=5.0)
+        cfg = scene_config(source=src, k_values=(3,), m_values=(8,), trials=6)
+        full = run_experiment(cfg)
+        monkeypatch.setattr(synth, "_MAX_PLACEMENT_REJECTS", 3)
+        result = run_experiment(cfg)
+        failed = {0, 1, 2, 4}
+        assert len(result.rows) == len(full.rows)
+        for row, ref in zip(result.rows, full.rows):
+            if row.trial in failed:
+                assert row.degenerate and math.isnan(row.value)
+            else:
+                assert row == ref
+        assert {d.trial for d in result.degenerate} == failed
+        assert len(result.degenerate) == sum(r.degenerate for r in result.rows)
+        assert all("could not place 3 users" in d.reason for d in result.degenerate)
 
 
 class TestChunking:

@@ -24,6 +24,7 @@ from dmimo import (
     svs,
     zf_effective_gains,
 )
+from dmimo import synth
 from dmimo.synth import SPEED_OF_LIGHT
 
 
@@ -293,6 +294,21 @@ class TestGeometric:
             == "96da32f345db5cf2c9ad9507e0b8775fccb9dae0e72e8c2a32b45863ee2917e1"
         )
         assert gen.random() == 0.00946698693834036
+
+    def test_outputs_do_not_depend_on_block_cap(self, monkeypatch):
+        # 5 users x 4 APs = 20 links, two LoS and two NLoS APs, T * L = 6;
+        # caps of 1 link, 3 links (blocks straddle users and mix LoS with
+        # NLoS) and the default (all 20 links in one block)
+        scene = default_scene("mixed", num_subcarriers=2, num_snapshots=3)
+        users = gen_trajectory_users(scene, 5, (0.1, 5.0), RngHandle(31, 1))
+        per_link = scene.num_subcarriers * scene.num_scatterers * scene.antennas_per_ap
+        assert synth.GEOMETRY_BLOCK_ENTRIES // per_link >= 20
+        digests = set()
+        for cap in (1, 3 * per_link, synth.GEOMETRY_BLOCK_ENTRIES):
+            monkeypatch.setattr(synth, "GEOMETRY_BLOCK_ENTRIES", cap)
+            ch = gen_geometric(scene, users, RngHandle(31, 2))
+            digests.add(hashlib.sha256(ch.data.tobytes()).hexdigest())
+        assert len(digests) == 1
 
     def test_user_outside_region_rejected(self):
         scene = default_scene()
