@@ -12,10 +12,11 @@ and per rho one dpc_capacity call on the trials folded into its snapshot
 axis gives every trial's DPC slice rates (joint allocation is per trial). A
 degenerate trial is flagged on its own; it never fails the rest of its
 chunk. A trial whose users cannot be placed within the spacing bounds, or
-whose tensor has a silent user, gets degenerate rows with the reason. Every random purpose gets its own stream id derived from (purpose,
-K index, trial, M index, N index), and every kernel treats each slice on
-its own, so for a fixed seed the output bytes do not depend on the chunk
-cap or on how many worker threads execute the chunks.
+whose tensor has an all-zero user, gets degenerate rows with the reason.
+Every random purpose gets its own stream id derived from (purpose, K index,
+trial, M index, N index), and every kernel treats each slice on its own, so
+for a fixed seed the output bytes do not depend on the chunk cap or on how
+many worker threads execute the chunks.
 
 Result rows are sorted by (M index, N index, rho index, K index, trial,
 metric) before serialization; aggregates (mean, median, 512-point CDF) skip
