@@ -437,7 +437,7 @@ def gen_geometric(scene: Scene, users: UserLayout, rng=None) -> ChannelTensor:
     out = data.reshape(t_dim, l_dim, num_links, w)
     block = max(1, GEOMETRY_BLOCK_ENTRIES // (l_dim * s * w))
     for start in range(0, num_links, block):
-        b = slice(start, min(start + block, num_links))
+        b = slice(start, start + block)
         ap_x, ap_y, ap_z = link_ap[b].T
         u_x, u_y, u_z = link_user[b].T
         e_x, e_y, e_z = elems[ap_of[b]].transpose(2, 0, 1)
