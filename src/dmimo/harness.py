@@ -380,9 +380,7 @@ def _chunk_worker(cfg: ExperimentConfig, file_tensor, blocks: dict, k_idx: int, 
                         )
                     else:
                         zf_value = res.sum_rate_bits_per_s_per_hz
-                        fairness = float(
-                            np.mean([count_allocated_users(a) for a in res.allocations])
-                        )
+                        fairness = float(np.mean(count_allocated_users(res.powers)))
                         failure = None
                     if "zf" in cfg.metrics:
                         emit(*cell, "zf", zf_value, failure is not None, failure)

@@ -14,6 +14,8 @@ may fold several equal-shape tensors into the snapshot axis; per-slice
 results (`CapacityResult.slice_rates`) then belong to each tensor unchanged.
 SliceBatch evaluates the spread and ZF for several tensors at once, with the
 singular values, Gram matrices and ZF gains computed once for every SNR.
+Capacity results hold their allocations as read-only (S, K) power arrays;
+PowerAllocation is only the typed result of the public `waterfill`.
 
 Both optimizers accept allocation_mode="per_tl" (independent allocation per
 slice, the default) or "joint" (one allocation shared by all slices, i.e. the
@@ -100,16 +102,18 @@ class PowerAllocation:
 class CapacityResult:
     """Outcome of a capacity optimization.
 
-    `allocations` holds one PowerAllocation per (t, l) slice in
-    snapshot-major order, or a single one in joint mode. `slice_rates` holds
-    each slice's rate (under the shared allocation in joint mode) and
-    `slice_converged` whether its optimizer converged, in the same order;
-    the sum rate is the mean of `slice_rates`. `iterations` is the largest
-    iteration count any slice used.
+    `powers` is an (S, K) array with one power vector per (t, l) slice in
+    snapshot-major order, or a single row in joint mode; `water_levels` has
+    one water level per row. `slice_rates` holds each slice's rate (under the
+    shared allocation in joint mode) and `slice_converged` whether its
+    optimizer converged, in snapshot-major order; the sum rate is the mean of
+    `slice_rates`. `iterations` is the largest iteration count any slice
+    used. All four arrays are read-only.
     """
 
     sum_rate_bits_per_s_per_hz: float
-    allocations: tuple[PowerAllocation, ...]
+    powers: np.ndarray
+    water_levels: np.ndarray
     iterations: int
     converged: bool
     slice_rates: np.ndarray
@@ -117,13 +121,14 @@ class CapacityResult:
 
 
 def _result(rates, p, mu, iterations, converged) -> CapacityResult:
-    """A CapacityResult from per-slice rates and convergence flags plus one
-    (p, water level) row per allocation."""
-    rates.setflags(write=False)
-    converged.setflags(write=False)
+    """A CapacityResult from per-slice rates and convergence flags plus (S, K)
+    powers and (S,) water levels, each array stored read-only as given."""
+    for array in (rates, p, mu, converged):
+        array.setflags(write=False)
     return CapacityResult(
         float(np.mean(rates)),
-        tuple(map(PowerAllocation, p, mu)),
+        p,
+        mu,
         int(iterations),
         bool(np.all(converged)),
         rates,
@@ -201,12 +206,14 @@ def waterfill(noise_levels, budget) -> PowerAllocation:
     return PowerAllocation(p[0], water_level=float(mu[0]))
 
 
-def count_allocated_users(alloc: PowerAllocation) -> int:
-    """Number of users holding more than 1e-12 of the total power."""
-    if not isinstance(alloc, PowerAllocation):
-        raise InvalidInputError("count_allocated_users expects a PowerAllocation")
-    eps = ALLOCATED_EPSILON_FRACTION * float(alloc.p.sum())
-    return int(np.count_nonzero(alloc.p > eps))
+def count_allocated_users(powers):
+    """Users holding more than 1e-12 of the total power, per vector of `powers`:
+    one power vector (an integer) or an (..., K) array such as CapacityResult.powers."""
+    p = np.asarray(powers, dtype=float)
+    if p.ndim < 1 or p.shape[-1] < 1 or not np.all(np.isfinite(p)) or np.any(p < 0):
+        raise InvalidInputError("powers must be finite, non-negative vectors of >= 1 user")
+    eps = ALLOCATED_EPSILON_FRACTION * p.sum(axis=-1)
+    return np.count_nonzero(p > eps[..., None], axis=-1)
 
 
 def _require_snr(snr) -> SnrSpec:
@@ -277,8 +284,8 @@ def _ascend_on_simplex(rates_at, gradient, k, tol, max_iterations) -> CapacityRe
             converged = True
             break
     top = float(np.max(grad))
-    level = 1.0 if top <= 0.0 else 1.0 / (_LN2 * top)
-    return _result(rates, p[None], [level], iterations, np.full(rates.shape, converged))
+    level = np.array([1.0 if top <= 0.0 else 1.0 / (_LN2 * top)])
+    return _result(rates, p[None], level, iterations, np.full(rates.shape, converged))
 
 
 def zf_sum_rate(ch, snr, allocation_mode: str = "per_tl") -> CapacityResult:

@@ -54,10 +54,10 @@ def assert_matches_slices(out, singles):
     """A tensor result is exactly the slice results, averaged."""
     rates = [r.sum_rate_bits_per_s_per_hz for r in singles]
     assert out.sum_rate_bits_per_s_per_hz == np.mean(rates)
-    assert len(out.allocations) == len(singles)
-    for alloc, single in zip(out.allocations, singles):
-        assert np.array_equal(alloc.p, single.allocations[0].p)
-        assert alloc.water_level == single.allocations[0].water_level
+    assert len(out.powers) == len(out.water_levels) == len(singles)
+    for p, level, single in zip(out.powers, out.water_levels, singles):
+        assert np.array_equal(p, single.powers[0])
+        assert level == single.water_levels[0]
 
 
 # frozen from the bisection water-filling oracle:
@@ -111,6 +111,20 @@ class TestPowerAllocation:
             PowerAllocation([1.0], 0.0)
         with pytest.raises(InvalidInputError):
             PowerAllocation([np.inf], 1.0)
+
+
+class TestCapacityResult:
+    @pytest.mark.parametrize("fn", [dpc_capacity, zf_sum_rate])
+    @pytest.mark.parametrize("mode", ["per_tl", "joint"])
+    def test_arrays_are_read_only(self, fn, mode):
+        ch = gen_iid_rayleigh((2, 3, 3, 8), RngHandle(73, 0))
+        out = fn(ch, SnrSpec(10.0), allocation_mode=mode)
+        rows = 6 if mode == "per_tl" else 1
+        assert out.powers.shape == (rows, 3)
+        assert out.water_levels.shape == (rows,)
+        for array in (out.powers, out.water_levels, out.slice_rates, out.slice_converged):
+            with pytest.raises(ValueError):
+                array[0] = 0
 
 
 class TestSvs:
@@ -222,17 +236,38 @@ class TestWaterfill:
 
 class TestCountAllocatedUsers:
     def test_counts(self):
-        assert count_allocated_users(PowerAllocation([0.5, 0.5], 1.0)) == 2
-        assert count_allocated_users(PowerAllocation([1.0, 0.0], 2.0)) == 1
-        assert count_allocated_users(waterfill([1.0, 10.0], 1.0)) == 1
+        assert count_allocated_users([0.5, 0.5]) == 2
+        assert count_allocated_users([1.0, 0.0]) == 1
+        assert count_allocated_users(waterfill([1.0, 10.0], 1.0).p) == 1
 
     def test_epsilon_fraction(self):
-        assert count_allocated_users(PowerAllocation([1.0, 1e-15], 1.0)) == 1
-        assert count_allocated_users(PowerAllocation([1.0, 1e-9], 1.0)) == 2
+        assert count_allocated_users([1.0, 1e-15]) == 1
+        assert count_allocated_users([1.0, 1e-9]) == 2
+
+    def test_rows_match_single_vectors(self):
+        rng = np.random.default_rng(74)
+        rows = np.vstack(
+            [
+                [[0.5, 0.5, 0.0], [1.0, 1e-15, 0.0], [1.0, 1e-9, 0.0], [0.0, 0.0, 0.0]],
+                np.where(rng.random((40, 3)) < 0.3, 0.0, rng.uniform(0.0, 1.0, (40, 3))),
+            ]
+        )
+        counts = count_allocated_users(rows)
+        assert counts.tolist() == [count_allocated_users(p) for p in rows]
+        assert counts[:3].tolist() == [2, 1, 2]
+        out = zf_sum_rate(mixed_effort_tensor(), SnrSpec(0.0))
+        assert count_allocated_users(out.powers).tolist() == [
+            count_allocated_users(p) for p in out.powers
+        ]
+        stack = rows.reshape(4, 11, 3)
+        assert np.array_equal(count_allocated_users(stack), counts.reshape(4, 11))
 
     def test_type_checked(self):
-        with pytest.raises(InvalidInputError):
-            count_allocated_users(np.array([0.5, 0.5]))
+        # negative, non-finite, 0-d and user-less input
+        bad = ([0.5, -0.5], [[1.0, 0.0], [np.nan, 1.0]], [np.inf], 1.0, [], np.zeros((2, 0)))
+        for powers in bad:
+            with pytest.raises(InvalidInputError):
+                count_allocated_users(powers)
 
 
 class TestZfSumRate:
@@ -240,7 +275,7 @@ class TestZfSumRate:
         out = zf_sum_rate(np.eye(2), SnrSpec.from_linear(2.0))
         assert out.sum_rate_bits_per_s_per_hz == pytest.approx(2.0, rel=1e-12)
         assert out.converged
-        assert np.allclose(out.allocations[0].p, [0.5, 0.5])
+        assert np.allclose(out.powers[0], [0.5, 0.5])
 
     def test_frozen_grid_value(self):
         mat = cplx(np.random.default_rng(7), (2, 4))
@@ -292,7 +327,7 @@ class TestDpcCapacity:
     def test_identity_channel(self):
         out = dpc_capacity(np.eye(2), SnrSpec.from_linear(2.0))
         assert out.sum_rate_bits_per_s_per_hz == pytest.approx(2.0, rel=1e-9)
-        assert np.allclose(out.allocations[0].p, [0.5, 0.5], atol=1e-9)
+        assert np.allclose(out.powers[0], [0.5, 0.5], atol=1e-9)
 
     def test_frozen_grid_value(self):
         mat = cplx(np.random.default_rng(7), (2, 4))
@@ -368,7 +403,7 @@ class TestDpcCapacity:
         out = dpc_capacity(mixed_effort_tensor(), SnrSpec(15.0), max_iterations=1)
         assert not out.converged
         assert out.iterations == 1
-        assert len(out.allocations) == 6
+        assert len(out.powers) == 6
 
     def test_more_users_than_antennas_is_defined(self):
         # unlike ZF, the DPC bound exists for K > M
@@ -411,9 +446,9 @@ class TestJointAllocationMode:
     def test_joint_returns_single_allocation(self):
         ch = gen_iid_rayleigh((2, 2, 3, 8), RngHandle(69, 0))
         out = dpc_capacity(ch, SnrSpec(10.0), allocation_mode="joint")
-        assert len(out.allocations) == 1
-        assert isinstance(out.allocations[0], PowerAllocation)
-        assert out.allocations[0].p.sum() == pytest.approx(1.0, abs=1e-9)
+        assert out.powers.shape == (1, 3)
+        assert out.water_levels.shape == (1,)
+        assert out.powers[0].sum() == pytest.approx(1.0, abs=1e-9)
 
 
 class TestSliceBatch:
@@ -439,9 +474,7 @@ class TestSliceBatch:
             single = zf_sum_rate(ch, snr, allocation_mode=mode)
             assert result.sum_rate_bits_per_s_per_hz == single.sum_rate_bits_per_s_per_hz
             assert np.array_equal(result.slice_rates, single.slice_rates)
-            assert np.array_equal(
-                [a.p for a in result.allocations], [a.p for a in single.allocations]
-            )
+            assert np.array_equal(result.powers, single.powers)
 
 
 class TestSliceRates:
