@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from .chanfile import write_channel_file
-from .config import ConfigError, load_config, scene_from_dict
+from .config import ConfigError, check_number, load_config, scene_from_dict
 from .errors import ToolkitError
 from .harness import (
     aggregate_result_rows,
@@ -26,17 +26,6 @@ from .harness import (
 from .selfcheck import run_selfcheck
 from .synth import gen_geometric, gen_trajectory_users
 from .tensor import RngHandle
-
-
-def _synth_field(obj: dict, key: str, default, kind):
-    """obj[key] (or `default`) as an int or a non-NaN float; booleans and
-    strings raise ConfigError."""
-    value = obj.get(key, default)
-    accepted = (int,) if kind is int else (int, float)
-    if isinstance(value, bool) or not isinstance(value, accepted) or value != value:
-        noun = "an integer" if kind is int else "a number"
-        raise ConfigError(f"synth config {key!r} must be {noun}, got {value!r}")
-    return kind(value)
 
 
 def _cmd_synth(args) -> int:
@@ -56,14 +45,15 @@ def _cmd_synth(args) -> int:
     if "scene" not in obj or "num_users" not in obj:
         raise ConfigError("synth config needs 'scene' and 'num_users'")
     scene = scene_from_dict(obj["scene"])
-    seed = args.seed if args.seed is not None else _synth_field(obj, "seed", 0, int)
+    seed = args.seed
+    if seed is None:
+        seed = check_number(obj.get("seed", 0), "synth config 'seed'", int)
     spacing = (
-        _synth_field(obj, "min_spacing_m", 0.1, float),
-        _synth_field(obj, "max_spacing_m", 5.0, float),
+        check_number(obj.get("min_spacing_m", 0.1), "synth config 'min_spacing_m'"),
+        check_number(obj.get("max_spacing_m", 5.0), "synth config 'max_spacing_m'"),
     )
-    users = gen_trajectory_users(
-        scene, _synth_field(obj, "num_users", None, int), spacing, RngHandle(seed, 0)
-    )
+    num_users = check_number(obj["num_users"], "synth config 'num_users'", int)
+    users = gen_trajectory_users(scene, num_users, spacing, RngHandle(seed, 0))
     tensor = gen_geometric(scene, users, RngHandle(seed, 1))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

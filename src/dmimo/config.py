@@ -26,8 +26,10 @@ a full scene object with the Scene fields spelled out (region as
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -42,6 +44,16 @@ METRIC_NAMES = ("svs", "dpc", "zf", "fairness")
 # stream-id packing in the harness caps the per-axis sweep sizes
 _MAX_SWEEP = 256
 _MAX_TRIALS = 2**32
+
+
+def check_number(value, name: str, kind=float):
+    """A Python or numpy number as `kind`: an integer for int, any real but NaN
+    for float. Anything else, booleans included, raises a ConfigError naming `name`."""
+    accepted = numbers.Integral if kind is int else numbers.Real
+    if isinstance(value, bool) or not isinstance(value, accepted) or value != value:
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{name} must be {noun}, got {value!r}")
+    return kind(value)
 
 
 def _require_keys(obj: dict, allowed, required, where: str) -> None:
@@ -64,8 +76,8 @@ class SceneSource:
     def __post_init__(self):
         if not isinstance(self.scene, Scene):
             raise ConfigError("source.scene must be a Scene")
-        min_s = float(self.min_spacing_m)
-        max_s = float(self.max_spacing_m)
+        min_s = check_number(self.min_spacing_m, "source.min_spacing_m")
+        max_s = check_number(self.max_spacing_m, "source.max_spacing_m")
         if min_s < 0 or not max_s > 0 or min_s > max_s:
             raise ConfigError(
                 "source spacing must satisfy 0 <= min_spacing_m <= max_spacing_m"
@@ -103,7 +115,7 @@ class ExperimentConfig:
             raise ConfigError("source must be a SceneSource or FileSource")
 
         def int_axis(name, values, minimum=1):
-            values = tuple(int(v) for v in values)
+            values = tuple(check_number(v, f"sweeps.{name} entry", int) for v in values)
             if len(values) < 1:
                 raise ConfigError(f"sweeps.{name} must be non-empty")
             if len(values) > _MAX_SWEEP:
@@ -117,7 +129,7 @@ class ExperimentConfig:
         m_values = int_axis("m_values", self.m_values)
         n_values = int_axis("n_values", self.n_values)
         k_values = int_axis("k_values", self.k_values)
-        rho = tuple(float(v) for v in self.rho_db_values)
+        rho = tuple(check_number(v, "sweeps.rho_db_values entry") for v in self.rho_db_values)
         if len(rho) < 1:
             raise ConfigError("sweeps.rho_db_values must be non-empty")
         if len(rho) > _MAX_SWEEP:
@@ -127,10 +139,10 @@ class ExperimentConfig:
         if len(set(rho)) != len(rho):
             raise ConfigError("sweeps.rho_db_values entries must be distinct")
 
-        trials = int(self.trials)
+        trials = check_number(self.trials, "trials", int)
         if not 1 <= trials < _MAX_TRIALS:
             raise ConfigError(f"trials must be in [1, {_MAX_TRIALS})")
-        seed = int(self.seed)
+        seed = check_number(self.seed, "seed", int)
         if not 0 <= seed < 2**64:
             raise ConfigError("seed must be an unsigned 64-bit integer")
 
@@ -159,19 +171,7 @@ class ExperimentConfig:
         object.__setattr__(self, "metrics", metrics)
 
     def replace(self, **overrides) -> "ExperimentConfig":
-        fields = {
-            "source": self.source,
-            "m_values": self.m_values,
-            "n_values": self.n_values,
-            "rho_db_values": self.rho_db_values,
-            "k_values": self.k_values,
-            "trials": self.trials,
-            "seed": self.seed,
-            "metrics": self.metrics,
-            "allocation_mode": self.allocation_mode,
-        }
-        fields.update(overrides)
-        return ExperimentConfig(**fields)
+        return dataclasses.replace(self, **overrides)
 
 
 def scene_from_dict(obj) -> Scene:

@@ -152,6 +152,43 @@ class TestErrors:
         assert err.startswith("error:") and repr(field) in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("trials", "two"),
+            ("trials", True),
+            ("trials", 2.5),
+            ("seed", 1.5),
+            ("seed", None),
+            ("m_values", [16, "x"]),
+            ("k_values", [True]),
+            ("rho_db_values", [0.0, "high"]),
+            ("min_spacing_m", "near"),
+            ("min_spacing_m", float("nan")),
+            ("max_spacing_m", False),
+        ],
+    )
+    def test_malformed_run_field_exits_2(self, tmp_path, capsys, field, value):
+        cfg = {
+            "source": {"type": "scene", "scene": "los"},
+            "sweeps": {"m_values": [16], "n_values": [1], "rho_db_values": [0.0], "k_values": [2]},
+            "trials": 2,
+            "seed": 1,
+        }
+        if field in cfg["sweeps"]:
+            cfg["sweeps"][field] = value
+        elif field.endswith("spacing_m"):
+            cfg["source"][field] = value
+        else:
+            cfg[field] = value
+        path = tmp_path / "experiment.json"
+        path.write_text(json.dumps(cfg))
+        code = main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and field in err
+        assert not (tmp_path / "o").exists()
+
     def test_nan_spacing_exits_2(self, tmp_path, capsys):
         path = tmp_path / "scene.json"
         path.write_text('{"scene": "los", "num_users": 2, "min_spacing_m": NaN}')

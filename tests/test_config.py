@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from dmimo import (
@@ -159,6 +160,18 @@ class TestValidation:
         assert other.trials == 99
         assert other.m_values == cfg.m_values
         assert cfg.trials == 10
+        with pytest.raises(ConfigError):
+            cfg.replace(seed=1.5)
+
+    def test_numpy_numbers_accepted(self):
+        obj = base_dict(trials=np.int64(3), seed=np.uint64(2**63))
+        obj["sweeps"]["m_values"] = [np.int32(16)]
+        obj["sweeps"]["rho_db_values"] = [np.float32(1.5), 0]
+        cfg = config_from_dict(obj)
+        assert (cfg.trials, cfg.seed, cfg.m_values) == (3, 2**63, (16,))
+        assert cfg.rho_db_values == (1.5, 0.0)
+        assert all(type(v) is float for v in cfg.rho_db_values)
+        assert type(cfg.trials) is int and type(cfg.seed) is int
 
 
 class TestLoadConfig:
