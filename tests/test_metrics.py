@@ -245,16 +245,15 @@ class TestCountAllocatedUsers:
         assert count_allocated_users([1.0, 1e-9]) == 2
 
     def test_rows_match_single_vectors(self):
+        # the 1e-12 boundary at unit and at 1e-6 total power: each row's own total counts
+        fixed = [[0.5, 0.5, 0.0], [1.0, 1e-15, 0.0], [1.0, 1e-9, 0.0]]
+        fixed += [[1e-6, 1e-21, 0.0], [1e-6, 1e-15, 0.0], [0.0, 0.0, 0.0]]
         rng = np.random.default_rng(74)
-        rows = np.vstack(
-            [
-                [[0.5, 0.5, 0.0], [1.0, 1e-15, 0.0], [1.0, 1e-9, 0.0], [0.0, 0.0, 0.0]],
-                np.where(rng.random((40, 3)) < 0.3, 0.0, rng.uniform(0.0, 1.0, (40, 3))),
-            ]
-        )
+        drawn = np.where(rng.random((38, 3)) < 0.3, 0.0, rng.uniform(0.0, 1.0, (38, 3)))
+        rows = np.vstack([fixed, drawn])
         counts = count_allocated_users(rows)
         assert counts.tolist() == [count_allocated_users(p) for p in rows]
-        assert counts[:3].tolist() == [2, 1, 2]
+        assert counts[:6].tolist() == [2, 1, 2, 1, 2, 0]
         out = zf_sum_rate(mixed_effort_tensor(), SnrSpec(0.0))
         assert count_allocated_users(out.powers).tolist() == [
             count_allocated_users(p) for p in out.powers
