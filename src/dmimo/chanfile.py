@@ -14,12 +14,17 @@ Little-endian layout:
 Total size is therefore 16 + M + 8*T*L*K*M bytes. Coefficients are stored in
 float32; reading promotes to the in-memory complex128 representation, so a
 file round-trips to identical bytes.
+
+Memory: reading holds one complex128 tensor (twice the payload's size) plus
+one fixed block of _BLOCK_ENTRIES float32 pairs; the payload streams through
+that block, and the tensor that comes back owns the array it was read into.
+Writing likewise converts one block at a time.
 """
 
 from __future__ import annotations
 
+import os
 import struct
-from pathlib import Path
 
 import numpy as np
 
@@ -34,6 +39,9 @@ HEADER_SIZE = _HEADER.size  # 16 bytes
 
 _DIM_LIMIT = 0xFFFF
 _AP_ID_LIMIT = 0xFF
+
+# payload entries read, checked and converted per step: 1 MiB of float32 pairs
+_BLOCK_ENTRIES = 1 << 17
 
 
 def expected_file_size(dims) -> int:
@@ -58,11 +66,12 @@ def write_channel_file(ch: ChannelTensor, path) -> None:
         )
     t, l, k, m = ch.dims
     header = _HEADER.pack(MAGIC, FORMAT_VERSION, t, l, k, m, ch.num_aps)
-    payload = np.ascontiguousarray(ch.data).astype("<c8").tobytes()
+    flat = ch.data.reshape(-1)
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(ap_map.astype(np.uint8).tobytes())
-        fh.write(payload)
+        for start in range(0, flat.size, _BLOCK_ENTRIES):
+            fh.write(flat[start : start + _BLOCK_ENTRIES].astype("<c8"))
 
 
 def read_channel_file(path) -> ChannelTensor:
@@ -71,71 +80,95 @@ def read_channel_file(path) -> ChannelTensor:
     Malformed files raise FormatError with the byte offset of the problem;
     truncation errors also carry the total size the header promised.
     """
-    blob = Path(path).read_bytes()
-    if len(blob) < HEADER_SIZE:
-        raise FormatError(
-            f"file ends inside the {HEADER_SIZE}-byte header ({len(blob)} bytes)",
-            byte_offset=len(blob),
-        )
-    magic, version, t, l, k, m, ap_count = _HEADER.unpack_from(blob, 0)
-    if magic != MAGIC:
-        raise FormatError(
-            f"bad magic {magic!r}, expected {MAGIC!r}", byte_offset=0
-        )
-    if version != FORMAT_VERSION:
-        raise FormatError(
-            f"unsupported format version {version}, expected {FORMAT_VERSION}",
-            byte_offset=4,
-        )
-    for index, (name, value) in enumerate(zip("TLKM", (t, l, k, m))):
-        if value == 0:
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(HEADER_SIZE)
+        if len(head) < HEADER_SIZE:
             raise FormatError(
-                f"dimension {name} is zero", byte_offset=6 + 2 * index
+                f"file ends inside the {HEADER_SIZE}-byte header ({len(head)} bytes)",
+                byte_offset=len(head),
             )
-    if ap_count == 0:
-        raise FormatError("AP count is zero", byte_offset=14)
+        magic, version, t, l, k, m, ap_count = _HEADER.unpack(head)
+        if magic != MAGIC:
+            raise FormatError(
+                f"bad magic {magic!r}, expected {MAGIC!r}", byte_offset=0
+            )
+        if version != FORMAT_VERSION:
+            raise FormatError(
+                f"unsupported format version {version}, expected {FORMAT_VERSION}",
+                byte_offset=4,
+            )
+        for index, (name, value) in enumerate(zip("TLKM", (t, l, k, m))):
+            if value == 0:
+                raise FormatError(
+                    f"dimension {name} is zero", byte_offset=6 + 2 * index
+                )
+        if ap_count == 0:
+            raise FormatError("AP count is zero", byte_offset=14)
 
-    expected = expected_file_size((t, l, k, m))
-    if len(blob) < expected:
-        raise FormatError(
-            f"file truncated: header promises {expected} bytes "
-            f"(16-byte header + {m}-byte AP map + {8 * t * l * k * m}-byte "
-            f"payload), found {len(blob)}",
-            byte_offset=len(blob),
-            expected_size=expected,
-        )
-    if len(blob) > expected:
-        raise FormatError(
-            f"{len(blob) - expected} trailing bytes after the "
-            f"{expected}-byte tensor",
-            byte_offset=expected,
-            expected_size=expected,
-        )
+        expected = expected_file_size((t, l, k, m))
+        if size < expected:
+            raise _truncated((t, l, k, m), size)
+        if size > expected:
+            raise FormatError(
+                f"{size - expected} trailing bytes after the "
+                f"{expected}-byte tensor",
+                byte_offset=expected,
+                expected_size=expected,
+            )
 
-    ap_map = np.frombuffer(blob, dtype=np.uint8, count=m, offset=HEADER_SIZE)
-    distinct = np.unique(ap_map)
-    if distinct.size != ap_count:
-        raise FormatError(
-            f"AP map holds {distinct.size} distinct ids but the header "
-            f"declares {ap_count}",
-            byte_offset=HEADER_SIZE,
-        )
-    boundaries = np.flatnonzero(np.diff(ap_map.astype(np.int64)) != 0) + 1
-    run_ids = ap_map[np.concatenate(([0], boundaries))]
-    if len(np.unique(run_ids)) != len(run_ids):
-        raise FormatError(
-            "AP map does not group antennas contiguously per AP",
-            byte_offset=HEADER_SIZE,
-        )
+        ap_map = np.frombuffer(fh.read(m), dtype=np.uint8)
+        if ap_map.size < m:
+            raise _truncated((t, l, k, m), HEADER_SIZE + ap_map.size)
+        distinct = np.unique(ap_map)
+        if distinct.size != ap_count:
+            raise FormatError(
+                f"AP map holds {distinct.size} distinct ids but the header "
+                f"declares {ap_count}",
+                byte_offset=HEADER_SIZE,
+            )
+        boundaries = np.flatnonzero(np.diff(ap_map.astype(np.int64)) != 0) + 1
+        run_ids = ap_map[np.concatenate(([0], boundaries))]
+        if len(np.unique(run_ids)) != len(run_ids):
+            raise FormatError(
+                "AP map does not group antennas contiguously per AP",
+                byte_offset=HEADER_SIZE,
+            )
 
-    payload = np.frombuffer(
-        blob, dtype="<c8", count=t * l * k * m, offset=HEADER_SIZE + m
-    )
-    bad = np.flatnonzero(~np.isfinite(payload))
-    if bad.size:
-        raise FormatError(
-            "payload holds a non-finite coefficient",
-            byte_offset=HEADER_SIZE + m + 8 * int(bad[0]),
-        )
-    data = payload.astype(np.complex128).reshape(t, l, k, m)
+        data = np.empty((t, l, k, m), dtype=np.complex128)
+        _read_payload(fh, data.reshape(-1), (t, l, k, m))
+    data.setflags(write=False)
     return ChannelTensor(data, ap_map.astype(np.int64))
+
+
+def _read_payload(fh, out: np.ndarray, dims) -> None:
+    """Fill the flat complex128 `out` from the payload at fh's position, one
+    block of float32 pairs at a time, checking each block is finite."""
+    payload_offset = HEADER_SIZE + int(dims[3])
+    block = np.empty(min(_BLOCK_ENTRIES, out.size), dtype="<c8")
+    for start in range(0, out.size, block.size):
+        part = block[: out.size - start]
+        got = fh.readinto(part)
+        if got < part.nbytes:
+            raise _truncated(dims, payload_offset + 8 * start + got)
+        bad = np.flatnonzero(~np.isfinite(part))
+        if bad.size:
+            raise FormatError(
+                "payload holds a non-finite coefficient",
+                byte_offset=payload_offset + 8 * (start + int(bad[0])),
+            )
+        out[start : start + part.size] = part
+
+
+def _truncated(dims, found: int) -> FormatError:
+    """The error for a file that ends at byte `found`, before its header's
+    promised size."""
+    t, l, k, m = dims
+    expected = expected_file_size(dims)
+    return FormatError(
+        f"file truncated: header promises {expected} bytes "
+        f"(16-byte header + {m}-byte AP map + {8 * t * l * k * m}-byte "
+        f"payload), found {found}",
+        byte_offset=found,
+        expected_size=expected,
+    )

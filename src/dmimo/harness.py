@@ -256,9 +256,11 @@ def _draw_full_tensor(cfg: ExperimentConfig, file_tensor, k_idx: int, trial: int
         return file_tensor
     gen = RngHandle(cfg.seed, _stream_id(_STREAM_USERS, k_idx, trial)).generator()
     chosen = np.sort(gen.choice(file_tensor.num_users, size=k, replace=False))
-    return ChannelTensor(
-        file_tensor.data[:, :, chosen, :], file_tensor.antenna_ap_map
-    )
+    # take, unlike data[:, :, chosen], returns an owned C-order array the
+    # tensor can adopt without a second copy
+    data = np.take(file_tensor.data, chosen, axis=2)
+    data.setflags(write=False)
+    return ChannelTensor(data, file_tensor.antenna_ap_map)
 
 
 def _metric_index(name: str) -> int:

@@ -320,8 +320,12 @@ def _zf_joint(noise_grid: np.ndarray) -> CapacityResult:
 
 def _dpc_system(p, gram, c):
     """I + c P G for diagonal P, broadcast over leading dims of p and gram."""
-    k = gram.shape[-1]
-    return np.eye(k, dtype=complex) + c * p[..., :, None] * gram
+    # a complex scale and an in-place identity give the bits of
+    # eye + (c p) * gram at a fraction of the mixed float-complex cost;
+    # adding the whole identity turns off-diagonal -0 into +0 as that sum does
+    a = gram * (c * p[..., :, None] + 0j)
+    a += np.eye(gram.shape[-1], dtype=complex)
+    return a
 
 
 def _dpc_objective(p, gram, c):

@@ -102,6 +102,7 @@ def normalize(ch: ChannelTensor) -> NormalizedTensor:
         )
     scales = np.sqrt(m * l * t / energies)
     data = ch.data * scales[None, None, :, None]
+    data.setflags(write=False)
     return NormalizedTensor(data, ch.antenna_ap_map, user_scales=scales)
 
 

@@ -318,7 +318,10 @@ def gen_trajectory_users(scene: Scene, num_users: int, spacing=(0.1, 5.0), rng=N
 
     Positions are accepted only when every pairwise distance lies within
     `spacing` = (min_m, max_m); after 1e5 rejected candidates the layout is
-    declared infeasible.
+    declared infeasible. A layout that provably cannot exist raises
+    InfeasibleLayoutError before any draw: K >= 2 users need a region
+    diagonal of at least min_m, and their disjoint min_m-diameter disks must
+    fit the region grown by min_m / 2.
     """
     num_users = int(num_users)
     if num_users < 1:
@@ -330,6 +333,8 @@ def gen_trajectory_users(scene: Scene, num_users: int, spacing=(0.1, 5.0), rng=N
         )
     gen = _generator(rng)
     region = scene.region
+    if num_users >= 2:
+        _check_spacing_feasible(region, num_users, min_s)
     x0, y0, z0 = region.origin
     accepted: list[np.ndarray] = []
     rejects = 0
@@ -353,6 +358,29 @@ def gen_trajectory_users(scene: Scene, num_users: int, spacing=(0.1, 5.0), rng=N
                     f"region after {_MAX_PLACEMENT_REJECTS} rejected candidates"
                 )
     return UserLayout(np.array(accepted), min_spacing_m=min_s, max_spacing_m=max_s)
+
+
+def _check_spacing_feasible(region: Region, num_users: int, min_s: float) -> None:
+    """Raise InfeasibleLayoutError when `num_users` >= 2 points at pairwise
+    distance >= `min_s` cannot fit in `region`, by either of two necessary
+    conditions: two points fit only within the diagonal, and the points'
+    disjoint radius-min_s/2 disks all lie in the region grown by min_s / 2,
+    whose area is w*d + (w + d)*min_s + pi*min_s^2/4."""
+    w, d = region.width, region.depth
+    diagonal = math.hypot(w, d)
+    if diagonal < min_s:
+        raise InfeasibleLayoutError(
+            f"cannot place {num_users} users with minimum spacing {min_s} m: "
+            f"the {w} x {d} m region's diagonal is only {diagonal:.3f} m"
+        )
+    disks = num_users * math.pi * min_s**2 / 4
+    grown = w * d + (w + d) * min_s + math.pi * min_s**2 / 4
+    if disks > grown:
+        raise InfeasibleLayoutError(
+            f"cannot place {num_users} users with minimum spacing {min_s} m: "
+            f"their spacing disks cover {disks:.3f} m^2, more than the "
+            f"{grown:.3f} m^2 of the {w} x {d} m region grown by {min_s / 2} m"
+        )
 
 
 def gen_geometric(scene: Scene, users: UserLayout, rng=None) -> ChannelTensor:
@@ -469,6 +497,7 @@ def gen_geometric(scene: Scene, users: UserLayout, rng=None) -> ChannelTensor:
             scattered[los] = plane[:, None] + scatter_amp_los * scattered[los]
         out[:, :, b, :] = scattered.transpose(1, 2, 0, 3)
 
+    data.setflags(write=False)
     return ChannelTensor(data, scene.antenna_ap_map())
 
 

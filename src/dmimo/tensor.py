@@ -27,7 +27,10 @@ class ChannelTensor:
     ----------
     data : array_like
         Complex coefficients, shape (T, L, K, M): snapshot, subcarrier,
-        user, antenna. Copied to complex128 and frozen.
+        user, antenna. A complex128, C-contiguous, read-only ndarray that
+        owns its memory (``base is None``) is adopted as is, without a copy;
+        anything else, a writable array included, is copied to complex128
+        and frozen, so a caller's later writes never reach the tensor.
     antenna_ap_map : array_like
         Length-M integer vector; entry m is the access-point index owning
         antenna column m. Each AP's antennas must form one contiguous run.
@@ -37,7 +40,9 @@ class ChannelTensor:
     antenna_ap_map: np.ndarray
 
     def __post_init__(self):
-        data = np.array(self.data, dtype=np.complex128, order="C", copy=True)
+        data = self.data
+        if not _adoptable(data):
+            data = np.array(data, dtype=np.complex128, order="C", copy=True)
         if data.ndim != 4:
             raise DimensionError(
                 f"channel tensor must be 4-D (T, L, K, M), got {data.ndim}-D"
@@ -97,6 +102,18 @@ class ChannelTensor:
     def slice_matrix(self, t: int, l: int) -> np.ndarray:
         """The K x M snapshot matrix at (snapshot t, subcarrier l)."""
         return self.data[t, l]
+
+
+def _adoptable(data) -> bool:
+    """Whether ChannelTensor may keep `data` itself: no other array can write
+    to it, and it already has the layout a copy would give it."""
+    return (
+        type(data) is np.ndarray
+        and data.dtype == np.complex128
+        and data.flags.c_contiguous
+        and not data.flags.writeable
+        and data.base is None
+    )
 
 
 def _ap_runs(antenna_ap_map: np.ndarray) -> np.ndarray:

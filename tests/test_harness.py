@@ -293,6 +293,16 @@ class TestDegenerateHandling:
         assert len(result.degenerate) == sum(r.degenerate for r in result.rows)
         assert all("could not place 3 users" in d.reason for d in result.degenerate)
 
+    def test_provably_infeasible_k_flags_only_its_rows(self):
+        # no two users fit 6 m apart in the 2.5 x 5 m region; one user always fits
+        src = SceneSource(scene=small_scene(), min_spacing_m=6.0, max_spacing_m=10.0)
+        cfg = scene_config(source=src, k_values=(1, 3), m_values=(8,), trials=3)
+        result = run_experiment(cfg)
+        assert {r.k for r in result.rows if r.degenerate} == {3}
+        assert all(r.degenerate for r in result.rows if r.k == 3)
+        assert {(d.k, d.trial) for d in result.degenerate} == {(3, t) for t in range(3)}
+        assert all("diagonal is only" in d.reason for d in result.degenerate)
+
 
 class TestChunking:
     """Trials run in chunks; the chunk cap must never change a byte of output."""

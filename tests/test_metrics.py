@@ -22,7 +22,7 @@ from dmimo import (
     zf_sum_rate,
 )
 
-from dmimo.metrics import SliceBatch, _waterfill_rows
+from dmimo.metrics import SliceBatch, _dpc_system, _waterfill_rows
 from dmimo.selfcheck import (
     dpc_capacity_grid_2user,
     singular_values_gram,
@@ -413,6 +413,24 @@ class TestDpcCapacity:
         assert out.sum_rate_bits_per_s_per_hz > 0
         with pytest.raises(DimensionError):
             zf_sum_rate(ch, SnrSpec(10.0))
+
+    @pytest.mark.parametrize(
+        "p_shape, gram_shape",
+        [((5,), (3, 5, 5)), ((3, 5), (3, 5, 5)), ((3, 4, 5), (3, 1, 5, 5))],
+        ids=["joint", "per-slice", "candidates"],
+    )
+    def test_system_matrix_bits_match_plain_expression(self, p_shape, gram_shape):
+        # K = 5 users over M = 3 antennas, with some users at zero power
+        rng = np.random.default_rng(67)
+        h = cplx(rng, gram_shape[:-1] + (3,))
+        gram = h @ h.conj().swapaxes(-1, -2)
+        p = rng.random(p_shape)
+        p[..., ::2] = 0.0
+        c = 7.3
+        plain = np.eye(5, dtype=complex) + c * p[..., :, None] * gram
+        fast = _dpc_system(p, gram, c)
+        assert fast.shape == plain.shape
+        assert np.array_equal(fast.view(np.uint64), plain.view(np.uint64))
 
     def test_validation(self):
         with pytest.raises(InvalidInputError):

@@ -166,6 +166,17 @@ class TestTrajectoryUsers:
         with pytest.raises(InfeasibleLayoutError):
             gen_trajectory_users(scene, 3, spacing=(6.0, 100.0), rng=RngHandle(1, 0))
 
+    @pytest.mark.parametrize(
+        "num_users, min_spacing, bound",
+        [(3, 6.0, "diagonal"), (2, 5.6, "diagonal"), (20, 2.0, "spacing disks")],
+    )
+    def test_provably_infeasible_spacing_raises_before_drawing(self, num_users, min_spacing, bound):
+        gen = np.random.default_rng(0)
+        state = gen.bit_generator.state
+        with pytest.raises(InfeasibleLayoutError, match=bound):
+            gen_trajectory_users(default_scene(), num_users, spacing=(min_spacing, 100.0), rng=gen)
+        assert gen.bit_generator.state == state
+
 
 class TestIidRayleigh:
     def test_dims_and_determinism(self):

@@ -64,6 +64,35 @@ class TestChannelTensor:
         with pytest.raises(ValueError):
             ch.data[0, 0, 0, 0] = 1.0
 
+    def test_adopts_only_owned_readonly_complex128(self):
+        owned = cplx(np.random.default_rng(2), (1, 1, 2, 4))
+        owned.setflags(write=False)
+        assert ChannelTensor(owned, np.zeros(4)).data is owned
+        # a read-only view of a writable array, or another dtype, is copied
+        base = cplx(np.random.default_rng(3), (1, 1, 2, 4))
+        view = base[...]
+        view.setflags(write=False)
+        ch = ChannelTensor(view, np.zeros(4))
+        base[0, 0, 0, 0] = 99.0
+        assert ch.data is not view and ch.data[0, 0, 0, 0] != 99.0
+        single = owned.astype(np.complex64)
+        single.setflags(write=False)
+        assert ChannelTensor(single, np.zeros(4)).data.dtype == np.complex128
+
+    def test_adopted_data_is_still_validated(self):
+        data = np.ones((1, 1, 1, 4), dtype=complex)
+        data.setflags(write=False)
+        with pytest.raises(DimensionError):
+            ChannelTensor(data, np.zeros(3))
+        with pytest.raises(InvalidInputError):
+            ChannelTensor(data, [0, 1, 0, 1])
+        assert ChannelTensor(data, [0, 0, 1, 1]).data is data
+        poisoned = np.ones((1, 1, 1, 2), dtype=complex)
+        poisoned[0, 0, 0, 1] = np.nan
+        poisoned.setflags(write=False)
+        with pytest.raises(InvalidInputError):
+            ChannelTensor(poisoned, np.zeros(2))
+
     def test_rejects_bad_shapes(self):
         with pytest.raises(DimensionError):
             ChannelTensor(np.zeros((2, 2)), np.zeros(2))
