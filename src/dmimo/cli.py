@@ -15,7 +15,15 @@ import sys
 from pathlib import Path
 
 from .chanfile import write_channel_file
-from .config import ConfigError, check_number, load_config, scene_from_dict
+from .config import (
+    ConfigError,
+    SceneSource,
+    _require_keys,
+    check_number,
+    load_config,
+    read_json,
+    scene_from_dict,
+)
 from .errors import ToolkitError
 from .harness import (
     aggregate_result_rows,
@@ -28,29 +36,30 @@ from .synth import gen_geometric, gen_trajectory_users
 from .tensor import RngHandle
 
 
-def _cmd_synth(args) -> int:
-    try:
-        obj = json.loads(Path(args.config).read_text())
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {args.config} is not valid JSON: {exc}") from exc
+def _check_synth_keys(obj) -> None:
+    """A synth config is an object with `scene` and `num_users`, and optionally
+    the spacings and `seed` (default 0); unknown keys are rejected."""
     if not isinstance(obj, dict):
         raise ConfigError("synth config must be an object")
-    unknown = sorted(
-        set(obj) - {"scene", "num_users", "min_spacing_m", "max_spacing_m", "seed"}
+    _require_keys(
+        obj,
+        ("scene", "num_users", "min_spacing_m", "max_spacing_m", "seed"),
+        ("scene", "num_users"),
+        "synth config",
     )
-    if unknown:
-        raise ConfigError(f"unknown key(s) {unknown} in synth config")
-    if "scene" not in obj or "num_users" not in obj:
-        raise ConfigError("synth config needs 'scene' and 'num_users'")
+
+
+def _cmd_synth(args) -> int:
+    obj = read_json(args.config)
+    _check_synth_keys(obj)
     scene = scene_from_dict(obj["scene"])
     seed = args.seed
     if seed is None:
         seed = check_number(obj.get("seed", 0), "synth config 'seed'", int)
-    spacing = (
-        check_number(obj.get("min_spacing_m", 0.1), "synth config 'min_spacing_m'"),
-        check_number(obj.get("max_spacing_m", 5.0), "synth config 'max_spacing_m'"),
+    # the spacing defaults are those of a run config's SceneSource
+    spacing = tuple(
+        check_number(obj.get(key, getattr(SceneSource, key)), f"synth config {key!r}")
+        for key in ("min_spacing_m", "max_spacing_m")
     )
     num_users = check_number(obj["num_users"], "synth config 'num_users'", int)
     users = gen_trajectory_users(scene, num_users, spacing, RngHandle(seed, 0))

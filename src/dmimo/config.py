@@ -22,6 +22,13 @@ Schema:
 "scene" is either a tag handled by default_scene ("los", "nlos", "mixed") or
 a full scene object with the Scene fields spelled out (region as
 {"origin": [x, y, z], "width": w, "depth": d}).
+
+The dataclasses define the schema. The keys of a scene, region or source
+object are the fields of Scene, Region, SceneSource or FileSource, a field
+without a default is required, and a field annotated int or float (or a
+tuple of them, such as a coordinate triple) goes through check_number. Every
+default lives once, on its dataclass, and the JSON form written back is
+dataclasses.asdict of the same object.
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ import dataclasses
 import json
 import math
 import numbers
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -40,6 +48,8 @@ from .synth import Region, Scene, default_scene
 CONFIG_VERSION = 1
 
 METRIC_NAMES = ("svs", "dpc", "zf", "fairness")
+
+SWEEP_AXES = ("m_values", "n_values", "rho_db_values", "k_values")
 
 # stream-id packing in the harness caps the per-axis sweep sizes
 _MAX_SWEEP = 256
@@ -63,6 +73,33 @@ def _require_keys(obj: dict, allowed, required, where: str) -> None:
     missing = sorted(set(required) - set(obj))
     if missing:
         raise ConfigError(f"missing key(s) {missing} in {where}")
+
+
+def _as_tuple(values, name: str) -> tuple:
+    try:
+        return tuple(values)
+    except TypeError:
+        raise ConfigError(f"{name} must be a list") from None
+
+
+def _sweep_axis(name: str, values) -> tuple:
+    """One sweep axis as a tuple: 1 to _MAX_SWEEP distinct entries, integers
+    >= 1, or finite numbers for rho_db_values."""
+    kind = float if name == "rho_db_values" else int
+    values = tuple(
+        check_number(v, f"sweeps.{name} entry", kind) for v in _as_tuple(values, f"sweeps.{name}")
+    )
+    if len(values) < 1:
+        raise ConfigError(f"sweeps.{name} must be non-empty")
+    if len(values) > _MAX_SWEEP:
+        raise ConfigError(f"sweeps.{name} holds more than {_MAX_SWEEP} values")
+    if kind is int and any(v < 1 for v in values):
+        raise ConfigError(f"sweeps.{name} entries must be >= 1")
+    if kind is float and any(not math.isfinite(v) for v in values):
+        raise ConfigError(f"sweeps.{name} entries must be finite")
+    if len(set(values)) != len(values):
+        raise ConfigError(f"sweeps.{name} entries must be distinct")
+    return values
 
 
 @dataclass(frozen=True)
@@ -114,30 +151,8 @@ class ExperimentConfig:
         if not isinstance(self.source, (SceneSource, FileSource)):
             raise ConfigError("source must be a SceneSource or FileSource")
 
-        def int_axis(name, values, minimum=1):
-            values = tuple(check_number(v, f"sweeps.{name} entry", int) for v in values)
-            if len(values) < 1:
-                raise ConfigError(f"sweeps.{name} must be non-empty")
-            if len(values) > _MAX_SWEEP:
-                raise ConfigError(f"sweeps.{name} holds more than {_MAX_SWEEP} values")
-            if any(v < minimum for v in values):
-                raise ConfigError(f"sweeps.{name} entries must be >= {minimum}")
-            if len(set(values)) != len(values):
-                raise ConfigError(f"sweeps.{name} entries must be distinct")
-            return values
-
-        m_values = int_axis("m_values", self.m_values)
-        n_values = int_axis("n_values", self.n_values)
-        k_values = int_axis("k_values", self.k_values)
-        rho = tuple(check_number(v, "sweeps.rho_db_values entry") for v in self.rho_db_values)
-        if len(rho) < 1:
-            raise ConfigError("sweeps.rho_db_values must be non-empty")
-        if len(rho) > _MAX_SWEEP:
-            raise ConfigError(f"sweeps.rho_db_values holds more than {_MAX_SWEEP} values")
-        if any(not math.isfinite(v) for v in rho):
-            raise ConfigError("sweeps.rho_db_values entries must be finite")
-        if len(set(rho)) != len(rho):
-            raise ConfigError("sweeps.rho_db_values entries must be distinct")
+        for axis in SWEEP_AXES:
+            object.__setattr__(self, axis, _sweep_axis(axis, getattr(self, axis)))
 
         trials = check_number(self.trials, "trials", int)
         if not 1 <= trials < _MAX_TRIALS:
@@ -146,7 +161,7 @@ class ExperimentConfig:
         if not 0 <= seed < 2**64:
             raise ConfigError("seed must be an unsigned 64-bit integer")
 
-        metrics = tuple(str(v) for v in self.metrics)
+        metrics = tuple(str(v) for v in _as_tuple(self.metrics, "metrics"))
         if len(metrics) < 1:
             raise ConfigError("metrics must be non-empty")
         bad = sorted(set(metrics) - set(METRIC_NAMES))
@@ -162,16 +177,46 @@ class ExperimentConfig:
                 f"allocation_mode must be one of {list(ALLOCATION_MODES)}"
             )
 
-        object.__setattr__(self, "m_values", m_values)
-        object.__setattr__(self, "n_values", n_values)
-        object.__setattr__(self, "rho_db_values", rho)
-        object.__setattr__(self, "k_values", k_values)
         object.__setattr__(self, "trials", trials)
         object.__setattr__(self, "seed", seed)
         object.__setattr__(self, "metrics", metrics)
 
     def replace(self, **overrides) -> "ExperimentConfig":
         return dataclasses.replace(self, **overrides)
+
+
+def _checked(value, hint, name: str):
+    """`value` with every number its type hint `hint` names passed through
+    check_number; a nested dataclass is built from its own JSON object, and
+    a Scene may also be a tag."""
+    if hint is Scene:
+        return scene_from_dict(value)
+    if dataclasses.is_dataclass(hint):
+        return _from_dict(hint, value, name)
+    if hint in (int, float):
+        return check_number(value, name, hint)
+    if typing.get_origin(hint) is tuple and isinstance(value, (list, tuple)):
+        # schema tuples hold one kind of item: coordinates, or triples of them
+        item = typing.get_args(hint)[0]
+        return tuple(_checked(v, item, f"{name}[{i}]") for i, v in enumerate(value))
+    return value
+
+
+def _from_dict(cls, obj, where: str):
+    """Build dataclass `cls` from its JSON object: the keys are its fields,
+    the ones without a default are required, and each value is checked
+    against its field's type."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where} must be an object")
+    fields = dataclasses.fields(cls)
+    _require_keys(
+        obj,
+        [f.name for f in fields],
+        [f.name for f in fields if f.default is dataclasses.MISSING],
+        where,
+    )
+    hints = typing.get_type_hints(cls)
+    return cls(**{key: _checked(value, hints[key], f"{where}.{key}") for key, value in obj.items()})
 
 
 def scene_from_dict(obj) -> Scene:
@@ -183,43 +228,8 @@ def scene_from_dict(obj) -> Scene:
             raise ConfigError(f"unknown scene tag {obj!r}") from exc
     if not isinstance(obj, dict):
         raise ConfigError("scene must be a tag string or an object")
-    allowed = {
-        "ap_positions",
-        "antennas_per_ap",
-        "region",
-        "condition_per_ap",
-        "rice_k_db",
-        "num_scatterers",
-        "angular_spread_deg",
-        "carrier_hz",
-        "bandwidth_hz",
-        "num_subcarriers",
-        "num_snapshots",
-    }
-    required = allowed - {"num_subcarriers", "num_snapshots"}
-    _require_keys(obj, allowed, required, "scene")
-    region = obj["region"]
-    if not isinstance(region, dict):
-        raise ConfigError("scene.region must be an object")
-    _require_keys(region, ("origin", "width", "depth"), ("origin", "width", "depth"), "scene.region")
     try:
-        return Scene(
-            ap_positions=tuple(tuple(p) for p in obj["ap_positions"]),
-            antennas_per_ap=obj["antennas_per_ap"],
-            region=Region(
-                origin=tuple(region["origin"]),
-                width=region["width"],
-                depth=region["depth"],
-            ),
-            condition_per_ap=tuple(obj["condition_per_ap"]),
-            rice_k_db=obj["rice_k_db"],
-            num_scatterers=obj["num_scatterers"],
-            angular_spread_deg=obj["angular_spread_deg"],
-            carrier_hz=obj["carrier_hz"],
-            bandwidth_hz=obj["bandwidth_hz"],
-            num_subcarriers=obj.get("num_subcarriers", 1),
-            num_snapshots=obj.get("num_snapshots", 1),
-        )
+        return _from_dict(Scene, obj, "scene")
     except ConfigError:
         raise
     except Exception as exc:
@@ -227,74 +237,39 @@ def scene_from_dict(obj) -> Scene:
 
 
 def scene_to_dict(scene: Scene) -> dict:
-    return {
-        "ap_positions": [list(p) for p in scene.ap_positions],
-        "antennas_per_ap": scene.antennas_per_ap,
-        "region": {
-            "origin": list(scene.region.origin),
-            "width": scene.region.width,
-            "depth": scene.region.depth,
-        },
-        "condition_per_ap": list(scene.condition_per_ap),
-        "rice_k_db": scene.rice_k_db,
-        "num_scatterers": scene.num_scatterers,
-        "angular_spread_deg": scene.angular_spread_deg,
-        "carrier_hz": scene.carrier_hz,
-        "bandwidth_hz": scene.bandwidth_hz,
-        "num_subcarriers": scene.num_subcarriers,
-        "num_snapshots": scene.num_snapshots,
-    }
+    return dataclasses.asdict(scene)
+
+
+_SOURCE_TYPES = {"scene": SceneSource, "file": FileSource}
 
 
 def source_from_dict(obj) -> object:
     if not isinstance(obj, dict):
         raise ConfigError("source must be an object")
     kind = obj.get("type")
-    if kind == "scene":
-        _require_keys(
-            obj,
-            ("type", "scene", "min_spacing_m", "max_spacing_m"),
-            ("type", "scene"),
-            "source",
-        )
-        return SceneSource(
-            scene=scene_from_dict(obj["scene"]),
-            min_spacing_m=obj.get("min_spacing_m", 0.1),
-            max_spacing_m=obj.get("max_spacing_m", 5.0),
-        )
-    if kind == "file":
-        _require_keys(obj, ("type", "path"), ("type", "path"), "source")
-        return FileSource(path=obj["path"])
-    raise ConfigError("source.type must be 'scene' or 'file'")
+    if not isinstance(kind, str) or kind not in _SOURCE_TYPES:
+        raise ConfigError("source.type must be 'scene' or 'file'")
+    fields = {key: value for key, value in obj.items() if key != "type"}
+    return _from_dict(_SOURCE_TYPES[kind], fields, "source")
 
 
 def source_to_dict(source) -> dict:
-    if isinstance(source, SceneSource):
-        return {
-            "type": "scene",
-            "scene": scene_to_dict(source.scene),
-            "min_spacing_m": source.min_spacing_m,
-            "max_spacing_m": source.max_spacing_m,
-        }
-    if isinstance(source, FileSource):
-        return {"type": "file", "path": source.path}
+    for kind, cls in _SOURCE_TYPES.items():
+        if isinstance(source, cls):
+            return {"type": kind, **dataclasses.asdict(source)}
     raise ConfigError("source must be a SceneSource or FileSource")
 
 
 def config_from_dict(obj: dict) -> ExperimentConfig:
     if not isinstance(obj, dict):
         raise ConfigError("config must be an object")
-    allowed = (
-        "version",
-        "source",
-        "sweeps",
-        "trials",
-        "seed",
-        "metrics",
-        "allocation_mode",
+    _require_keys(
+        obj,
+        ("version", "source", "sweeps", "trials", "seed", "metrics", "allocation_mode"),
+        ("source", "sweeps", "trials", "seed"),
+        "config",
     )
-    _require_keys(obj, allowed, ("source", "sweeps", "trials", "seed"), "config")
-    version = obj.get("version", CONFIG_VERSION)
+    version = check_number(obj.get("version", CONFIG_VERSION), "version", int)
     if version != CONFIG_VERSION:
         raise ConfigError(
             f"unsupported config version {version}, expected {CONFIG_VERSION}"
@@ -302,31 +277,17 @@ def config_from_dict(obj: dict) -> ExperimentConfig:
     sweeps = obj["sweeps"]
     if not isinstance(sweeps, dict):
         raise ConfigError("sweeps must be an object")
-    axes = ("m_values", "n_values", "rho_db_values", "k_values")
-    _require_keys(sweeps, axes, axes, "sweeps")
-    return ExperimentConfig(
-        source=source_from_dict(obj["source"]),
-        m_values=tuple(sweeps["m_values"]),
-        n_values=tuple(sweeps["n_values"]),
-        rho_db_values=tuple(sweeps["rho_db_values"]),
-        k_values=tuple(sweeps["k_values"]),
-        trials=obj["trials"],
-        seed=obj["seed"],
-        metrics=tuple(obj.get("metrics", METRIC_NAMES)),
-        allocation_mode=obj.get("allocation_mode", "per_tl"),
-    )
+    _require_keys(sweeps, SWEEP_AXES, SWEEP_AXES, "sweeps")
+    fields = {key: value for key, value in obj.items() if key not in ("version", "sweeps")}
+    fields["source"] = source_from_dict(obj["source"])
+    return ExperimentConfig(**fields, **sweeps)
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
     return {
         "version": CONFIG_VERSION,
         "source": source_to_dict(cfg.source),
-        "sweeps": {
-            "m_values": list(cfg.m_values),
-            "n_values": list(cfg.n_values),
-            "rho_db_values": list(cfg.rho_db_values),
-            "k_values": list(cfg.k_values),
-        },
+        "sweeps": {axis: list(getattr(cfg, axis)) for axis in SWEEP_AXES},
         "trials": cfg.trials,
         "seed": cfg.seed,
         "metrics": list(cfg.metrics),
@@ -334,14 +295,19 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
     }
 
 
-def load_config(path) -> ExperimentConfig:
-    """Read and validate a JSON experiment config."""
+def read_json(path):
+    """Parse the JSON file at `path`; a file that cannot be read or parsed
+    raises ConfigError."""
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
-        obj = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    return config_from_dict(obj)
+
+
+def load_config(path) -> ExperimentConfig:
+    """Read and validate a JSON experiment config."""
+    return config_from_dict(read_json(path))

@@ -28,7 +28,7 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import product
 from pathlib import Path
 
@@ -40,6 +40,7 @@ from .config import (
     ExperimentConfig,
     FileSource,
     SceneSource,
+    check_number,
     config_to_dict,
 )
 from .errors import (
@@ -157,18 +158,7 @@ class ExperimentResult:
             "version": 1,
             "config": config_to_dict(self.config),
             "cells": [_cell_to_dict(c) for c in self.cells],
-            "degenerate": [
-                {
-                    "trial": d.trial,
-                    "m": d.m,
-                    "n": d.n,
-                    "k": d.k,
-                    "rho_db": d.rho_db,
-                    "metric": d.metric,
-                    "reason": d.reason,
-                }
-                for d in self.degenerate
-            ],
+            "degenerate": [asdict(d) for d in self.degenerate],
         }
 
     def write_aggregates(self, path) -> None:
@@ -177,27 +167,10 @@ class ExperimentResult:
 
 
 def _cell_to_dict(cell: CellAggregate) -> dict:
-    cdf = None
+    out = asdict(cell)
     if cell.cdf is not None:
-        cdf = {
-            "grid": [float(x) for x in cell.cdf.grid],
-            "probs": [float(x) for x in cell.cdf.probs],
-            "num_samples": cell.cdf.num_samples,
-            "num_saturated": cell.cdf.num_saturated,
-        }
-    return {
-        "m": cell.m,
-        "n": cell.n,
-        "k": cell.k,
-        "rho_db": cell.rho_db,
-        "metric": cell.metric,
-        "num_trials": cell.num_trials,
-        "num_valid": cell.num_valid,
-        "num_degenerate": cell.num_degenerate,
-        "mean": cell.mean,
-        "median": cell.median,
-        "cdf": cdf,
-    }
+        out["cdf"].update(grid=cell.cdf.grid.tolist(), probs=cell.cdf.probs.tolist())
+    return out
 
 
 def _source_inventory(cfg: ExperimentConfig):
@@ -448,7 +421,7 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     """
     if not isinstance(cfg, ExperimentConfig):
         raise ConfigError("run_experiment expects an ExperimentConfig")
-    threads = int(threads)
+    threads = check_number(threads, "threads", int)
     if threads < 1:
         raise ConfigError("threads must be >= 1")
 

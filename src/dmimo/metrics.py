@@ -25,6 +25,7 @@ max over p placed outside the (t, l) average). The two coincide at L = T = 1.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -58,9 +59,12 @@ class SnrSpec:
     rho_db: float
 
     def __post_init__(self):
-        if not math.isfinite(float(self.rho_db)):
+        rho_db = self.rho_db
+        if isinstance(rho_db, bool) or not isinstance(rho_db, numbers.Real):
+            raise InvalidInputError(f"rho_db must be a number, got {rho_db!r}")
+        if not math.isfinite(rho_db):
             raise InvalidInputError("rho_db must be finite")
-        object.__setattr__(self, "rho_db", float(self.rho_db))
+        object.__setattr__(self, "rho_db", float(rho_db))
 
     @property
     def rho_linear(self) -> float:

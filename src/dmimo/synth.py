@@ -104,7 +104,7 @@ class Scene:
         L and T of generated tensors. Snapshots redraw scatterer gains.
     """
 
-    ap_positions: tuple
+    ap_positions: tuple[tuple[float, float, float], ...]
     antennas_per_ap: int
     region: Region
     condition_per_ap: tuple

@@ -189,6 +189,42 @@ class TestErrors:
         assert err.startswith("error:") and field in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command", ["run", "synth"])
+    @pytest.mark.parametrize(
+        "path, value, field",
+        [
+            (("antennas_per_ap",), 8.7, "scene.antennas_per_ap"),
+            (("num_scatterers",), True, "scene.num_scatterers"),
+            (("rice_k_db",), "6", "scene.rice_k_db"),
+            (("num_subcarriers",), 2.9, "scene.num_subcarriers"),
+            (("ap_positions", 0, 0), "0", "scene.ap_positions[0][0]"),
+            (("region", "origin", 2), True, "scene.region.origin[2]"),
+            (("region", "width"), "3", "scene.region.width"),
+        ],
+    )
+    def test_malformed_scene_field_exits_2(self, tmp_path, capsys, command, path, value, field):
+        scene = json.loads(json.dumps(SCENE_OBJ))
+        target = scene
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        if command == "synth":
+            cfg = {"scene": scene, "num_users": 2, "seed": 1}
+        else:
+            cfg = {
+                "source": {"type": "scene", "scene": scene},
+                "sweeps": {"m_values": [8], "n_values": [1], "rho_db_values": [0.0], "k_values": [2]},
+                "trials": 1,
+                "seed": 1,
+            }
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(cfg))
+        code = main([command, "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field} must be a")
+        assert not (tmp_path / "o").exists()
+
     def test_nan_spacing_exits_2(self, tmp_path, capsys):
         path = tmp_path / "scene.json"
         path.write_text('{"scene": "los", "num_users": 2, "min_spacing_m": NaN}')

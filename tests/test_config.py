@@ -116,6 +116,9 @@ class TestValidation:
     def test_bad_version(self):
         with pytest.raises(ConfigError):
             config_from_dict(base_dict(version=2))
+        for version in (True, 1.0, "1"):
+            with pytest.raises(ConfigError, match="version must be an integer"):
+                config_from_dict(base_dict(version=version))
 
     def test_bad_source(self):
         with pytest.raises(ConfigError):
@@ -134,6 +137,8 @@ class TestValidation:
             {"rho_db_values": [float("inf")]},
             {"rho_db_values": [0.0, 0.0]},
             {"k_values": list(range(1, 300))},
+            {"m_values": 16},
+            {"rho_db_values": None},
         ):
             obj = base_dict()
             obj["sweeps"].update(patch)
@@ -153,6 +158,9 @@ class TestValidation:
             config_from_dict(base_dict(metrics=["svs", "svs"]))
         with pytest.raises(ConfigError):
             config_from_dict(base_dict(allocation_mode="greedy"))
+        for metrics in (5, None, True):
+            with pytest.raises(ConfigError, match="metrics must be a list"):
+                config_from_dict(base_dict(metrics=metrics))
 
     def test_replace(self):
         cfg = config_from_dict(base_dict())
@@ -190,4 +198,10 @@ class TestLoadConfig:
         path = tmp_path / "broken.json"
         path.write_text("{not json")
         with pytest.raises(ConfigError):
+            load_config(path)
+
+    def test_non_utf8_file(self, tmp_path):
+        path = tmp_path / "binary.json"
+        path.write_bytes(b'{"trials": "\xff"}')
+        with pytest.raises(ConfigError, match="cannot read config"):
             load_config(path)

@@ -456,6 +456,9 @@ class TestFeasibilityChecks:
     def test_threads_and_type_validation(self):
         with pytest.raises(ConfigError):
             run_experiment(scene_config(), threads=0)
+        for threads in (2.5, True, "2", None):
+            with pytest.raises(ConfigError, match="threads must be an integer"):
+                run_experiment(scene_config(), threads=threads)
         with pytest.raises(ConfigError):
             run_experiment({"not": "a config"})
 

@@ -94,6 +94,16 @@ class TestSnrSpec:
         with pytest.raises(InvalidInputError):
             SnrSpec.from_linear(-3.0)
 
+    @pytest.mark.parametrize("value", ["x", None, True, "10", [10.0]])
+    def test_rejects_non_numbers(self, value):
+        with pytest.raises(InvalidInputError, match="rho_db must be a number"):
+            SnrSpec(value)
+
+    def test_numpy_numbers_accepted(self):
+        assert SnrSpec(np.float32(1.5)).rho_db == 1.5
+        assert SnrSpec(np.int64(3)).rho_db == 3.0
+        assert type(SnrSpec(np.float64(2.0)).rho_db) is float
+
 
 class TestPowerAllocation:
     def test_fields(self):
