@@ -143,7 +143,7 @@ class RngHandle:
     def __post_init__(self):
         for name in ("seed", "stream"):
             value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)):
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise InvalidInputError(f"{name} must be an integer")
             if not 0 <= int(value) < 2**64:
                 raise InvalidInputError(f"{name} must fit in an unsigned 64-bit integer")

@@ -136,6 +136,10 @@ class TestRngHandle:
             RngHandle(0, 2**64)
         with pytest.raises(InvalidInputError):
             RngHandle(1.5, 0)
+        with pytest.raises(InvalidInputError):
+            RngHandle(True, 0)
+        with pytest.raises(InvalidInputError):
+            RngHandle(0, False)
 
 
 class TestSingularValues:
