@@ -18,9 +18,12 @@ trial, M index, N index), and every kernel treats each slice on its own, so
 for a fixed seed the output bytes do not depend on the chunk cap or on how
 many worker threads execute the chunks.
 
-Result rows are sorted by (M index, N index, rho index, K index, trial,
-metric) before serialization; aggregates (mean, median, 512-point CDF) skip
-degenerate trials and report them separately.
+Results live in one dense grid with axes (M, N, rho, K, trial, metric), in
+config order (metrics in canonical order): a value per slot, and a reason in
+each degenerate slot. A chunk worker writes only its own (K index, trial)
+slots, so workers never share one, and the rows are the grid read in C order,
+which is also their serialization order. Aggregates (mean, median, 512-point
+CDF) skip degenerate trials and report them separately.
 """
 
 from __future__ import annotations
@@ -236,10 +239,6 @@ def _draw_full_tensor(cfg: ExperimentConfig, file_tensor, k_idx: int, trial: int
     return ChannelTensor(data, file_tensor.antenna_ap_map)
 
 
-def _metric_index(name: str) -> int:
-    return METRIC_NAMES.index(name)
-
-
 def _chunks(cfg: ExperimentConfig, entries_per_user: int) -> list:
     """(K index, trials) work units: consecutive trials of one K whose full-size
     tensors, of `entries_per_user` = T*L*M_total entries per user, hold
@@ -254,8 +253,8 @@ def _chunks(cfg: ExperimentConfig, entries_per_user: int) -> list:
     return out
 
 
-def _chunk_dpc(stack: np.ndarray, snr: SnrSpec, mode: str) -> list:
-    """(DPC rate, converged) of each trial of an (items, T, L, K, M) stack.
+def _chunk_dpc(stack: np.ndarray, snr: SnrSpec, mode: str) -> tuple:
+    """(DPC rates, converged) arrays over the trials of an (items, T, L, K, M) stack.
 
     Per-slice allocation treats every slice on its own, so one dpc_capacity
     call on the trials folded into the snapshot axis gives each trial's
@@ -263,125 +262,94 @@ def _chunk_dpc(stack: np.ndarray, snr: SnrSpec, mode: str) -> list:
     """
     if mode == "joint":
         results = [dpc_capacity(item, snr, mode) for item in stack]
-        return [(r.sum_rate_bits_per_s_per_hz, r.converged) for r in results]
+        return (
+            np.array([r.sum_rate_bits_per_s_per_hz for r in results]),
+            np.array([r.converged for r in results]),
+        )
     items, t, l, k, m = stack.shape
     res = dpc_capacity(stack.reshape(items * t, l, k, m), snr, mode)
-    rates = res.slice_rates.reshape(items, -1)
-    converged = res.slice_converged.reshape(items, -1).all(axis=1)
-    return [(float(np.mean(r)), bool(c)) for r, c in zip(rates, converged.tolist())]
-
-
-def _chunk_worker(cfg: ExperimentConfig, file_tensor, blocks: dict, k_idx: int, trials):
-    """All rows of one chunk of trials: returns (keyed rows, degenerate records)."""
-    k = cfg.k_values[k_idx]
-    rows = []
-    notes = []
-
-    def emit(trial, m_idx, n_idx, rho_idx, metric, value, degenerate, reason=None):
-        m = cfg.m_values[m_idx]
-        n = cfg.n_values[n_idx]
-        rho = cfg.rho_db_values[rho_idx]
-        key = (m_idx, n_idx, rho_idx, k_idx, trial, _metric_index(metric))
-        rows.append(
-            (key, ResultRow(trial, m, n, k, rho, metric, float(value), degenerate))
-        )
-        if degenerate:
-            notes.append(
-                (key, DegenerateRecord(trial, m, n, k, rho, metric, reason or ""))
-            )
-
-    cells = list(
-        product(
-            range(len(cfg.m_values)), range(len(cfg.n_values)), range(len(cfg.rho_db_values))
-        )
+    return (
+        res.slice_rates.reshape(items, -1).mean(axis=1),
+        res.slice_converged.reshape(items, -1).all(axis=1),
     )
-    drawn = []  # (trial, normalized (T, L, K, M) data)
+
+
+def _chunk_worker(
+    cfg: ExperimentConfig, file_tensor, blocks: dict, values, reasons, k_idx: int, trials
+) -> None:
+    """Fill the [:, :, :, k_idx, trial, :] slots of the result grids for one
+    chunk of trials: a value per slot, and a reason in each degenerate one."""
+    drawn = []  # trials with a normalized tensor
+    tensors = []  # their normalized (T, L, K, M) data
     for trial in trials:
         try:
             norm = normalize(_draw_full_tensor(cfg, file_tensor, k_idx, trial))
         except (DegenerateUserError, InfeasibleLayoutError) as exc:
-            for cell in cells:
-                for metric in cfg.metrics:
-                    emit(trial, *cell, metric, math.nan, True, str(exc))
+            reasons[:, :, :, k_idx, trial, :] = str(exc)
             continue
-        drawn.append((trial, norm.data))
+        drawn.append(trial)
+        tensors.append(norm.data)
     if not drawn:
-        return rows, notes
+        return
 
     for m_idx, n_idx in product(range(len(cfg.m_values)), range(len(cfg.n_values))):
         m, n = cfg.m_values[m_idx], cfg.n_values[n_idx]
-        stack = np.empty((len(drawn),) + drawn[0][1].shape[:3] + (m,), dtype=np.complex128)
-        for out, (trial, data) in zip(stack, drawn):
+        stack = np.empty((len(drawn),) + tensors[0].shape[:3] + (m,), dtype=np.complex128)
+        for out, trial, data in zip(stack, drawn, tensors):
             rng = RngHandle(cfg.seed, _stream_id(_STREAM_SELECT, k_idx, trial, m_idx, n_idx))
             cols = draw_subarray_columns(blocks, m, n, rng)[0]
             # the columns are valid, so "clip" only lets take write in place
             np.take(data, cols, axis=3, out=out, mode="clip")
         batch = SliceBatch(stack)
-        spreads = batch.spreads() if "svs" in cfg.metrics else None
+        measured = {}  # metric -> (value, reason or None) per drawn trial
+        if "svs" in cfg.metrics:
+            spreads = batch.spreads()
+            measured["svs"] = spreads, np.where(
+                np.isinf(spreads), "saturated singular-value spread (rank-deficient draw)", None
+            )
         for rho_idx, rho_db in enumerate(cfg.rho_db_values):
             snr = SnrSpec(rho_db)
-            dpc = zf = None
             if "dpc" in cfg.metrics:
-                dpc = _chunk_dpc(stack, snr, cfg.allocation_mode)
+                rates, converged = _chunk_dpc(stack, snr, cfg.allocation_mode)
+                measured["dpc"] = rates, np.where(
+                    converged, None, "iterative water-filling hit the iteration cap"
+                )
             if "zf" in cfg.metrics or "fairness" in cfg.metrics:
-                zf = batch.zf(snr, cfg.allocation_mode)
-            for i, (trial, _) in enumerate(drawn):
-                cell = (trial, m_idx, n_idx, rho_idx)
-                if spreads is not None:
-                    emit(
-                        *cell,
-                        "svs",
-                        spreads[i],
-                        math.isinf(spreads[i]),
-                        "saturated singular-value spread (rank-deficient draw)",
-                    )
-                if dpc is not None:
-                    rate, converged = dpc[i]
-                    emit(
-                        *cell,
-                        "dpc",
-                        rate,
-                        not converged,
-                        None if converged else "iterative water-filling hit the iteration cap",
-                    )
-                if zf is not None:
-                    res = zf[i]
+                zf, fairness, failures = [], [], []
+                for res in batch.zf(snr, cfg.allocation_mode):
                     if isinstance(res, RankDeficiencyError):
-                        zf_value = math.nan
-                        fairness = math.nan
-                        failure = (
-                            f"rank-deficient slice at (t={res.snapshot}, "
-                            f"l={res.subcarrier})"
+                        zf.append(math.nan)
+                        fairness.append(math.nan)
+                        failures.append(
+                            f"rank-deficient slice at (t={res.snapshot}, l={res.subcarrier})"
                         )
                     else:
-                        zf_value = res.sum_rate_bits_per_s_per_hz
-                        fairness = float(np.mean(count_allocated_users(res.powers)))
-                        failure = None
-                    if "zf" in cfg.metrics:
-                        emit(*cell, "zf", zf_value, failure is not None, failure)
-                    if "fairness" in cfg.metrics:
-                        emit(*cell, "fairness", fairness, failure is not None, failure)
-    return rows, notes
+                        zf.append(res.sum_rate_bits_per_s_per_hz)
+                        fairness.append(float(np.mean(count_allocated_users(res.powers))))
+                        failures.append(None)
+                measured["zf"] = zf, failures
+                measured["fairness"] = fairness, failures
+            for metric_idx, metric in enumerate(cfg.metrics):
+                slots = (m_idx, n_idx, rho_idx, k_idx, drawn, metric_idx)
+                values[slots], reasons[slots] = measured[metric]
 
 
 def aggregate_result_rows(rows, grid_points: int = CDF_GRID_POINTS) -> tuple:
-    """Group rows into per-cell statistics.
+    """Group rows into per-cell statistics, in order of each cell's first row.
 
     Means and medians cover valid (non-degenerate) trials only. The CDF also
     carries saturated (+inf) degenerate values as tail mass; degenerate rows
-    without a usable value (NaN) are only counted.
+    without a usable value (NaN) are only counted. A grid_points that is not
+    an integer >= 1 raises ConfigError.
     """
+    grid_points = check_number(grid_points, "grid_points", int)
+    if grid_points < 1:
+        raise ConfigError(f"grid_points must be >= 1, got {grid_points}")
     groups: dict = {}
-    order = []
     for r in rows:
-        key = (r.m, r.n, r.k, r.rho_db, r.metric)
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(r)
+        groups.setdefault((r.m, r.n, r.k, r.rho_db, r.metric), []).append(r)
     cells = []
-    for key in order:
-        entries = groups[key]
+    for (m, n, k, rho_db, metric), entries in groups.items():
         valid = [r.value for r in entries if not r.degenerate]
         saturated = [
             r.value for r in entries if r.degenerate and math.isinf(r.value)
@@ -392,7 +360,6 @@ def aggregate_result_rows(rows, grid_points: int = CDF_GRID_POINTS) -> tuple:
             cdf = compute_cdf(valid + saturated, grid_points)
         except (EmptySampleError, InvalidInputError):
             cdf = None
-        m, n, k, rho_db, metric = key
         cells.append(
             CellAggregate(
                 m=m,
@@ -414,10 +381,12 @@ def aggregate_result_rows(rows, grid_points: int = CDF_GRID_POINTS) -> tuple:
 def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     """Execute the full sweep grid for cfg.trials Monte-Carlo trials.
 
-    Feasibility of every sweep cell is checked before any trial runs.
-    `threads` only sets how many trial chunks run at once; results are
-    identical for any value because each trial owns pre-assigned random
-    streams and rows are merged in sweep order, not completion order.
+    Feasibility of every sweep cell is checked before any trial runs. Chunk
+    workers fill one dense (M, N, rho, K, trial, metric) grid of values and
+    degenerate reasons, each writing only its own (K, trial) slots, and the
+    rows are read off that grid in C order. `threads` only sets how many
+    trial chunks run at once; results are identical for any value because
+    each trial owns pre-assigned random streams and grid slots.
     """
     if not isinstance(cfg, ExperimentConfig):
         raise ConfigError("run_experiment expects an ExperimentConfig")
@@ -434,25 +403,38 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
         None if file_tensor is None else file_tensor.num_users,
     )
 
+    axes = (
+        cfg.m_values,
+        cfg.n_values,
+        cfg.rho_db_values,
+        cfg.k_values,
+        range(cfg.trials),
+        cfg.metrics,
+    )
+    shape = tuple(len(axis) for axis in axes)
+    values = np.full(shape, math.nan)
+    reasons = np.full(shape, None, dtype=object)  # a reason marks a degenerate row
+
     def work(chunk):
-        return _chunk_worker(cfg, file_tensor, blocks, *chunk)
+        _chunk_worker(cfg, file_tensor, blocks, values, reasons, *chunk)
 
     chunks = _chunks(cfg, grid[0] * grid[1] * len(ap_map))
     if threads == 1:
-        outcomes = [work(chunk) for chunk in chunks]
+        for chunk in chunks:
+            work(chunk)
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(work, chunks))
+            list(pool.map(work, chunks))
 
-    keyed_rows = []
-    keyed_notes = []
-    for rows, notes in outcomes:
-        keyed_rows.extend(rows)
-        keyed_notes.extend(notes)
-    keyed_rows.sort(key=lambda kr: kr[0])
-    keyed_notes.sort(key=lambda kn: kn[0])
-    rows = tuple(r for _, r in keyed_rows)
-    degenerate = tuple(d for _, d in keyed_notes)
+    rows = []
+    degenerate = []
+    for (m, n, rho_db, k, trial, metric), value, reason in zip(
+        product(*axes), values.ravel().tolist(), reasons.ravel().tolist()
+    ):
+        rows.append(ResultRow(trial, m, n, k, rho_db, metric, value, reason is not None))
+        if reason is not None:
+            degenerate.append(DegenerateRecord(trial, m, n, k, rho_db, metric, reason))
+    rows, degenerate = tuple(rows), tuple(degenerate)
     cells = aggregate_result_rows(rows)
     return ExperimentResult(config=cfg, rows=rows, cells=cells, degenerate=degenerate)
 

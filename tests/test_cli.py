@@ -244,6 +244,18 @@ class TestErrors:
         assert code == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("grid_points", ["0", "-3"])
+    def test_bad_grid_points_exits_2(self, tmp_path, capsys, grid_points):
+        results = tmp_path / "results.csv"
+        results.write_text(
+            "trial,M,N,K,rho_db,metric,value,degenerate_flag\n0,8,2,2,0.0,svs,3.5,0\n"
+        )
+        out = tmp_path / "o"
+        code = main(["cdf", str(results), "--grid-points", grid_points, "--out", str(out)])
+        assert code == 2
+        assert f"grid_points must be >= 1, got {grid_points}" in capsys.readouterr().err
+        assert not (out / "cdf_tables.json").exists()
+
 
 class TestOracle:
     def test_selfcheck_passes(self, capsys):

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -228,6 +229,12 @@ class TestAggregates:
         assert cell.cdf.num_saturated == 1
         assert cell.cdf.probs[-1] == pytest.approx(2.0 / 3.0)
 
+    @pytest.mark.parametrize("grid_points", [2.5, 0, -3, True, "8"])
+    def test_bad_grid_points_raise(self, grid_points):
+        rows = [ResultRow(0, 8, 1, 2, 0.0, "svs", 5.0, False)]
+        with pytest.raises(ConfigError, match="grid_points"):
+            aggregate_result_rows(rows, grid_points=grid_points)
+
     def test_all_nan_cell_has_no_stats(self):
         rows = [
             ResultRow(t, 8, 1, 2, 0.0, "zf", math.nan, True) for t in range(3)
@@ -362,11 +369,22 @@ class TestChunking:
             assert any(t % 3 == 1 for t in unnormalizable)
             assert any(t % 3 == 1 for t in rank_deficient)
             trial_entries = 3 * 8  # K x T*L*M_total
-            for cap, chunks in ((1, 12), (3 * trial_entries, 4), (harness.CHUNK_ELEMENTS, 1)):
-                monkeypatch.setattr(harness, "CHUNK_ELEMENTS", cap)
-                assert len(harness._chunks(cfg, 8)) == chunks
-                for threads in (1, 3):
-                    assert self.outputs(cfg, threads) == reference, (metrics, cap, threads)
+            # workers write disjoint slots of shared result grids: switch threads
+            # often so that a lost or misplaced write would show in the bytes
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                for cap, chunks in (
+                    (1, 12),
+                    (3 * trial_entries, 4),
+                    (harness.CHUNK_ELEMENTS, 1),
+                ):
+                    monkeypatch.setattr(harness, "CHUNK_ELEMENTS", cap)
+                    assert len(harness._chunks(cfg, 8)) == chunks
+                    for threads in (1, 3):
+                        assert self.outputs(cfg, threads) == reference, (metrics, cap, threads)
+            finally:
+                sys.setswitchinterval(interval)
 
     def test_chunk_cap_counts_entries_not_slices(self, tmp_path):
         data = gen_iid_rayleigh((1, 1, 2, 8), RngHandle(96, 0)).data
