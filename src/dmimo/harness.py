@@ -301,7 +301,7 @@ def _chunk_worker(
             # the columns are valid, so "clip" only lets take write in place
             np.take(data, cols, axis=3, out=out, mode="clip")
         batch = SliceBatch(stack)
-        measured = {}  # metric -> (value, reason or None) per drawn trial
+        measured = {}  # metric -> (values, reasons or None) over the drawn trials
         if "svs" in cfg.metrics:
             spreads = batch.spreads()
             measured["svs"] = spreads, np.where(
