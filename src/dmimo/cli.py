@@ -19,12 +19,11 @@ from .config import (
     ConfigError,
     SceneSource,
     _require_keys,
-    check_number,
     load_config,
     read_json,
     scene_from_dict,
 )
-from .errors import ToolkitError
+from .errors import ToolkitError, check_number
 from .harness import (
     aggregate_result_rows,
     _cell_to_dict,

@@ -23,12 +23,14 @@ Schema:
 a full scene object with the Scene fields spelled out (region as
 {"origin": [x, y, z], "width": w, "depth": d}).
 
-The dataclasses define the schema. The keys of a scene, region or source
-object are the fields of Scene, Region, SceneSource or FileSource, a field
-without a default is required, and a field annotated int or float (or a
-tuple of them, such as a coordinate triple) goes through check_number. Every
-default lives once, on its dataclass, and the JSON form written back is
-dataclasses.asdict of the same object.
+The dataclasses define the schema, and the records own their checks. The
+keys of a scene, region or source object are the fields of Scene, Region,
+SceneSource or FileSource, and a field without a default is required. This
+module only maps JSON to records: it checks the keys, builds nested records
+(a scene may also be a tag), and prefixes the JSON path to the error a
+record's constructor raises, as in `scene.region.origin[2] must be a number,
+got True`. Every default lives once, on its dataclass, and the JSON form
+written back is dataclasses.asdict of the same object.
 """
 
 from __future__ import annotations
@@ -36,12 +38,11 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import numbers
 import typing
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, InvalidInputError, check_fields, check_number
 from .metrics import ALLOCATION_MODES
 from .synth import Region, Scene, default_scene
 
@@ -54,16 +55,6 @@ SWEEP_AXES = ("m_values", "n_values", "rho_db_values", "k_values")
 # stream-id packing in the harness caps the per-axis sweep sizes
 _MAX_SWEEP = 256
 _MAX_TRIALS = 2**32
-
-
-def check_number(value, name: str, kind=float):
-    """A Python or numpy number as `kind`: an integer for int, any real but NaN
-    for float. Anything else, booleans included, raises a ConfigError naming `name`."""
-    accepted = numbers.Integral if kind is int else numbers.Real
-    if isinstance(value, bool) or not isinstance(value, accepted) or value != value:
-        noun = "an integer" if kind is int else "a number"
-        raise ConfigError(f"{name} must be {noun}, got {value!r}")
-    return kind(value)
 
 
 def _require_keys(obj: dict, allowed, required, where: str) -> None:
@@ -87,7 +78,8 @@ def _sweep_axis(name: str, values) -> tuple:
     >= 1, or finite numbers for rho_db_values."""
     kind = float if name == "rho_db_values" else int
     values = tuple(
-        check_number(v, f"sweeps.{name} entry", kind) for v in _as_tuple(values, f"sweeps.{name}")
+        check_number(v, f"sweeps.{name} entry", kind, ConfigError)
+        for v in _as_tuple(values, f"sweeps.{name}")
     )
     if len(values) < 1:
         raise ConfigError(f"sweeps.{name} must be non-empty")
@@ -111,16 +103,12 @@ class SceneSource:
     max_spacing_m: float = 5.0
 
     def __post_init__(self):
+        check_fields(self, ConfigError)
         if not isinstance(self.scene, Scene):
-            raise ConfigError("source.scene must be a Scene")
-        min_s = check_number(self.min_spacing_m, "source.min_spacing_m")
-        max_s = check_number(self.max_spacing_m, "source.max_spacing_m")
+            raise ConfigError("scene must be a Scene")
+        min_s, max_s = self.min_spacing_m, self.max_spacing_m
         if min_s < 0 or not max_s > 0 or min_s > max_s:
-            raise ConfigError(
-                "source spacing must satisfy 0 <= min_spacing_m <= max_spacing_m"
-            )
-        object.__setattr__(self, "min_spacing_m", min_s)
-        object.__setattr__(self, "max_spacing_m", max_s)
+            raise ConfigError("min_spacing_m must be in [0, max_spacing_m], max_spacing_m > 0")
 
 
 @dataclass(frozen=True)
@@ -131,7 +119,7 @@ class FileSource:
 
     def __post_init__(self):
         if not str(self.path):
-            raise ConfigError("source.path must be a non-empty path")
+            raise ConfigError("path must be a non-empty path")
         object.__setattr__(self, "path", str(self.path))
 
 
@@ -148,17 +136,16 @@ class ExperimentConfig:
     allocation_mode: str = "per_tl"
 
     def __post_init__(self):
+        check_fields(self, ConfigError)
         if not isinstance(self.source, (SceneSource, FileSource)):
             raise ConfigError("source must be a SceneSource or FileSource")
 
         for axis in SWEEP_AXES:
             object.__setattr__(self, axis, _sweep_axis(axis, getattr(self, axis)))
 
-        trials = check_number(self.trials, "trials", int)
-        if not 1 <= trials < _MAX_TRIALS:
+        if not 1 <= self.trials < _MAX_TRIALS:
             raise ConfigError(f"trials must be in [1, {_MAX_TRIALS})")
-        seed = check_number(self.seed, "seed", int)
-        if not 0 <= seed < 2**64:
+        if not 0 <= self.seed < 2**64:
             raise ConfigError("seed must be an unsigned 64-bit integer")
 
         metrics = tuple(str(v) for v in _as_tuple(self.metrics, "metrics"))
@@ -177,35 +164,16 @@ class ExperimentConfig:
                 f"allocation_mode must be one of {list(ALLOCATION_MODES)}"
             )
 
-        object.__setattr__(self, "trials", trials)
-        object.__setattr__(self, "seed", seed)
         object.__setattr__(self, "metrics", metrics)
 
     def replace(self, **overrides) -> "ExperimentConfig":
         return dataclasses.replace(self, **overrides)
 
 
-def _checked(value, hint, name: str):
-    """`value` with every number its type hint `hint` names passed through
-    check_number; a nested dataclass is built from its own JSON object, and
-    a Scene may also be a tag."""
-    if hint is Scene:
-        return scene_from_dict(value)
-    if dataclasses.is_dataclass(hint):
-        return _from_dict(hint, value, name)
-    if hint in (int, float):
-        return check_number(value, name, hint)
-    if typing.get_origin(hint) is tuple and isinstance(value, (list, tuple)):
-        # schema tuples hold one kind of item: coordinates, or triples of them
-        item = typing.get_args(hint)[0]
-        return tuple(_checked(v, item, f"{name}[{i}]") for i, v in enumerate(value))
-    return value
-
-
 def _from_dict(cls, obj, where: str):
-    """Build dataclass `cls` from its JSON object: the keys are its fields,
-    the ones without a default are required, and each value is checked
-    against its field's type."""
+    """Build dataclass `cls` from its JSON object at path `where`: the keys are
+    its fields, the ones without a default are required, a record-typed field
+    is built from its own object, and a failed check is prefixed with `where`."""
     if not isinstance(obj, dict):
         raise ConfigError(f"{where} must be an object")
     fields = dataclasses.fields(cls)
@@ -216,7 +184,16 @@ def _from_dict(cls, obj, where: str):
         where,
     )
     hints = typing.get_type_hints(cls)
-    return cls(**{key: _checked(value, hints[key], f"{where}.{key}") for key, value in obj.items()})
+    values = dict(obj)
+    for key, value in obj.items():
+        if hints[key] is Scene:
+            values[key] = scene_from_dict(value)
+        elif dataclasses.is_dataclass(hints[key]):
+            values[key] = _from_dict(hints[key], value, f"{where}.{key}")
+    try:
+        return cls(**values)
+    except InvalidInputError as exc:
+        raise ConfigError(f"{where}.{exc}") from exc
 
 
 def scene_from_dict(obj) -> Scene:
@@ -269,7 +246,7 @@ def config_from_dict(obj: dict) -> ExperimentConfig:
         ("source", "sweeps", "trials", "seed"),
         "config",
     )
-    version = check_number(obj.get("version", CONFIG_VERSION), "version", int)
+    version = check_number(obj.get("version", CONFIG_VERSION), "version", int, ConfigError)
     if version != CONFIG_VERSION:
         raise ConfigError(
             f"unsupported config version {version}, expected {CONFIG_VERSION}"

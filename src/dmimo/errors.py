@@ -1,8 +1,18 @@
-"""Exception types raised across the toolkit.
+"""Exception types raised across the toolkit, and the check records share.
 
 Everything derives from ToolkitError so callers can catch this package's
 failures with one except clause while still telling the causes apart.
+
+Records own their checks: each one's `__post_init__` calls check_fields,
+then checks only its fields' ranges, in messages that start with the field
+name, so a JSON reader can prefix the path it read (see config).
 """
+
+import dataclasses
+import functools
+import numbers
+import typing
+from collections.abc import Iterable
 
 
 class ToolkitError(Exception):
@@ -71,5 +81,46 @@ class EmptySampleError(InvalidInputError):
     """A statistic was requested over zero usable samples."""
 
 
-class ConfigError(ToolkitError):
+class ConfigError(InvalidInputError):
     """An experiment configuration is invalid; the message names the field."""
+
+
+def check_number(value, name: str, kind=float, error=InvalidInputError):
+    """A Python or numpy number as `kind`: an integer for int, any real but NaN
+    for float. Anything else, booleans included, raises `error` naming `name`."""
+    accepted = numbers.Integral if kind is int else numbers.Real
+    if isinstance(value, bool) or not isinstance(value, accepted) or value != value:
+        noun = "an integer" if kind is int else "a number"
+        raise error(f"{name} must be {noun}, got {value!r}")
+    return kind(value)
+
+
+def _names_number(hint) -> bool:
+    if hint in (int, float):
+        return True
+    return typing.get_origin(hint) is tuple and _names_number(typing.get_args(hint)[0])
+
+
+@functools.cache
+def _numeric_fields(cls) -> tuple:
+    hints = typing.get_type_hints(cls)
+    fields = [(f.name, hints[f.name]) for f in dataclasses.fields(cls)]
+    return tuple((name, hint) for name, hint in fields if _names_number(hint))
+
+
+def _checked(value, hint, name: str, error):
+    if hint in (int, float):
+        return check_number(value, name, hint, error)
+    # numeric tuples hold one kind of item: coordinates, or triples of them
+    if not isinstance(value, Iterable):
+        raise error(f"{name} must be a sequence of numbers, got {value!r}")
+    item = typing.get_args(hint)[0]
+    return tuple(_checked(v, item, f"{name}[{i}]", error) for i, v in enumerate(value))
+
+
+def check_fields(record, error=InvalidInputError) -> None:
+    """Store every field of frozen dataclass `record` annotated int, float or
+    a tuple of them as checked by check_number; a field of the wrong type
+    raises `error` naming it, as in `origin[2] must be a number, got True`."""
+    for name, hint in _numeric_fields(type(record)):
+        object.__setattr__(record, name, _checked(getattr(record, name), hint, name, error))

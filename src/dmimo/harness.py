@@ -43,7 +43,6 @@ from .config import (
     ExperimentConfig,
     FileSource,
     SceneSource,
-    check_number,
     config_to_dict,
 )
 from .errors import (
@@ -53,6 +52,7 @@ from .errors import (
     InfeasibleLayoutError,
     InvalidInputError,
     RankDeficiencyError,
+    check_number,
 )
 from .metrics import SliceBatch, SnrSpec, count_allocated_users, dpc_capacity
 from .prep import draw_subarray_columns, normalize
@@ -342,7 +342,7 @@ def aggregate_result_rows(rows, grid_points: int = CDF_GRID_POINTS) -> tuple:
     without a usable value (NaN) are only counted. A grid_points that is not
     an integer >= 1 raises ConfigError.
     """
-    grid_points = check_number(grid_points, "grid_points", int)
+    grid_points = check_number(grid_points, "grid_points", int, ConfigError)
     if grid_points < 1:
         raise ConfigError(f"grid_points must be >= 1, got {grid_points}")
     groups: dict = {}
@@ -390,7 +390,7 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     """
     if not isinstance(cfg, ExperimentConfig):
         raise ConfigError("run_experiment expects an ExperimentConfig")
-    threads = check_number(threads, "threads", int)
+    threads = check_number(threads, "threads", int, ConfigError)
     if threads < 1:
         raise ConfigError("threads must be >= 1")
 

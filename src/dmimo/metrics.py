@@ -25,13 +25,18 @@ max over p placed outside the (t, l) average). The two coincide at L = T = 1.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionError, InvalidInputError, RankDeficiencyError
+from .errors import (
+    DimensionError,
+    InvalidInputError,
+    RankDeficiencyError,
+    check_fields,
+    check_number,
+)
 from .tensor import (
     COND_LIMIT,
     ChannelTensor,
@@ -59,12 +64,9 @@ class SnrSpec:
     rho_db: float
 
     def __post_init__(self):
-        rho_db = self.rho_db
-        if isinstance(rho_db, bool) or not isinstance(rho_db, numbers.Real):
-            raise InvalidInputError(f"rho_db must be a number, got {rho_db!r}")
-        if not math.isfinite(rho_db):
+        check_fields(self)
+        if not math.isfinite(self.rho_db):
             raise InvalidInputError("rho_db must be finite")
-        object.__setattr__(self, "rho_db", float(rho_db))
 
     @property
     def rho_linear(self) -> float:
@@ -85,17 +87,16 @@ class PowerAllocation:
     water_level: float
 
     def __post_init__(self):
+        check_fields(self)
         p = np.array(self.p, dtype=float, copy=True)
         if p.ndim != 1 or p.shape[0] < 1:
             raise InvalidInputError("p must be a non-empty vector")
         if not np.all(np.isfinite(p)) or np.any(p < 0):
-            raise InvalidInputError("powers must be finite and non-negative")
-        level = float(self.water_level)
-        if not (level > 0 and math.isfinite(level)):
+            raise InvalidInputError("p must be finite and non-negative")
+        if not (self.water_level > 0 and math.isfinite(self.water_level)):
             raise InvalidInputError("water_level must be positive and finite")
         p.setflags(write=False)
         object.__setattr__(self, "p", p)
-        object.__setattr__(self, "water_level", level)
 
     @property
     def num_users(self) -> int:
@@ -419,9 +420,10 @@ def dpc_capacity(
     """
     snr = _require_snr(snr)
     mode = _check_mode(allocation_mode)
+    tol = check_number(tol, "tol")
     if not (tol > 0 and math.isfinite(tol)):
         raise InvalidInputError("tol must be positive and finite")
-    max_iterations = int(max_iterations)
+    max_iterations = check_number(max_iterations, "max_iterations", int)
     if max_iterations < 1:
         raise InvalidInputError("max_iterations must be >= 1")
     h = _slice_stack(ch)

@@ -20,6 +20,7 @@ from .errors import (
     DegenerateUserError,
     InvalidInputError,
     TopologyError,
+    check_fields,
 )
 from .tensor import ChannelTensor, _generator, ap_columns
 
@@ -34,29 +35,23 @@ class Topology:
 
     n_aps: int
     per_ap_antennas: int
-    chosen_ap_ids: tuple
-    chosen_element_ids: tuple
+    chosen_ap_ids: tuple[int, ...]
+    chosen_element_ids: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        n = int(self.n_aps)
-        w = int(self.per_ap_antennas)
+        check_fields(self)
+        n, w = self.n_aps, self.per_ap_antennas
         if n < 1 or w < 1:
             raise InvalidInputError("n_aps and per_ap_antennas must be >= 1")
-        aps = tuple(int(a) for a in self.chosen_ap_ids)
-        if len(aps) != n or len(set(aps)) != n:
+        if len(self.chosen_ap_ids) != n or len(set(self.chosen_ap_ids)) != n:
             raise InvalidInputError("chosen_ap_ids must be n_aps distinct ids")
-        elements = tuple(tuple(int(e) for e in grp) for grp in self.chosen_element_ids)
-        if len(elements) != n:
+        if len(self.chosen_element_ids) != n:
             raise InvalidInputError("chosen_element_ids must give one group per AP")
-        for grp in elements:
+        for grp in self.chosen_element_ids:
             if len(grp) != w or len(set(grp)) != w:
                 raise InvalidInputError(
-                    "each AP's element ids must be per_ap_antennas distinct indices"
+                    "chosen_element_ids must give per_ap_antennas distinct indices per AP"
                 )
-        object.__setattr__(self, "n_aps", n)
-        object.__setattr__(self, "per_ap_antennas", w)
-        object.__setattr__(self, "chosen_ap_ids", aps)
-        object.__setattr__(self, "chosen_element_ids", elements)
 
     @property
     def total_antennas(self) -> int:
@@ -119,12 +114,7 @@ def select_subarray(ch: ChannelTensor, m_total: int, n_aps: int, rng) -> tuple:
     cols, chosen, picks = draw_subarray_columns(
         ap_columns(ch.antenna_ap_map), m_total, n_aps, rng
     )
-    topo = Topology(
-        n_aps=len(chosen),
-        per_ap_antennas=len(picks[0]),
-        chosen_ap_ids=tuple(int(a) for a in chosen),
-        chosen_element_ids=tuple(tuple(int(e) for e in grp) for grp in picks),
-    )
+    topo = Topology(len(chosen), len(picks[0]), chosen, picks)
     sliced = ChannelTensor(ch.data[:, :, :, cols], ch.antenna_ap_map[cols])
     return sliced, topo
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptySampleError, InvalidInputError
+from .errors import EmptySampleError, InvalidInputError, check_fields, check_number
 
 
 @dataclass(frozen=True)
@@ -30,6 +30,7 @@ class CdfTable:
     num_saturated: int
 
     def __post_init__(self):
+        check_fields(self)
         grid = np.array(self.grid, dtype=float, copy=True)
         probs = np.array(self.probs, dtype=float, copy=True)
         if grid.ndim != 1 or probs.shape != grid.shape:
@@ -38,8 +39,6 @@ class CdfTable:
         probs.setflags(write=False)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "probs", probs)
-        object.__setattr__(self, "num_samples", int(self.num_samples))
-        object.__setattr__(self, "num_saturated", int(self.num_saturated))
 
     @property
     def saturated_mass(self) -> float:
@@ -53,7 +52,7 @@ def compute_cdf(samples, grid_points: int = 512) -> CdfTable:
     num_saturated, never on the grid. NaN or -inf entries are rejected, and
     a sample set with no finite entry raises EmptySampleError.
     """
-    grid_points = int(grid_points)
+    grid_points = check_number(grid_points, "grid_points", int)
     if grid_points < 1:
         raise InvalidInputError("grid_points must be >= 1")
     values = np.asarray(samples, dtype=float).ravel()

@@ -20,6 +20,8 @@ from .errors import (
     InfeasibleLayoutError,
     InvalidInputError,
     PlacementError,
+    check_fields,
+    check_number,
 )
 from .tensor import ChannelTensor, _generator
 
@@ -51,16 +53,12 @@ class Region:
     depth: float
 
     def __post_init__(self):
-        origin = tuple(float(v) for v in self.origin)
-        if len(origin) != 3 or not all(math.isfinite(v) for v in origin):
-            raise InvalidInputError("region origin must be a finite (x, y, z) triple")
-        if not (self.width > 0 and self.depth > 0):
-            raise InvalidInputError("region must have positive width and depth")
-        if not (math.isfinite(self.width) and math.isfinite(self.depth)):
-            raise InvalidInputError("region extents must be finite")
-        object.__setattr__(self, "origin", origin)
-        object.__setattr__(self, "width", float(self.width))
-        object.__setattr__(self, "depth", float(self.depth))
+        check_fields(self)
+        if len(self.origin) != 3 or not all(math.isfinite(v) for v in self.origin):
+            raise InvalidInputError("origin must be a finite (x, y, z) triple")
+        for name in ("width", "depth"):
+            if not (getattr(self, name) > 0 and math.isfinite(getattr(self, name))):
+                raise InvalidInputError(f"{name} must be positive and finite")
 
     @property
     def area(self) -> float:
@@ -117,44 +115,30 @@ class Scene:
     num_snapshots: int = 1
 
     def __post_init__(self):
-        positions = tuple(tuple(float(c) for c in p) for p in self.ap_positions)
-        if len(positions) < 1:
-            raise InvalidInputError("scene needs at least one access point")
-        if any(len(p) != 3 or not all(math.isfinite(c) for c in p) for p in positions):
+        check_fields(self)
+        if len(self.ap_positions) < 1:
+            raise InvalidInputError("ap_positions must hold at least one access point")
+        if any(len(p) != 3 or not all(math.isfinite(c) for c in p) for p in self.ap_positions):
             raise InvalidInputError("ap_positions must be finite (x, y, z) triples")
         conditions = tuple(str(c).lower() for c in self.condition_per_ap)
-        if len(conditions) != len(positions):
-            raise InvalidInputError(
-                "condition_per_ap must give one tag per access point"
-            )
+        if len(conditions) != len(self.ap_positions):
+            raise InvalidInputError("condition_per_ap must give one tag per access point")
         if any(c not in (LOS, NLOS) for c in conditions):
-            raise InvalidInputError("condition tags must be 'los' or 'nlos'")
+            raise InvalidInputError("condition_per_ap tags must be 'los' or 'nlos'")
         if not isinstance(self.region, Region):
             raise InvalidInputError("region must be a Region")
-        if int(self.antennas_per_ap) < 1:
-            raise InvalidInputError("antennas_per_ap must be >= 1")
-        if not math.isfinite(float(self.rice_k_db)):
+        for name in ("antennas_per_ap", "num_scatterers", "num_subcarriers", "num_snapshots"):
+            if getattr(self, name) < 1:
+                raise InvalidInputError(f"{name} must be >= 1")
+        if not math.isfinite(self.rice_k_db):
             raise InvalidInputError("rice_k_db must be finite")
-        if int(self.num_scatterers) < 1:
-            raise InvalidInputError("num_scatterers must be >= 1")
-        if not 0.0 < float(self.angular_spread_deg) <= 360.0:
+        if not 0.0 < self.angular_spread_deg <= 360.0:
             raise InvalidInputError("angular_spread_deg must be in (0, 360]")
-        if not (float(self.carrier_hz) > 0 and math.isfinite(float(self.carrier_hz))):
+        if not (self.carrier_hz > 0 and math.isfinite(self.carrier_hz)):
             raise InvalidInputError("carrier_hz must be positive and finite")
-        if not (float(self.bandwidth_hz) >= 0 and math.isfinite(float(self.bandwidth_hz))):
+        if not (self.bandwidth_hz >= 0 and math.isfinite(self.bandwidth_hz)):
             raise InvalidInputError("bandwidth_hz must be non-negative and finite")
-        if int(self.num_subcarriers) < 1 or int(self.num_snapshots) < 1:
-            raise InvalidInputError("num_subcarriers and num_snapshots must be >= 1")
-        object.__setattr__(self, "ap_positions", positions)
-        object.__setattr__(self, "antennas_per_ap", int(self.antennas_per_ap))
         object.__setattr__(self, "condition_per_ap", conditions)
-        object.__setattr__(self, "rice_k_db", float(self.rice_k_db))
-        object.__setattr__(self, "num_scatterers", int(self.num_scatterers))
-        object.__setattr__(self, "angular_spread_deg", float(self.angular_spread_deg))
-        object.__setattr__(self, "carrier_hz", float(self.carrier_hz))
-        object.__setattr__(self, "bandwidth_hz", float(self.bandwidth_hz))
-        object.__setattr__(self, "num_subcarriers", int(self.num_subcarriers))
-        object.__setattr__(self, "num_snapshots", int(self.num_snapshots))
 
     @property
     def num_aps(self) -> int:
@@ -222,12 +206,12 @@ class UserLayout:
         if pos.ndim != 2 or pos.shape[1] != 3 or pos.shape[0] < 1:
             raise InvalidInputError("positions must be a (K, 3) coordinate array")
         if not np.all(np.isfinite(pos)):
-            raise InvalidInputError("user positions must be finite")
-        min_s = float(self.min_spacing_m)
-        max_s = float(self.max_spacing_m)
+            raise InvalidInputError("positions must be finite")
+        check_fields(self)
+        min_s, max_s = self.min_spacing_m, self.max_spacing_m
         if min_s < 0 or not max_s > 0 or min_s > max_s:
             raise InvalidInputError(
-                "need 0 <= min_spacing_m <= max_spacing_m and max_spacing_m > 0"
+                "min_spacing_m must be in [0, max_spacing_m], max_spacing_m > 0"
             )
         if pos.shape[0] > 1:
             diffs = pos[:, None, :] - pos[None, :, :]
@@ -235,13 +219,11 @@ class UserLayout:
             pair = dist[np.triu_indices(pos.shape[0], k=1)]
             if np.any(pair < min_s) or np.any(pair > max_s):
                 raise PlacementError(
-                    "pairwise user distances violate the spacing bounds "
+                    "positions have pairwise distances outside the spacing bounds "
                     f"[{min_s}, {max_s}]"
                 )
         pos.setflags(write=False)
         object.__setattr__(self, "positions", pos)
-        object.__setattr__(self, "min_spacing_m", min_s)
-        object.__setattr__(self, "max_spacing_m", max_s)
 
     @property
     def num_users(self) -> int:
@@ -323,10 +305,11 @@ def gen_trajectory_users(scene: Scene, num_users: int, spacing=(0.1, 5.0), rng=N
     diagonal of at least min_m, and their disjoint min_m-diameter disks must
     fit the region grown by min_m / 2.
     """
-    num_users = int(num_users)
+    num_users = check_number(num_users, "num_users", int)
     if num_users < 1:
         raise InvalidInputError("num_users must be >= 1")
-    min_s, max_s = (float(spacing[0]), float(spacing[1]))
+    min_s = check_number(spacing[0], "spacing[0]")
+    max_s = check_number(spacing[1], "spacing[1]")
     if min_s < 0 or not max_s > 0 or min_s > max_s:
         raise InvalidInputError(
             "spacing must satisfy 0 <= min <= max with max > 0"

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, InvalidInputError, RankDeficiencyError
+from .errors import DimensionError, InvalidInputError, RankDeficiencyError, check_fields
 
 # condition number at and above which a matrix is treated as singular
 COND_LIMIT = 1e12
@@ -141,16 +141,14 @@ class RngHandle:
     stream: int = 0
 
     def __post_init__(self):
+        check_fields(self)
         for name in ("seed", "stream"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise InvalidInputError(f"{name} must be an integer")
-            if not 0 <= int(value) < 2**64:
+            if not 0 <= getattr(self, name) < 2**64:
                 raise InvalidInputError(f"{name} must fit in an unsigned 64-bit integer")
 
     def generator(self) -> np.random.Generator:
         """A fresh generator positioned at the start of this stream."""
-        seq = np.random.SeedSequence(entropy=int(self.seed), spawn_key=(int(self.stream),))
+        seq = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream,))
         return np.random.Generator(np.random.PCG64(seq))
 
 

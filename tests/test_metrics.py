@@ -449,6 +449,11 @@ class TestDpcCapacity:
             dpc_capacity(np.eye(2), SnrSpec(10.0), tol=0.0)
         with pytest.raises(InvalidInputError):
             dpc_capacity(np.eye(2), SnrSpec(10.0), max_iterations=0)
+        for max_iterations in (2.7, True):
+            with pytest.raises(InvalidInputError, match="max_iterations must be an integer"):
+                dpc_capacity(np.eye(2), SnrSpec(10.0), max_iterations=max_iterations)
+        with pytest.raises(InvalidInputError, match="tol must be a number"):
+            dpc_capacity(np.eye(2), SnrSpec(10.0), tol="x")
 
 
 class TestJointAllocationMode:

@@ -76,6 +76,9 @@ class TestComputeCdf:
             compute_cdf([1.0, -np.inf])
         with pytest.raises(InvalidInputError):
             compute_cdf([1.0, 2.0], grid_points=0)
+        for grid_points in (2.5, True, "4"):
+            with pytest.raises(InvalidInputError, match="grid_points must be an integer"):
+                compute_cdf([1.0, 2.0], grid_points=grid_points)
 
     def test_table_validation(self):
         with pytest.raises(InvalidInputError):

@@ -1,7 +1,9 @@
 """Scene model and channel synthesis: geometry, statistics, seeded behavior."""
 
+import dataclasses
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -42,6 +44,8 @@ class TestRegion:
             Region(origin=(0.0, 0.0, 0.0), width=0.0, depth=1.0)
         with pytest.raises(InvalidInputError):
             Region(origin=(0.0, 0.0, 0.0), width=1.0, depth=math.inf)
+        with pytest.raises(InvalidInputError, match="origin"):
+            Region(origin=("0", 0, True), width=1, depth=1)
 
 
 class TestScene:
@@ -118,6 +122,11 @@ class TestScene:
             Scene(**{**base, "antennas_per_ap": 0})
         with pytest.raises(InvalidInputError):
             Scene(**{**base, "num_scatterers": 0})
+        los = default_scene("los")
+        with pytest.raises(InvalidInputError, match="antennas_per_ap must be an integer"):
+            dataclasses.replace(los, antennas_per_ap=8.7)
+        with pytest.raises(InvalidInputError, match="num_scatterers must be an integer"):
+            dataclasses.replace(los, num_scatterers=True)
 
 
 class TestUserLayout:
@@ -165,6 +174,19 @@ class TestTrajectoryUsers:
         # region diagonal is ~5.6 m, so a 6 m minimum spacing can never be met
         with pytest.raises(InfeasibleLayoutError):
             gen_trajectory_users(scene, 3, spacing=(6.0, 100.0), rng=RngHandle(1, 0))
+
+    @pytest.mark.parametrize(
+        "num_users, spacing, field",
+        [
+            (2.5, (0.1, 5.0), "num_users"),
+            (True, (0.1, 5.0), "num_users"),
+            (2, ("0.1", 5), "spacing[0]"),
+            (2, (0.1, None), "spacing[1]"),
+        ],
+    )
+    def test_validation(self, num_users, spacing, field):
+        with pytest.raises(InvalidInputError, match=re.escape(field)):
+            gen_trajectory_users(default_scene(), num_users, spacing, RngHandle(1, 0))
 
     @pytest.mark.parametrize(
         "num_users, min_spacing, bound",
