@@ -83,7 +83,7 @@ def _cmd_run(args) -> int:
         overrides["allocation_mode"] = args.allocation_mode.replace("-", "_")
     if overrides:
         cfg = cfg.replace(**overrides)
-    result = run_experiment(cfg, threads=args.threads)
+    result = run_experiment(cfg, workers=args.workers)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "results.csv"
@@ -142,7 +142,12 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="override the power-allocation scope",
     )
-    p_run.add_argument("--threads", type=int, default=1, help="worker threads")
+    p_run.add_argument(
+        "--workers",
+        type=int,
+        default=None,
+        help="processes that run trial chunks (default: every usable CPU; 1 runs in-process)",
+    )
     p_run.add_argument("--out", required=True, help="output directory")
     p_run.set_defaults(func=_cmd_run)
 

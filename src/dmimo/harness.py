@@ -16,21 +16,30 @@ whose tensor has an all-zero user, gets degenerate rows with the reason.
 Every random purpose gets its own stream id derived from (purpose, K index,
 trial, M index, N index), and every kernel treats each slice on its own, so
 for a fixed seed the output bytes do not depend on the chunk cap or on how
-many worker threads execute the chunks.
+many worker processes execute the chunks.
+
+Chunk i runs in worker i mod W. Worker 0 is the calling process; the other
+W - 1 are forked, so they inherit the config, the channel-file tensor and
+the AP blocks without pickling, and each sends back only its chunks'
+results. By default W is the number of CPUs the process may run on, capped
+at the number of chunks; W = 1 runs every chunk in-process.
 
 Results live in one dense grid with axes (M, N, rho, K, trial, metric), in
 config order (metrics in canonical order): a value per slot, and a reason in
-each degenerate slot. A chunk worker writes only its own (K index, trial)
-slots, so workers never share one, and the rows are the grid read in C order,
-which is also their serialization order. Aggregates (mean, median, 512-point
-CDF) skip degenerate trials and report them separately.
+each degenerate slot. Each chunk's (M, N, rho, trial, metric) results are
+copied into its own (K index, trial) slots, and the rows are the grid read in
+C order, which is also their serialization order. Aggregates (mean, median,
+512-point CDF) skip degenerate trials and report them separately.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
+import os
+import pickle
+import signal
+import traceback
 from dataclasses import asdict, dataclass
 from itertools import product
 from pathlib import Path
@@ -242,14 +251,15 @@ def _draw_full_tensor(cfg: ExperimentConfig, file_tensor, k_idx: int, trial: int
 def _chunks(cfg: ExperimentConfig, entries_per_user: int) -> list:
     """(K index, trials) work units: consecutive trials of one K whose full-size
     tensors, of `entries_per_user` = T*L*M_total entries per user, hold
-    CHUNK_ELEMENTS entries at most; a larger trial is a chunk of its own."""
+    CHUNK_ELEMENTS entries at most; a larger trial is a chunk of its own.
+    Each K's trials are cut into as few chunks as the cap allows, whose sizes
+    differ by at most 1."""
     out = []
     for k_idx, k in enumerate(cfg.k_values):
-        size = max(1, CHUNK_ELEMENTS // (k * entries_per_user))
-        out.extend(
-            (k_idx, range(start, min(start + size, cfg.trials)))
-            for start in range(0, cfg.trials, size)
-        )
+        cap = max(1, CHUNK_ELEMENTS // (k * entries_per_user))
+        count = -(-cfg.trials // cap)
+        bounds = [cfg.trials * i // count for i in range(count + 1)]
+        out.extend((k_idx, range(lo, hi)) for lo, hi in zip(bounds, bounds[1:]))
     return out
 
 
@@ -274,29 +284,39 @@ def _chunk_dpc(stack: np.ndarray, snr: SnrSpec, mode: str) -> tuple:
     )
 
 
-def _chunk_worker(
-    cfg: ExperimentConfig, file_tensor, blocks: dict, values, reasons, k_idx: int, trials
-) -> None:
-    """Fill the [:, :, :, k_idx, trial, :] slots of the result grids for one
-    chunk of trials: a value per slot, and a reason in each degenerate one."""
-    drawn = []  # trials with a normalized tensor
+def _chunk_worker(cfg: ExperimentConfig, file_tensor, blocks: dict, k_idx: int, trials) -> tuple:
+    """(values, reasons) of one chunk of trials, both of shape
+    (M, N, rho, trial, metric): a value per slot, and a reason in each
+    degenerate one."""
+    shape = (
+        len(cfg.m_values),
+        len(cfg.n_values),
+        len(cfg.rho_db_values),
+        len(trials),
+        len(cfg.metrics),
+    )
+    values = np.full(shape, math.nan)
+    reasons = np.full(shape, None, dtype=object)  # a reason marks a degenerate row
+    drawn = []  # chunk positions of the trials with a normalized tensor
     tensors = []  # their normalized (T, L, K, M) data
-    for trial in trials:
+    for pos, trial in enumerate(trials):
         try:
             norm = normalize(_draw_full_tensor(cfg, file_tensor, k_idx, trial))
         except (DegenerateUserError, InfeasibleLayoutError) as exc:
-            reasons[:, :, :, k_idx, trial, :] = str(exc)
+            reasons[:, :, :, pos, :] = str(exc)
             continue
-        drawn.append(trial)
+        drawn.append(pos)
         tensors.append(norm.data)
     if not drawn:
-        return
+        return values, reasons
 
     for m_idx, n_idx in product(range(len(cfg.m_values)), range(len(cfg.n_values))):
         m, n = cfg.m_values[m_idx], cfg.n_values[n_idx]
         stack = np.empty((len(drawn),) + tensors[0].shape[:3] + (m,), dtype=np.complex128)
-        for out, trial, data in zip(stack, drawn, tensors):
-            rng = RngHandle(cfg.seed, _stream_id(_STREAM_SELECT, k_idx, trial, m_idx, n_idx))
+        for out, pos, data in zip(stack, drawn, tensors):
+            rng = RngHandle(
+                cfg.seed, _stream_id(_STREAM_SELECT, k_idx, trials[pos], m_idx, n_idx)
+            )
             cols = draw_subarray_columns(blocks, m, n, rng)[0]
             # the columns are valid, so "clip" only lets take write in place
             np.take(data, cols, axis=3, out=out, mode="clip")
@@ -330,8 +350,78 @@ def _chunk_worker(
                 measured["zf"] = zf, failures
                 measured["fairness"] = fairness, failures
             for metric_idx, metric in enumerate(cfg.metrics):
-                slots = (m_idx, n_idx, rho_idx, k_idx, drawn, metric_idx)
+                slots = (m_idx, n_idx, rho_idx, drawn, metric_idx)
                 values[slots], reasons[slots] = measured[metric]
+    return values, reasons
+
+
+def _outcome(run_share, index: int) -> tuple:
+    """(results, None) for share `index` of the chunks, or (exception, its
+    traceback text) if the share raised."""
+    try:
+        return run_share(index), None
+    except Exception as exc:
+        text = traceback.format_exc()
+        try:
+            pickle.loads(pickle.dumps(exc))
+        except Exception:
+            exc = RuntimeError(f"{type(exc).__name__}: {exc}")
+        return exc, text
+
+
+def _fork(run_share, index: int) -> tuple:
+    """Fork worker `index`: (its pid, a file that reads its pickled outcome)."""
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_fd)
+            with open(write_fd, "wb") as out:
+                pickle.dump(_outcome(run_share, index), out)
+            code = 0
+        finally:
+            # skip the caller's exit handlers and its buffered output
+            os._exit(code)
+    # the worker now holds the only write end, so its death ends the read
+    os.close(write_fd)
+    return pid, open(read_fd, "rb")
+
+
+def _run_chunks(run_share, workers: int) -> list:
+    """[run_share(w) for w in range(workers)]: share 0 runs here, the others
+    in forked workers. An error in any share is raised here, after every
+    worker has ended."""
+    if workers == 1:
+        return [run_share(0)]
+    running = {}  # worker index -> pid, until the worker is reaped
+    readers = {}  # worker index -> its outcome's read end
+    try:
+        for index in range(1, workers):
+            running[index], readers[index] = _fork(run_share, index)
+        shares = [run_share(0)]
+        for index, reader in readers.items():
+            try:
+                payload, text = pickle.load(reader)
+            except (EOFError, pickle.UnpicklingError):
+                status = os.waitpid(running.pop(index), 0)[1]
+                raise RuntimeError(
+                    f"worker {index} exited with code {os.waitstatus_to_exitcode(status)} "
+                    "before sending results"
+                ) from None
+            if text is not None:
+                raise payload from RuntimeError(f"in worker {index}:\n{text}")
+            shares.append(payload)
+        return shares
+    except BaseException:
+        for pid in running.values():
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for reader in readers.values():
+            reader.close()
+        for pid in running.values():
+            os.waitpid(pid, 0)
 
 
 def aggregate_result_rows(rows, grid_points: int = CDF_GRID_POINTS) -> tuple:
@@ -378,21 +468,25 @@ def aggregate_result_rows(rows, grid_points: int = CDF_GRID_POINTS) -> tuple:
     return tuple(cells)
 
 
-def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
+def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> ExperimentResult:
     """Execute the full sweep grid for cfg.trials Monte-Carlo trials.
 
     Feasibility of every sweep cell is checked before any trial runs. Chunk
-    workers fill one dense (M, N, rho, K, trial, metric) grid of values and
-    degenerate reasons, each writing only its own (K, trial) slots, and the
-    rows are read off that grid in C order. `threads` only sets how many
-    trial chunks run at once; results are identical for any value because
+    i runs in worker i mod `workers`: worker 0 is this process and the others
+    are forked. `workers` defaults to the CPUs this process may run on and
+    is capped at the number of chunks; 1 runs every chunk here. Each chunk's
+    values and degenerate reasons are copied into its own (K, trial) slots of
+    one dense (M, N, rho, K, trial, metric) grid, and the rows are read off
+    that grid in C order. Results are identical for any `workers` because
     each trial owns pre-assigned random streams and grid slots.
     """
     if not isinstance(cfg, ExperimentConfig):
         raise ConfigError("run_experiment expects an ExperimentConfig")
-    threads = check_number(threads, "threads", int, ConfigError)
-    if threads < 1:
-        raise ConfigError("threads must be >= 1")
+    if workers is None:
+        workers = len(os.sched_getaffinity(0))
+    workers = check_number(workers, "workers", int, ConfigError)
+    if workers < 1:
+        raise ConfigError("workers must be >= 1")
 
     ap_map, grid, file_tensor = _source_inventory(cfg)
     blocks = ap_columns(ap_map)
@@ -415,16 +509,16 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     values = np.full(shape, math.nan)
     reasons = np.full(shape, None, dtype=object)  # a reason marks a degenerate row
 
-    def work(chunk):
-        _chunk_worker(cfg, file_tensor, blocks, values, reasons, *chunk)
-
     chunks = _chunks(cfg, grid[0] * grid[1] * len(ap_map))
-    if threads == 1:
-        for chunk in chunks:
-            work(chunk)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(work, chunks))
+    workers = min(workers, len(chunks))
+
+    def run_share(index):
+        return [_chunk_worker(cfg, file_tensor, blocks, *chunk) for chunk in chunks[index::workers]]
+
+    for index, share in enumerate(_run_chunks(run_share, workers)):
+        for (k_idx, trials), (chunk_values, chunk_reasons) in zip(chunks[index::workers], share):
+            slots = (slice(None),) * 3 + (k_idx, slice(trials.start, trials.stop))
+            values[slots], reasons[slots] = chunk_values, chunk_reasons
 
     rows = []
     degenerate = []

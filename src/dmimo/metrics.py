@@ -204,7 +204,7 @@ def waterfill(noise_levels, budget) -> PowerAllocation:
         raise InvalidInputError("noise_levels must be a non-empty vector")
     if not np.all(np.isfinite(noise)) or np.any(noise <= 0):
         raise InvalidInputError("noise levels must be finite and positive")
-    budget = float(budget)
+    budget = check_number(budget, "budget")
     if not (budget > 0 and math.isfinite(budget)):
         raise InvalidInputError("budget must be positive and finite")
     p, mu = _waterfill_rows(noise[None, :], budget)

@@ -21,6 +21,7 @@ from .errors import (
     InvalidInputError,
     TopologyError,
     check_fields,
+    check_number,
 )
 from .tensor import ChannelTensor, _generator, ap_columns
 
@@ -128,8 +129,8 @@ def draw_subarray_columns(blocks: dict, m_total: int, n_aps: int, rng) -> tuple:
     each chosen AP in ascending AP order; this call order fixes the stream.
     Returns (antenna columns, chosen AP ids, element picks per AP).
     """
-    m_total = int(m_total)
-    n_aps = int(n_aps)
+    m_total = check_number(m_total, "m_total", int, TopologyError)
+    n_aps = check_number(n_aps, "n_aps", int, TopologyError)
     if n_aps < 1 or n_aps > len(blocks):
         raise TopologyError(
             f"requested {n_aps} APs but the tensor has {len(blocks)}"

@@ -284,7 +284,9 @@ def gen_iid_rayleigh(dims, rng) -> ChannelTensor:
     draw carries no geometry.
     """
     try:
-        t, l, k, m = (int(v) for v in dims)
+        t, l, k, m = (
+            check_number(v, f"dims[{i}]", int, DimensionError) for i, v in enumerate(dims)
+        )
     except (TypeError, ValueError):
         raise DimensionError("dims must be four integers (T, L, K, M)") from None
     if min(t, l, k, m) < 1:

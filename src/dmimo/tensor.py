@@ -133,7 +133,7 @@ class RngHandle:
     """Root of a deterministic random stream.
 
     The same (seed, stream) pair reproduces the same draw sequence on every
-    run and under any thread schedule; distinct stream ids give statistically
+    run and in any process; distinct stream ids give statistically
     independent sequences, so concurrent workers each own one handle.
     """
 

@@ -28,6 +28,7 @@ from dmimo import (
     waterfill,
     zf_sum_rate,
 )
+from dmimo import harness
 
 from dmimo.selfcheck import dpc_capacity_grid_2user, zf_rate_grid_2user
 from oracles import orthogonal_rows
@@ -200,7 +201,7 @@ def test_criterion_06_distributing_antennas_tightens_spread():
         seed=1006,
         metrics=("svs",),
     )
-    result = run_experiment(cfg, threads=4)
+    result = run_experiment(cfg, workers=4)
     cells = cell_lookup(result)
     med_n1 = cells[(32, 1, 12, 15.0, "svs")].median
     med_n4 = cells[(32, 4, 12, 15.0, "svs")].median
@@ -225,7 +226,7 @@ def test_criterion_07_zf_approaches_dpc_with_antennas():
         seed=1007,
         metrics=("dpc", "zf"),
     )
-    result = run_experiment(cfg, threads=4)
+    result = run_experiment(cfg, workers=4)
     values = {}
     for row in result.rows:
         if not row.degenerate:
@@ -267,7 +268,7 @@ def test_criterion_08_full_allocation_at_high_snr():
         seed=1008,
         metrics=("fairness",),
     )
-    result = run_experiment(cfg, threads=4)
+    result = run_experiment(cfg, workers=4)
     cells = cell_lookup(result)
     mean_128_hi = cells[(128, 4, 12, 15.0, "fairness")].mean
     mean_128_lo = cells[(128, 4, 12, 0.0, "fairness")].mean
@@ -317,7 +318,9 @@ def test_criterion_09_normalization_exactness():
     )
 
 
-def test_criterion_10_reproducibility_across_runs_and_threads(tmp_path):
+def test_criterion_10_reproducibility_across_runs_and_threads(tmp_path, monkeypatch, chunk_pids):
+    # one trial per chunk, so that the five chunks spread over four workers
+    monkeypatch.setattr(harness, "CHUNK_ELEMENTS", 1)
     cfg = ExperimentConfig(
         source=SceneSource(scene=default_scene()),
         m_values=(64,),
@@ -328,9 +331,11 @@ def test_criterion_10_reproducibility_across_runs_and_threads(tmp_path):
         seed=1010,
         metrics=("svs", "dpc", "zf", "fairness"),
     )
-    first = run_experiment(cfg, threads=1)
-    second = run_experiment(cfg, threads=1)
-    pooled = run_experiment(cfg, threads=4)
+    first = run_experiment(cfg, workers=1)
+    second = run_experiment(cfg, workers=1)
+    chunk_pids()
+    pooled = run_experiment(cfg, workers=4)
+    pids = chunk_pids()
     csv_a = first.to_csv_text()
     same_serial = csv_a == second.to_csv_text()
     same_pooled = csv_a == pooled.to_csv_text()
@@ -341,11 +346,13 @@ def test_criterion_10_reproducibility_across_runs_and_threads(tmp_path):
     first.write_csv(p1)
     pooled.write_csv(p2)
     same_bytes = p1.read_bytes() == p2.read_bytes()
-    ok = same_serial and same_pooled and same_agg and same_bytes
+    forked = len(pids) == 5 and len(set(pids)) == 4
+    ok = same_serial and same_pooled and same_agg and same_bytes and forked
     report(
         10,
-        "identical seed gives byte-identical results for any thread count",
+        "identical seed gives byte-identical results for any worker count",
         ok,
-        f"rerun identical={same_serial}, 4-thread identical={same_pooled}, "
-        f"aggregates identical={same_agg}, file bytes identical={same_bytes}",
+        f"rerun identical={same_serial}, 4-worker identical={same_pooled}, "
+        f"aggregates identical={same_agg}, file bytes identical={same_bytes}, "
+        f"{len(pids)} chunks ran in {len(set(pids))} processes",
     )

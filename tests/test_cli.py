@@ -95,7 +95,7 @@ class TestPipeline:
                 "--trials", "2",
                 "--seed", "99",
                 "--allocation-mode", "per-tl",
-                "--threads", "2",
+                "--workers", "2",
                 "--out", str(out2),
             ]
         )
@@ -255,6 +255,17 @@ class TestErrors:
         assert code == 2
         assert f"grid_points must be >= 1, got {grid_points}" in capsys.readouterr().err
         assert not (out / "cdf_tables.json").exists()
+
+
+    def test_bad_workers_exits_2(self, tmp_path, capsys):
+        synth_cfg = write_synth_config(tmp_path)
+        main(["synth", "--config", str(synth_cfg), "--out", str(tmp_path / "channels")])
+        run_cfg = write_run_config(tmp_path, tmp_path / "channels" / "channel.dmct")
+        out = tmp_path / "o"
+        code = main(["run", "--config", str(run_cfg), "--workers", "0", "--out", str(out)])
+        assert code == 2
+        assert "workers must be >= 1" in capsys.readouterr().err
+        assert not (out / "results.csv").exists()
 
 
 class TestOracle:

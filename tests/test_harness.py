@@ -3,7 +3,8 @@
 import hashlib
 import json
 import math
-import sys
+import os
+import signal
 
 import numpy as np
 import pytest
@@ -87,10 +88,14 @@ class TestDeterminism:
             b.aggregates_dict(), sort_keys=True
         )
 
-    def test_thread_count_does_not_change_results(self):
+    def test_thread_count_does_not_change_results(self, monkeypatch, chunk_pids):
+        # one trial per chunk, so that each of four workers runs one of the four
+        monkeypatch.setattr(harness, "CHUNK_ELEMENTS", 1)
         cfg = scene_config()
-        serial = run_experiment(cfg, threads=1)
-        pooled = run_experiment(cfg, threads=4)
+        serial = run_experiment(cfg, workers=1)
+        chunk_pids()
+        pooled = run_experiment(cfg, workers=4)
+        assert len(set(chunk_pids())) == 4
         assert serial.to_csv_text() == pooled.to_csv_text()
         assert json.dumps(serial.aggregates_dict(), sort_keys=True) == json.dumps(
             pooled.aggregates_dict(), sort_keys=True
@@ -316,8 +321,8 @@ class TestChunking:
     """Trials run in chunks; the chunk cap must never change a byte of output."""
 
     @staticmethod
-    def outputs(cfg, threads=1):
-        result = run_experiment(cfg, threads=threads)
+    def outputs(cfg, workers=1):
+        result = run_experiment(cfg, workers=workers)
         return result.to_csv_text(), json.dumps(
             result.aggregates_dict(), indent=2, sort_keys=True
         )
@@ -331,7 +336,9 @@ class TestChunking:
         text = csv_text + json.dumps(body, indent=2, sort_keys=True)
         return hashlib.sha256(text.encode()).hexdigest()
 
-    def test_outputs_do_not_depend_on_chunk_cap_or_threads(self, tmp_path, monkeypatch):
+    def test_outputs_do_not_depend_on_chunk_cap_or_threads(
+        self, tmp_path, monkeypatch, chunk_pids
+    ):
         # user 4 copies user 1 (trials holding both are ZF rank-deficient);
         # user 5 is all zero (trials holding it cannot be normalized)
         data = gen_iid_rayleigh((1, 1, 6, 8), RngHandle(94, 0)).data.copy()
@@ -369,32 +376,48 @@ class TestChunking:
             assert any(t % 3 == 1 for t in unnormalizable)
             assert any(t % 3 == 1 for t in rank_deficient)
             trial_entries = 3 * 8  # K x T*L*M_total
-            # workers write disjoint slots of shared result grids: switch threads
-            # often so that a lost or misplaced write would show in the bytes
-            interval = sys.getswitchinterval()
-            sys.setswitchinterval(1e-5)
-            try:
-                for cap, chunks in (
-                    (1, 12),
-                    (3 * trial_entries, 4),
-                    (harness.CHUNK_ELEMENTS, 1),
-                ):
-                    monkeypatch.setattr(harness, "CHUNK_ELEMENTS", cap)
-                    assert len(harness._chunks(cfg, 8)) == chunks
-                    for threads in (1, 3):
-                        assert self.outputs(cfg, threads) == reference, (metrics, cap, threads)
-            finally:
-                sys.setswitchinterval(interval)
+            chunk_pids()
+            for cap, chunks in (
+                (1, 12),
+                (3 * trial_entries, 4),
+                (harness.CHUNK_ELEMENTS, 1),
+            ):
+                monkeypatch.setattr(harness, "CHUNK_ELEMENTS", cap)
+                assert len(harness._chunks(cfg, 8)) == chunks
+                for workers in (1, 3):
+                    assert self.outputs(cfg, workers) == reference, (metrics, cap, workers)
+                    # chunk i ran in worker i mod W; worker 0 is this process
+                    used = min(workers, chunks)
+                    pids = chunk_pids()
+                    assert len(pids) == chunks
+                    assert len(set(pids)) == used, (metrics, cap, workers)
+                    assert pids.count(os.getpid()) == len(range(0, chunks, used))
 
     def test_chunk_cap_counts_entries_not_slices(self, tmp_path):
         data = gen_iid_rayleigh((1, 1, 2, 8), RngHandle(96, 0)).data
         cfg = file_config(tmp_path, data, np.repeat([0, 1], 4), k_values=(12, 256), trials=200)
         # the paper's sweep: one slice, K = 12 over 128 antennas
         paper, large = harness._chunks(cfg, 1 * 1 * 128)[:4], harness._chunks(cfg, 4096)
-        assert [len(trials) for _, trials in paper] == [64, 64, 64, 8]
+        assert [len(trials) for _, trials in paper] == [50, 50, 50, 50]
         # one slice over 4096 antennas: a K = 12 trial holds 49152 entries, K = 256 over 1M
         assert {len(trials) for k_idx, trials in large if k_idx == 0} == {2}
         assert {len(trials) for k_idx, trials in large if k_idx == 1} == {1}
+
+    def test_chunks_are_balanced_capped_and_in_trial_order(self, tmp_path, monkeypatch):
+        data = gen_iid_rayleigh((1, 1, 2, 8), RngHandle(95, 0)).data
+        for trials in (1, 7, 64, 65, 200):
+            cfg = file_config(tmp_path, data, np.repeat([0, 1], 4), k_values=(1, 2), trials=trials)
+            for cap_trials in (1, 3, 64, 300):
+                # 8 entries per user: a K = 1 trial holds 8 entries, a K = 2 trial 16
+                monkeypatch.setattr(harness, "CHUNK_ELEMENTS", 16 * cap_trials)
+                chunks = harness._chunks(cfg, 8)
+                for k_idx, cap in ((0, 2 * cap_trials), (1, cap_trials)):
+                    ranges = [r for k, r in chunks if k == k_idx]
+                    sizes = [len(r) for r in ranges]
+                    assert [t for r in ranges for t in r] == list(range(trials))
+                    assert len(ranges) == math.ceil(trials / cap)
+                    assert max(sizes) - min(sizes) <= 1 and max(sizes) <= cap
+                assert [k for k, _ in chunks] == sorted(k for k, _ in chunks)
 
     def test_singular_trial_leaves_its_chunk_intact(self, tmp_path, monkeypatch):
         # user 2 is silent at (t=1, l=0) only: a trial holding it has an exactly
@@ -494,13 +517,79 @@ class TestFeasibilityChecks:
         assert len(result.rows) == 2
 
     def test_threads_and_type_validation(self):
-        with pytest.raises(ConfigError):
-            run_experiment(scene_config(), threads=0)
-        for threads in (2.5, True, "2", None):
-            with pytest.raises(ConfigError, match="threads must be an integer"):
-                run_experiment(scene_config(), threads=threads)
+        with pytest.raises(ConfigError, match="workers must be >= 1"):
+            run_experiment(scene_config(), workers=0)
+        for workers in (2.5, True, "2"):
+            with pytest.raises(ConfigError, match="workers must be an integer"):
+                run_experiment(scene_config(), workers=workers)
+        # None is the default: every usable CPU
+        assert (
+            run_experiment(scene_config(), workers=None).to_csv_text()
+            == run_experiment(scene_config(), workers=1).to_csv_text()
+        )
         with pytest.raises(ConfigError):
             run_experiment({"not": "a config"})
+
+
+class TestWorkers:
+    """Chunks run in forked workers; a failure in any of them reaches the caller."""
+
+    @staticmethod
+    def assert_workers_reaped():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @staticmethod
+    def run_with_normalize(monkeypatch, fail):
+        """Run three one-trial chunks on two workers, with `fail(in_worker)`
+        called before each trial's normalize; a run that hangs fails after 60 s."""
+        parent = os.getpid()
+        monkeypatch.setattr(harness, "CHUNK_ELEMENTS", 1)
+        normalize = harness.normalize
+
+        def patched(ch):
+            fail(os.getpid() != parent)
+            return normalize(ch)
+
+        def expire(signum, frame):
+            raise TimeoutError("run_experiment did not return within 60 s")
+
+        monkeypatch.setattr(harness, "normalize", patched)
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(60)
+        try:
+            return run_experiment(scene_config(trials=3), workers=2)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+
+    def test_worker_error_reaches_the_caller(self, monkeypatch):
+        def fail(in_worker):
+            if in_worker:  # only chunk 1, trial 1, runs in the forked worker
+                raise RuntimeError("boom")
+
+        with pytest.raises(RuntimeError, match="^boom$") as info:
+            self.run_with_normalize(monkeypatch, fail)
+        assert "in worker 1" in str(info.value.__cause__)
+        self.assert_workers_reaped()
+
+    def test_caller_error_ends_the_workers(self, monkeypatch):
+        def fail(in_worker):
+            if not in_worker:
+                raise RuntimeError("boom in the caller")
+
+        with pytest.raises(RuntimeError, match="^boom in the caller$"):
+            self.run_with_normalize(monkeypatch, fail)
+        self.assert_workers_reaped()
+
+    def test_worker_that_dies_is_an_error(self, monkeypatch):
+        def fail(in_worker):
+            if in_worker:
+                os._exit(3)
+
+        with pytest.raises(RuntimeError, match="worker 1 exited with code 3"):
+            self.run_with_normalize(monkeypatch, fail)
+        self.assert_workers_reaped()
 
 
 class TestJointModeThroughHarness:

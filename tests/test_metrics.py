@@ -242,6 +242,9 @@ class TestWaterfill:
             waterfill([], 1.0)
         with pytest.raises(InvalidInputError):
             waterfill([1.0], 0.0)
+        for budget in ("2", True):
+            with pytest.raises(InvalidInputError, match="budget must be a number"):
+                waterfill([1.0, 2.0], budget)
 
 
 class TestCountAllocatedUsers:

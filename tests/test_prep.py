@@ -190,6 +190,10 @@ class TestSelectSubarray:
             select_subarray(ch, 256, 2, RngHandle(47, 1))
         with pytest.raises(InvalidInputError):
             select_subarray(ch, 32, 2, "nope")
+        with pytest.raises(TopologyError, match="m_total must be an integer, got 8.9"):
+            select_subarray(ch, 8.9, True, RngHandle(47, 1))
+        with pytest.raises(TopologyError, match="n_aps must be an integer, got True"):
+            select_subarray(ch, 8, True, RngHandle(47, 1))
 
     def test_normalized_input_slices_to_plain_tensor(self):
         ch = normalize(four_ap_tensor(48))

@@ -40,7 +40,7 @@ def test_library_quick_start_runs(tmp_path, monkeypatch, capsys):
     # the sweep block runs as written, with its trial count cut to keep it quick
     run = dmimo.run_experiment
     monkeypatch.setattr(
-        dmimo, "run_experiment", lambda cfg, threads=1: run(cfg.replace(trials=2), threads)
+        dmimo, "run_experiment", lambda cfg, workers=None: run(cfg.replace(trials=2), workers)
     )
     monkeypatch.chdir(tmp_path)
     exec(compile(sweep, "README sweep", "exec"), {})

@@ -252,6 +252,12 @@ class TestIidRayleigh:
             gen_iid_rayleigh((1, 1, 4), RngHandle(0, 0))
         with pytest.raises(DimensionError):
             gen_iid_rayleigh((1, 0, 4, 8), RngHandle(0, 0))
+        with pytest.raises(DimensionError, match=r"dims\[0\] must be an integer, got 1.5"):
+            gen_iid_rayleigh((1.5, True, "2", 4), RngHandle(0, 0))
+        with pytest.raises(DimensionError, match=r"dims\[1\] must be an integer, got True"):
+            gen_iid_rayleigh((1, True, 2, 4), RngHandle(0, 0))
+        with pytest.raises(DimensionError, match=r"dims\[2\] must be an integer, got '2'"):
+            gen_iid_rayleigh((1, 1, "2", 4), RngHandle(0, 0))
         with pytest.raises(InvalidInputError):
             gen_iid_rayleigh((1, 1, 4, 8), "not an rng")
 
