@@ -6,13 +6,14 @@ compared on the same channel realization. Trials run in chunks: consecutive
 trials of one K whose full-size tensors hold at most CHUNK_ELEMENTS complex
 entries together (a larger trial runs alone), so the cap bounds the memory
 a chunk holds. Per (M, N), each trial of a chunk draws its own subarray and
-the subarrays are stacked: a SliceBatch gives every trial's spread and ZF
-rate from one batched SVD, with the ZF gains computed once for every rho,
-and per rho one dpc_capacity call on the trials folded into its snapshot
-axis gives every trial's DPC slice rates (joint allocation is per trial). A
-degenerate trial is flagged on its own; it never fails the rest of its
-chunk. A trial whose users cannot be placed within the spacing bounds, or
-whose tensor has an all-zero user, gets degenerate rows with the reason.
+the subarrays are stacked into one SliceBatch, which returns per-trial
+arrays of all four metrics: the spread from one batched SVD, the ZF rate
+and fairness count from ZF gains computed once for every rho, and per rho
+the DPC rate from one dpc_capacity call on the trials folded into its
+snapshot axis (joint allocation is one call per trial). A degenerate trial
+is flagged on its own; it never fails the rest of its chunk. A trial whose
+users cannot be placed within the spacing bounds, or whose tensor has an
+all-zero user, gets degenerate rows with the reason.
 Every random purpose gets its own stream id derived from (purpose, K index,
 trial, M index, N index), and every kernel treats each slice on its own, so
 for a fixed seed the output bytes do not depend on the chunk cap or on how
@@ -60,16 +61,16 @@ from .errors import (
     EmptySampleError,
     InfeasibleLayoutError,
     InvalidInputError,
-    RankDeficiencyError,
     check_number,
 )
-from .metrics import SliceBatch, SnrSpec, count_allocated_users, dpc_capacity
+from .metrics import SliceBatch, SnrSpec
 from .prep import draw_subarray_columns, normalize
 from .stats import compute_cdf
 from .synth import gen_geometric, gen_trajectory_users
 from .tensor import ChannelTensor, RngHandle, ap_columns
 
 RESULT_COLUMNS = ("trial", "M", "N", "K", "rho_db", "metric", "value", "degenerate_flag")
+_COLUMN_TYPES = (int, int, int, int, float, str, float, str)
 
 CDF_GRID_POINTS = 512
 
@@ -263,27 +264,6 @@ def _chunks(cfg: ExperimentConfig, entries_per_user: int) -> list:
     return out
 
 
-def _chunk_dpc(stack: np.ndarray, snr: SnrSpec, mode: str) -> tuple:
-    """(DPC rates, converged) arrays over the trials of an (items, T, L, K, M) stack.
-
-    Per-slice allocation treats every slice on its own, so one dpc_capacity
-    call on the trials folded into the snapshot axis gives each trial's
-    slice rates unchanged; joint allocation is one call per trial.
-    """
-    if mode == "joint":
-        results = [dpc_capacity(item, snr, mode) for item in stack]
-        return (
-            np.array([r.sum_rate_bits_per_s_per_hz for r in results]),
-            np.array([r.converged for r in results]),
-        )
-    items, t, l, k, m = stack.shape
-    res = dpc_capacity(stack.reshape(items * t, l, k, m), snr, mode)
-    return (
-        res.slice_rates.reshape(items, -1).mean(axis=1),
-        res.slice_converged.reshape(items, -1).all(axis=1),
-    )
-
-
 def _chunk_worker(cfg: ExperimentConfig, file_tensor, blocks: dict, k_idx: int, trials) -> tuple:
     """(values, reasons) of one chunk of trials, both of shape
     (M, N, rho, trial, metric): a value per slot, and a reason in each
@@ -330,25 +310,14 @@ def _chunk_worker(cfg: ExperimentConfig, file_tensor, blocks: dict, k_idx: int, 
         for rho_idx, rho_db in enumerate(cfg.rho_db_values):
             snr = SnrSpec(rho_db)
             if "dpc" in cfg.metrics:
-                rates, converged = _chunk_dpc(stack, snr, cfg.allocation_mode)
+                rates, converged = batch.dpc(snr, cfg.allocation_mode)
                 measured["dpc"] = rates, np.where(
                     converged, None, "iterative water-filling hit the iteration cap"
                 )
             if "zf" in cfg.metrics or "fairness" in cfg.metrics:
-                zf, fairness, failures = [], [], []
-                for res in batch.zf(snr, cfg.allocation_mode):
-                    if isinstance(res, RankDeficiencyError):
-                        zf.append(math.nan)
-                        fairness.append(math.nan)
-                        failures.append(
-                            f"rank-deficient slice at (t={res.snapshot}, l={res.subcarrier})"
-                        )
-                    else:
-                        zf.append(res.sum_rate_bits_per_s_per_hz)
-                        fairness.append(float(np.mean(count_allocated_users(res.powers))))
-                        failures.append(None)
-                measured["zf"] = zf, failures
-                measured["fairness"] = fairness, failures
+                zf, fairness = batch.zf(snr, cfg.allocation_mode)
+                measured["zf"] = zf, batch.zf_failures
+                measured["fairness"] = fairness, batch.zf_failures
             for metric_idx, metric in enumerate(cfg.metrics):
                 slots = (m_idx, n_idx, rho_idx, drawn, metric_idx)
                 values[slots], reasons[slots] = measured[metric]
@@ -534,35 +503,46 @@ def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> Experim
 
 
 def read_result_rows(path) -> tuple:
-    """Parse a results CSV written by ExperimentResult.write_csv."""
-    text = Path(path).read_text()
-    lines = text.splitlines()
+    """Parse a results CSV written by ExperimentResult.write_csv. An unreadable
+    file, or a row that no run writes, raises InvalidInputError naming its line."""
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InvalidInputError(f"cannot read results {path}: {exc}") from exc
     if not lines or tuple(lines[0].split(",")) != RESULT_COLUMNS:
         raise InvalidInputError(
             f"{path} does not start with the result header {','.join(RESULT_COLUMNS)}"
         )
     rows = []
+    trials_read = {}  # (M, N, K, rho_db, metric) -> the trials read for that cell
     for ln, line in enumerate(lines[1:], start=2):
         if not line:
             continue
+        where = f"{path}:{ln}"
         parts = line.split(",")
         if len(parts) != len(RESULT_COLUMNS):
-            raise InvalidInputError(f"{path}:{ln}: expected {len(RESULT_COLUMNS)} columns")
-        trial, m, n, k, rho_db, metric, value, flag = parts
+            raise InvalidInputError(f"{where}: expected {len(RESULT_COLUMNS)} columns")
+        fields = []
+        for name, kind, field in zip(RESULT_COLUMNS, _COLUMN_TYPES, parts):
+            try:
+                fields.append(kind(field))
+            except ValueError:
+                noun = "an integer" if kind is int else "a number"
+                raise InvalidInputError(f"{where}: {name} must be {noun}, got {field!r}") from None
+        trial, m, n, k, rho_db, metric, value, flag = fields
         if metric not in METRIC_NAMES:
-            raise InvalidInputError(f"{path}:{ln}: unknown metric {metric!r}")
+            raise InvalidInputError(f"{where}: unknown metric {metric!r}")
         if flag not in ("0", "1"):
-            raise InvalidInputError(f"{path}:{ln}: degenerate_flag must be 0 or 1, got {flag!r}")
-        rows.append(
-            ResultRow(
-                trial=int(trial),
-                m=int(m),
-                n=int(n),
-                k=int(k),
-                rho_db=float(rho_db),
-                metric=metric,
-                value=float(value),
-                degenerate=flag == "1",
+            raise InvalidInputError(f"{where}: degenerate_flag must be 0 or 1, got {flag!r}")
+        if not math.isfinite(rho_db):
+            raise InvalidInputError(f"{where}: rho_db must be finite, got {parts[4]!r}")
+        if flag == "0" and not math.isfinite(value):
+            raise InvalidInputError(
+                f"{where}: value must be finite when degenerate_flag is 0, got {parts[6]!r}"
             )
-        )
+        cell = trials_read.setdefault((m, n, k, rho_db, metric), set())
+        if trial in cell:
+            raise InvalidInputError(f"{where}: repeats an earlier (trial, M, N, K, rho_db, metric)")
+        cell.add(trial)
+        rows.append(ResultRow(trial, m, n, k, rho_db, metric, value, flag == "1"))
     return tuple(rows)

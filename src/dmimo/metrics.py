@@ -12,8 +12,8 @@ step over all slices it is given and none per slice. A channel argument is a
 ChannelTensor or an array of K x M matrices read as (T, L, K, M), so a caller
 may fold several equal-shape tensors into the snapshot axis; per-slice
 results (`CapacityResult.slice_rates`) then belong to each tensor unchanged.
-SliceBatch evaluates the spread and ZF for several tensors at once, with the
-singular values, Gram matrices and ZF gains computed once for every SNR.
+SliceBatch gives per-tensor arrays of every metric for several tensors, with
+the singular values, Gram matrices and ZF gains computed once for every SNR.
 Capacity results hold their allocations as read-only (S, K) power arrays;
 PowerAllocation is only the typed result of the public `waterfill`.
 
@@ -33,7 +33,6 @@ import numpy as np
 from .errors import (
     DimensionError,
     InvalidInputError,
-    RankDeficiencyError,
     check_fields,
     check_number,
 )
@@ -43,6 +42,7 @@ from .tensor import (
     _as_snapshot_stack,
     _zf_gains,
     singular_values,
+    zf_effective_gains,
 )
 
 _LN2 = math.log(2.0)
@@ -166,7 +166,7 @@ def svs(ch) -> float:
     saturation marker when any slice is rank deficient (condition number
     >= 1e12), never a silent large number.
     """
-    return SliceBatch(_slice_stack(ch)[None]).spreads()[0]
+    return float(SliceBatch(_slice_stack(ch)[None]).spreads()[0])
 
 
 def _waterfill_rows(noise: np.ndarray, budget: float) -> tuple:
@@ -304,10 +304,17 @@ def zf_sum_rate(ch, snr, allocation_mode: str = "per_tl") -> CapacityResult:
     """
     snr = _require_snr(snr)
     mode = _check_mode(allocation_mode)
-    (result,) = SliceBatch(_slice_stack(ch)[None]).zf(snr, mode)
-    if isinstance(result, RankDeficiencyError):
-        raise result
-    return result
+    h = _slice_stack(ch)
+    k, m = h.shape[-2:]
+    noise = zf_effective_gains(h).reshape(-1, k) * m / (snr.rho_linear * k)
+    return _zf_joint(noise) if mode == "joint" else _zf_per_slice(noise)
+
+
+def _zf_per_slice(noise: np.ndarray) -> CapacityResult:
+    """ZF water-filled on each slice of an (S, K) effective-noise grid on its own."""
+    p, mu = _waterfill_rows(noise, 1.0)
+    rates = np.log2(1.0 + p / noise).sum(axis=1)
+    return _result(rates, p, mu, 1, np.ones(rates.shape, dtype=bool))
 
 
 def _zf_joint(noise_grid: np.ndarray) -> CapacityResult:
@@ -454,69 +461,76 @@ def _gram(h: np.ndarray) -> np.ndarray:
 
 
 class SliceBatch:
-    """Equal-shape channel tensors ("items") whose spread and ZF rate are
-    evaluated together, with per-item results.
+    """Equal-shape channel tensors ("items") evaluated together.
 
-    Built from an (items, T, L, K, M) array. `spreads` and `zf` return one
-    entry per item, equal to what svs and zf_sum_rate return on that item's
-    (T, L, K, M) tensor alone: each kernel treats every slice on its own, so
-    stacking neither mixes items nor changes a bit. One batched SVD serves
-    the spread and the ZF condition check, and the ZF gains are computed
-    once for every SNR. A rank-deficient item fails alone.
+    Built from an (items, T, L, K, M) array. Entry i of every array that
+    `spreads`, `zf` and `dpc` return equals what svs, zf_sum_rate (and the
+    mean count_allocated_users of its powers) and dpc_capacity give on item
+    i alone: each kernel treats every slice on its own, so stacking neither
+    mixes items nor changes a bit. One batched SVD serves the spread and the
+    ZF condition check, and the ZF gains are computed once for every SNR.
     """
 
     def __init__(self, stack: np.ndarray):
-        self.items, t, l, self.k, self.m = stack.shape
-        self.grid = (t, l)
-        self.h = stack.reshape(-1, self.k, self.m)
+        self.stack = stack
+        self.items, _, _, self.k, self.m = stack.shape
 
     @cached_property
     def sv(self) -> np.ndarray:
-        """(S, K) singular values, descending; needs K <= M."""
-        return singular_values(self.h)
+        """(items, T, L, K) singular values, descending; needs K <= M."""
+        return singular_values(self.stack)
 
-    def spreads(self) -> list:
+    def spreads(self) -> np.ndarray:
         """Per item: svs() of its slices."""
-        smax, smin = self.sv[:, 0], self.sv[:, -1]
+        smax, smin = self.sv[..., 0].ravel(), self.sv[..., -1].ravel()
         saturated = (smin <= 0.0) | (smax >= COND_LIMIT * smin)
         ratios = np.divide(smax, smin, out=np.ones_like(smax), where=~saturated)
-        out = []
-        for bad, item in zip(
-            saturated.reshape(self.items, -1).any(axis=1).tolist(),
-            ratios.reshape(self.items, -1).tolist(),
-        ):
-            # scalar log10 per slice: numpy's vector log10 may round differently
-            out.append(
-                math.inf if bad else float(np.mean([10.0 * math.log10(r) for r in item]))
-            )
-        return out
+        # scalar log10 per slice: numpy's vector log10 may round differently
+        db = np.array([10.0 * math.log10(r) for r in ratios.tolist()])
+        bad = saturated.reshape(self.items, -1).any(axis=1)
+        return np.where(bad, math.inf, db.reshape(self.items, -1).mean(axis=1))
 
     @cached_property
     def _zf(self) -> tuple:
-        """(ZF gains (items, T, L, K), a RankDeficiencyError or None per item)."""
-        shape = (self.items,) + self.grid
-        gram = _gram(self.h).reshape(shape + (self.k, self.k))
-        return _zf_gains(self.sv.reshape(shape + (self.k,)), gram)
+        """(ZF gains (items, T, L, K), zf_failures)."""
+        gains, errors = _zf_gains(self.sv, _gram(self.stack))
+        reason = "rank-deficient slice at (t={0.snapshot}, l={0.subcarrier})"
+        return gains, [None if e is None else reason.format(e) for e in errors]
 
-    def zf(self, snr: SnrSpec, mode: str) -> list:
-        """Per item: zf_sum_rate's CapacityResult, or the RankDeficiencyError it raises."""
+    @property
+    def zf_failures(self) -> list:
+        """Per item: None, or why zf_sum_rate fails on it; the same at every SNR."""
+        return self._zf[1]
+
+    def zf(self, snr: SnrSpec, mode: str) -> tuple:
+        """(sum rates, mean allocated users) over the items, NaN where ZF fails."""
         gains, failures = self._zf
-        ok = [i for i, f in enumerate(failures) if f is None]
-        out = list(failures)
-        if not ok:
-            return out
-        noise = gains[ok].reshape(len(ok), -1, self.k) * self.m / (snr.rho_linear * self.k)
+        ok = np.array([f is None for f in failures])
+        rates, users = np.full(self.items, np.nan), np.full(self.items, np.nan)
+        if not ok.any():
+            return rates, users
+        n = int(ok.sum())
+        noise = gains[ok].reshape(n, -1, self.k) * self.m / (snr.rho_linear * self.k)
         if mode == "per_tl":
-            p, mu = _waterfill_rows(noise.reshape(-1, self.k), 1.0)
-            rates = np.log2(1.0 + p / noise.reshape(-1, self.k)).sum(axis=1)
-            s = noise.shape[1]
-            done = np.ones(s, dtype=bool)
-            results = [
-                _result(rates[a : a + s], p[a : a + s], mu[a : a + s], 1, done)
-                for a in range(0, rates.shape[0], s)
-            ]
+            res = _zf_per_slice(noise.reshape(-1, self.k))
+            rates[ok] = res.slice_rates.reshape(n, -1).mean(axis=1)
+            users[ok] = count_allocated_users(res.powers).reshape(n, -1).mean(axis=1)
         else:
             results = [_zf_joint(grid) for grid in noise]
-        for i, result in zip(ok, results):
-            out[i] = result
-        return out
+            rates[ok] = [r.sum_rate_bits_per_s_per_hz for r in results]
+            users[ok] = [np.mean(count_allocated_users(r.powers)) for r in results]
+        return rates, users
+
+    def dpc(self, snr: SnrSpec, mode: str) -> tuple:
+        """(sum rates, converged) over the items. Per-slice allocation treats
+        every slice on its own, so one dpc_capacity call on the items folded
+        into the snapshot axis serves them all; joint is one call per item."""
+        if mode == "joint":
+            results = [dpc_capacity(item, snr, mode) for item in self.stack]
+            rates = [r.sum_rate_bits_per_s_per_hz for r in results]
+            return np.array(rates), np.array([r.converged for r in results])
+        res = dpc_capacity(self.stack.reshape((-1,) + self.stack.shape[2:]), snr, mode)
+        return (
+            res.slice_rates.reshape(self.items, -1).mean(axis=1),
+            res.slice_converged.reshape(self.items, -1).all(axis=1),
+        )

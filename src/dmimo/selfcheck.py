@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 
+from .errors import InvalidInputError, check_number
 from .metrics import SnrSpec, dpc_capacity, svs, waterfill, zf_sum_rate
 from .stats import compute_cdf
 from .tensor import singular_values, zf_effective_gains
@@ -114,6 +115,9 @@ def _complex_draw(gen, shape):
 
 def run_selfcheck(report=print, seed: int = 2025) -> bool:
     """Run every brute-force check; prints one PASS/FAIL line per check."""
+    seed = check_number(seed, "seed", int)
+    if seed < 0:
+        raise InvalidInputError(f"seed must be >= 0, got {seed}")
     all_ok = True
 
     def judge(name, ok, detail):

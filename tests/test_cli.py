@@ -256,6 +256,22 @@ class TestErrors:
         assert f"grid_points must be >= 1, got {grid_points}" in capsys.readouterr().err
         assert not (out / "cdf_tables.json").exists()
 
+    def test_malformed_results_row_exits_2(self, tmp_path, capsys):
+        results = tmp_path / "results.csv"
+        results.write_text(
+            "trial,M,N,K,rho_db,metric,value,degenerate_flag\nabc,16,4,12,0.0,svs,1.0,0\n"
+        )
+        out = tmp_path / "o"
+        assert main(["cdf", str(results), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {results}:2: trial must be an integer, got 'abc'\n"
+        assert not out.exists()
+
+    def test_negative_oracle_seed_exits_2(self, capsys):
+        assert main(["oracle", "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: seed must be >= 0, got -1")
+        assert captured.out == ""
 
     def test_bad_workers_exits_2(self, tmp_path, capsys):
         synth_cfg = write_synth_config(tmp_path)

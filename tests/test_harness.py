@@ -162,6 +162,15 @@ class TestRowLayout:
             ("0,8,1,2,0.0,capacity,1.5,0", "unknown metric 'capacity'"),
             ("0,8,1,2,0.0,dpc,1.5,2", "degenerate_flag must be 0 or 1, got '2'"),
             ("0,8,1,2,0.0,dpc,1.5,", "degenerate_flag must be 0 or 1, got ''"),
+            ("abc,8,1,2,0.0,svs,1.0,0", "trial must be an integer, got 'abc'"),
+            ("0,8.0,1,2,0.0,svs,1.0,0", "M must be an integer, got '8.0'"),
+            ("0,8,1,2,high,svs,1.0,0", "rho_db must be a number, got 'high'"),
+            ("0,8,1,2,nan,svs,1.0,0", "rho_db must be finite, got 'nan'"),
+            ("0,8,1,2,0.0,svs,x,0", "value must be a number, got 'x'"),
+            ("0,8,1,2,0.0,svs,x,1", "value must be a number, got 'x'"),
+            ("0,8,1,2,0.0,svs,nan,0", "value must be finite when degenerate_flag is 0, got 'nan'"),
+            ("0,8,1,2,0.0,svs,-inf,0", "value must be finite when degenerate_flag is 0, got '-inf'"),
+            ("0,8,1,2,0.0,svs,4.5,1", "repeats an earlier (trial, M, N, K, rho_db, metric)"),
         ],
     )
     def test_read_result_rows_rejects_bad_fields(self, tmp_path, row, message):
@@ -171,6 +180,15 @@ class TestRowLayout:
         with pytest.raises(InvalidInputError) as info:
             read_result_rows(path)
         assert str(info.value) == f"{path}:3: {message}"
+
+    @pytest.mark.parametrize("content", [None, b"\xff\xfe"])
+    def test_read_result_rows_rejects_unreadable_file(self, tmp_path, content):
+        path = tmp_path / "results.csv"
+        if content is not None:
+            path.write_bytes(content)
+        with pytest.raises(InvalidInputError) as info:
+            read_result_rows(path)
+        assert str(info.value).startswith(f"cannot read results {path}: ")
 
     def test_read_result_rows_parses_well_formed_file(self, tmp_path):
         path = tmp_path / "results.csv"

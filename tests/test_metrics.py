@@ -487,7 +487,7 @@ class TestJointAllocationMode:
 
 
 class TestSliceBatch:
-    """A batch of tensors gives each tensor exactly its own public result."""
+    """A batch of tensors gives each tensor exactly its own public results."""
 
     @staticmethod
     def tensors():
@@ -501,15 +501,32 @@ class TestSliceBatch:
         data, items = self.tensors()
         batch = SliceBatch(data)
         snr = SnrSpec(8.0)
-        assert batch.spreads() == [svs(ch) for ch in items]
-        zf = batch.zf(snr, mode)
-        assert isinstance(zf[1], RankDeficiencyError)
-        assert (zf[1].snapshot, zf[1].subcarrier) == (1, 0)
-        for result, ch in zip(zf[::2], items[::2]):
-            single = zf_sum_rate(ch, snr, allocation_mode=mode)
-            assert result.sum_rate_bits_per_s_per_hz == single.sum_rate_bits_per_s_per_hz
-            assert np.array_equal(result.slice_rates, single.slice_rates)
-            assert np.array_equal(result.powers, single.powers)
+        spreads = batch.spreads()
+        assert isinstance(spreads, np.ndarray)
+        assert spreads.tolist() == [svs(ch) for ch in items]
+        rates, users = batch.zf(snr, mode)
+        assert batch.zf_failures == [None, "rank-deficient slice at (t=1, l=0)", None]
+        assert math.isnan(rates[1]) and math.isnan(users[1])
+        with pytest.raises(RankDeficiencyError) as info:
+            zf_sum_rate(items[1], snr, allocation_mode=mode)
+        assert (info.value.snapshot, info.value.subcarrier) == (1, 0)
+        for i in (0, 2):
+            single = zf_sum_rate(items[i], snr, allocation_mode=mode)
+            assert rates[i] == single.sum_rate_bits_per_s_per_hz
+            assert users[i] == np.mean(count_allocated_users(single.powers))
+        dpc_rates, converged = batch.dpc(snr, mode)
+        for i, ch in enumerate(items):
+            single = dpc_capacity(ch, snr, allocation_mode=mode)
+            assert dpc_rates[i] == single.sum_rate_bits_per_s_per_hz
+            assert converged[i] == single.converged
+
+    @pytest.mark.parametrize("mode", ["per_tl", "joint"])
+    def test_all_singular_batch_reads_nan(self, mode):
+        data, _ = self.tensors()
+        batch = SliceBatch(data[[1, 1]])
+        rates, users = batch.zf(SnrSpec(8.0), mode)
+        assert np.isnan(rates).all() and np.isnan(users).all()
+        assert batch.zf_failures == ["rank-deficient slice at (t=1, l=0)"] * 2
 
 
 class TestSliceRates:
