@@ -361,16 +361,17 @@ def _dpc_interference_gains(p, gram, c):
 def _dpc_per_slice(gram, c, tol, max_iterations):
     """Sum-power iterative water-filling on every slice of an (S, K, K) Gram stack.
 
-    Damped best-response (Jindal et al., IEEE T-IT 51(4), 2005): water-fill
-    against every user's interference-reduced effective noise, then keep the
-    best objective among damped steps towards that best response, the first
-    one on ties. Monotone non-decreasing by construction. All live slices
-    step together; a slice leaves the batch once it converges, so each one
-    follows its own iterates. Returns (values, p, water levels, iterations
-    per slice, converged per slice).
+    Best-response iteration (Jindal et al., IEEE T-IT 51(4), 2005): water-fill
+    against every user's interference-reduced effective noise and take that
+    full best-response step wherever it raises the objective. Only on the
+    slices where it would not are damped steps towards it evaluated, keeping
+    the best, the first one on ties. Monotone non-decreasing by construction.
+    All live slices step together; a slice leaves the batch once it
+    converges, so each one follows its own iterates. Returns (values, p,
+    water levels, iterations per slice, converged per slice).
     """
     s, k, _ = gram.shape
-    steps = np.array(sorted({1.0, 0.5, 0.25, 0.125, 1.0 / k}, reverse=True))
+    damped = np.array(sorted({0.5, 0.25, 0.125, 1.0 / k} - {1.0}, reverse=True))
 
     p = np.full((s, k), 1.0 / k)
     value = _dpc_objective(p, gram, c)
@@ -393,14 +394,20 @@ def _dpc_per_slice(gram, c, tol, max_iterations):
         np.divide(1.0, inv_noise, out=noise, where=active)
         q, mu[live] = _waterfill_rows(noise, 1.0)
 
-        candidates = (1.0 - steps[:, None]) * p[live][:, None, :] + steps[:, None] * q[:, None, :]
-        cand_values = _dpc_objective(candidates, gram[live][:, None], c)
-        rows = np.arange(live.size)
-        best = np.argmax(cand_values, axis=1)
-        best_value = cand_values[rows, best]
+        best_value = _dpc_objective(q, gram[live], c)
+        worse = np.flatnonzero(~(best_value > value[live]))
+        if worse.size and damped.size:
+            held = live[worse]
+            step = damped[:, None]
+            candidates = (1.0 - step) * p[held][:, None, :] + step * q[worse][:, None, :]
+            cand_values = _dpc_objective(candidates, gram[held][:, None], c)
+            best = np.argmax(cand_values, axis=1)
+            rows = np.arange(worse.size)
+            q[worse] = candidates[rows, best]
+            best_value[worse] = cand_values[rows, best]
         improved = best_value > value[live]
         rel = (best_value - value[live]) / np.maximum(np.abs(best_value), 1e-12)
-        p[live[improved]] = candidates[rows, best][improved]
+        p[live[improved]] = q[improved]
         value[live[improved]] = best_value[improved]
         done = ~improved | (rel < tol)
         converged[live[done]] = True
@@ -419,9 +426,11 @@ def dpc_capacity(
 
     Maximizes log2 det(I + c H^H P H) per (t, l) slice (c = rho*K/M) over
     diagonal P with tr(P) = 1, then averages; joint mode optimizes one P for
-    the average directly. Convergence: relative objective change < tol or
-    max_iterations reached — if any slice hits the cap the result comes back
-    with converged=False rather than raising. The K x K Gram identity
+    the average directly. Per slice, each iteration takes the full
+    best-response step, damped only where it would lower the objective.
+    Convergence: relative objective change < tol or max_iterations reached
+    — if any slice hits the cap the result comes back with converged=False
+    rather than raising. The K x K Gram identity
     det(I + c H^H P H) = det(I + c P H H^H) keeps iterations cheap for
     large M.
     """

@@ -1,7 +1,9 @@
+import math
 import os
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
@@ -27,5 +29,32 @@ def chunk_pids(tmp_path, monkeypatch):
         pids = [int(pid) for pid in log.read_text().split()] if log.exists() else []
         log.unlink(missing_ok=True)
         return pids
+
+    return read
+
+
+@pytest.fixture
+def factorizations(monkeypatch):
+    """Count the matrices passed to np.linalg.slogdet and np.linalg.solve; a
+    stack of shape (..., n, n) counts as its number of matrices. Calling the
+    fixture returns {"slogdet": count, "solve": count} since the last call."""
+    counts = dict.fromkeys(("slogdet", "solve"), 0)
+
+    def counted(name):
+        real = getattr(np.linalg, name)
+
+        def factor(a, *args, **kwargs):
+            counts[name] += math.prod(np.shape(a)[:-2])
+            return real(a, *args, **kwargs)
+
+        return factor
+
+    for name in counts:
+        monkeypatch.setattr(np.linalg, name, counted(name))
+
+    def read():
+        seen = dict(counts)
+        counts.update(dict.fromkeys(counts, 0))
+        return seen
 
     return read

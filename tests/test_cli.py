@@ -288,5 +288,6 @@ class TestOracle:
     def test_selfcheck_passes(self, capsys):
         assert main(["oracle", "--seed", "2025"]) == 0
         out = capsys.readouterr().out
-        assert "PASS" in out
+        assert "PASS dpc-per-slice-vs-tight-tol" in out
+        assert "PASS dpc-damped-step-vs-joint-ascent" in out
         assert "FAIL" not in out

@@ -24,6 +24,7 @@ from dmimo import (
 
 from dmimo.metrics import SliceBatch, _dpc_system, _waterfill_rows
 from dmimo.selfcheck import (
+    damped_step_slice,
     dpc_capacity_grid_2user,
     singular_values_gram,
     waterfill_bisection,
@@ -405,6 +406,35 @@ class TestDpcCapacity:
         assert len(set(iterations)) > 1
         assert out.iterations == max(iterations)
         assert_matches_slices(out, singles)
+
+    def test_one_objective_determinant_per_slice_iteration(self, factorizations):
+        # the full best-response step raises the objective at every iteration
+        # here, so no damped candidate is ever factored
+        ch = mixed_effort_tensor()
+        snr = SnrSpec(5.0)
+        iterations = [r.iterations for r in per_slice_results(lambda m: dpc_capacity(m, snr), ch)]
+        factorizations()
+        dpc_capacity(ch, snr)
+        assert factorizations() == {
+            "slogdet": sum(n + 1 for n in iterations),
+            "solve": sum(iterations),
+        }
+
+    def test_damped_steps_take_over_where_the_full_step_falls(self, factorizations):
+        matrix, snr = damped_step_slice()
+        factorizations()
+        capped = dpc_capacity(matrix, snr, max_iterations=2)
+        # the damped candidates were factored before the run's last iteration
+        assert factorizations()["slogdet"] > capped.iterations + 1
+        assert not capped.converged
+        out = dpc_capacity(matrix, snr)
+        assert factorizations()["slogdet"] > out.iterations + 1
+        assert out.converged and out.iterations > 2
+        rate = out.sum_rate_bits_per_s_per_hz
+        joint = dpc_capacity(matrix, snr, allocation_mode="joint")
+        assert rate == pytest.approx(joint.sum_rate_bits_per_s_per_hz, rel=1e-6)
+        tight = dpc_capacity(matrix, snr, tol=1e-15, max_iterations=20000)
+        assert rate == pytest.approx(tight.sum_rate_bits_per_s_per_hz, rel=1e-9)
 
     def test_iteration_cap_reports_not_raises(self):
         mat = cplx(np.random.default_rng(65), (6, 24))
