@@ -19,6 +19,7 @@ from dmimo import (
     gen_iid_rayleigh,
     svs,
     waterfill,
+    zf_effective_gains,
     zf_sum_rate,
 )
 
@@ -557,6 +558,46 @@ class TestSliceBatch:
         rates, users = batch.zf(SnrSpec(8.0), mode)
         assert np.isnan(rates).all() and np.isnan(users).all()
         assert batch.zf_failures == ["rank-deficient slice at (t=1, l=0)"] * 2
+
+    def test_inverse_that_lost_positive_definiteness_fails_its_item_only(self, monkeypatch):
+        # four (2, 2, 3, 8) tensors. In items 1 and 3 one slice's first user is
+        # 1e3 times stronger, and the patched inverse below negates the first
+        # diagonal entry of exactly those slices' inverses; item 3 also has a
+        # singular slice, later in snapshot-major order than that one
+        data = cplx(np.random.default_rng(74), (4, 2, 2, 3, 8))
+        data[1, 1, 1, 0] *= 1e3
+        data[3, 0, 1, 0] *= 1e3
+        data[3, 1, 0, 2] = data[3, 1, 0, 0]
+        snr = SnrSpec(8.0)
+        clean_rates, clean_users = SliceBatch(data).zf(snr, "per_tl")
+        assert np.isfinite(clean_rates[:3]).all()
+        real_inv = np.linalg.inv
+
+        def inv(a):
+            out = real_inv(a)
+            out[a[..., 0, 0].real > 1e5, 0, 0] *= -1.0
+            return out
+
+        monkeypatch.setattr(np.linalg, "inv", inv)
+        batch = SliceBatch(data)
+        rates, users = batch.zf(snr, "per_tl")
+        assert batch.zf_failures == [
+            None,
+            "rank-deficient slice at (t=1, l=1)",
+            None,
+            "rank-deficient slice at (t=1, l=0)",
+        ]
+        assert np.isnan(rates[[1, 3]]).all() and np.isnan(users[[1, 3]]).all()
+        for i in (0, 2):
+            assert rates[i] == clean_rates[i] and users[i] == clean_users[i]
+        with pytest.raises(RankDeficiencyError) as info:
+            zf_effective_gains(data[1])
+        assert str(info.value) == "channel Gram inverse lost positive definiteness"
+        assert (info.value.snapshot, info.value.subcarrier) == (1, 1)
+        with pytest.raises(RankDeficiencyError) as info:
+            zf_effective_gains(data[3])
+        assert str(info.value).startswith("channel Gram matrix is singular or near-singular")
+        assert (info.value.snapshot, info.value.subcarrier) == (1, 0)
 
 
 class TestSliceRates:
