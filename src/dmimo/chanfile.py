@@ -29,7 +29,7 @@ import struct
 import numpy as np
 
 from .errors import FormatError
-from .tensor import ChannelTensor
+from .tensor import ChannelTensor, _ap_runs
 
 MAGIC = b"DMCT"
 FORMAT_VERSION = 1
@@ -117,7 +117,7 @@ def read_channel_file(path) -> ChannelTensor:
                 expected_size=expected,
             )
 
-        ap_map = np.frombuffer(fh.read(m), dtype=np.uint8)
+        ap_map = np.frombuffer(fh.read(m), dtype=np.uint8).astype(np.int64)
         if ap_map.size < m:
             raise _truncated((t, l, k, m), HEADER_SIZE + ap_map.size)
         distinct = np.unique(ap_map)
@@ -127,9 +127,8 @@ def read_channel_file(path) -> ChannelTensor:
                 f"declares {ap_count}",
                 byte_offset=HEADER_SIZE,
             )
-        boundaries = np.flatnonzero(np.diff(ap_map.astype(np.int64)) != 0) + 1
-        run_ids = ap_map[np.concatenate(([0], boundaries))]
-        if len(np.unique(run_ids)) != len(run_ids):
+        # one run of antenna columns per AP id
+        if len(_ap_runs(ap_map)) != distinct.size:
             raise FormatError(
                 "AP map does not group antennas contiguously per AP",
                 byte_offset=HEADER_SIZE,
@@ -138,7 +137,7 @@ def read_channel_file(path) -> ChannelTensor:
         data = np.empty((t, l, k, m), dtype=np.complex128)
         _read_payload(fh, data.reshape(-1), (t, l, k, m))
     data.setflags(write=False)
-    return ChannelTensor(data, ap_map.astype(np.int64))
+    return ChannelTensor(data, ap_map)
 
 
 def _read_payload(fh, out: np.ndarray, dims) -> None:

@@ -30,7 +30,8 @@ from .harness import (
     read_result_rows,
     run_experiment,
 )
-from .selfcheck import run_selfcheck
+from .selfcheck import DEFAULT_SEED, run_selfcheck
+from .stats import CDF_GRID_POINTS
 from .synth import gen_geometric, gen_trajectory_users
 from .tensor import RngHandle
 
@@ -110,7 +111,7 @@ def _cmd_cdf(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    ok = run_selfcheck(report=print, seed=args.seed if args.seed is not None else 2025)
+    ok = run_selfcheck(report=print, seed=args.seed)
     return 0 if ok else 1
 
 
@@ -153,14 +154,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cdf = sub.add_parser("cdf", help="compute CDF tables from a results CSV")
     p_cdf.add_argument("results", help="results.csv from the run subcommand")
-    p_cdf.add_argument("--grid-points", type=int, default=512)
+    p_cdf.add_argument("--grid-points", type=int, default=CDF_GRID_POINTS)
     p_cdf.add_argument("--out", required=True, help="output directory")
     p_cdf.set_defaults(func=_cmd_cdf)
 
     p_oracle = sub.add_parser(
         "oracle", help="validate fast paths against brute-force recomputation"
     )
-    p_oracle.add_argument("--seed", type=int, default=None)
+    p_oracle.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_oracle.set_defaults(func=_cmd_oracle)
 
     return parser

@@ -44,7 +44,7 @@ from pathlib import Path
 
 from .errors import ConfigError, InvalidInputError, check_fields, check_number
 from .metrics import ALLOCATION_MODES
-from .synth import Region, Scene, default_scene
+from .synth import Region, Scene, check_spacing, default_scene
 
 CONFIG_VERSION = 1
 
@@ -106,9 +106,7 @@ class SceneSource:
         check_fields(self, ConfigError)
         if not isinstance(self.scene, Scene):
             raise ConfigError("scene must be a Scene")
-        min_s, max_s = self.min_spacing_m, self.max_spacing_m
-        if min_s < 0 or not max_s > 0 or min_s > max_s:
-            raise ConfigError("min_spacing_m must be in [0, max_spacing_m], max_spacing_m > 0")
+        check_spacing(self.min_spacing_m, self.max_spacing_m, ConfigError)
 
 
 @dataclass(frozen=True)

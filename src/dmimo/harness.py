@@ -11,9 +11,12 @@ arrays of all four metrics: the spread from one batched SVD, the ZF rate
 and fairness count from ZF gains computed once for every rho, and per rho
 the DPC rate from one dpc_capacity call on the trials folded into its
 snapshot axis (joint allocation is one call per trial). A degenerate trial
-is flagged on its own; it never fails the rest of its chunk. A trial whose
-users cannot be placed within the spacing bounds, or whose tensor has an
-all-zero user, gets degenerate rows with the reason.
+is flagged on its own; it never fails the rest of its chunk. SliceBatch
+returns each metric's reasons with its values and so decides every reason a
+measured trial gets; the harness stores them as they come. It decides only
+the two reasons a trial gets before any metric runs: its users cannot be
+placed within the spacing bounds, or its tensor has an all-zero user. Then
+every row of the trial is degenerate, with the error's text as the reason.
 Every random purpose gets its own stream id derived from (purpose, K index,
 trial, M index, N index), and every kernel treats each slice on its own, so
 for a fixed seed the output bytes do not depend on the chunk cap or on how
@@ -65,14 +68,12 @@ from .errors import (
 )
 from .metrics import SliceBatch, SnrSpec
 from .prep import draw_subarray_columns, normalize
-from .stats import compute_cdf
+from .stats import CDF_GRID_POINTS, compute_cdf
 from .synth import gen_geometric, gen_trajectory_users
 from .tensor import ChannelTensor, RngHandle, ap_columns
 
 RESULT_COLUMNS = ("trial", "M", "N", "K", "rho_db", "metric", "value", "degenerate_flag")
 _COLUMN_TYPES = (int, int, int, int, float, str, float, str)
-
-CDF_GRID_POINTS = 512
 
 _STREAM_USERS = 1
 _STREAM_CHANNEL = 2
@@ -301,23 +302,17 @@ def _chunk_worker(cfg: ExperimentConfig, file_tensor, blocks: dict, k_idx: int, 
             # the columns are valid, so "clip" only lets take write in place
             np.take(data, cols, axis=3, out=out, mode="clip")
         batch = SliceBatch(stack)
-        measured = {}  # metric -> (values, reasons or None) over the drawn trials
+        measured = {}  # metric -> (values, reasons) over the drawn trials
         if "svs" in cfg.metrics:
-            spreads = batch.spreads()
-            measured["svs"] = spreads, np.where(
-                np.isinf(spreads), "saturated singular-value spread (rank-deficient draw)", None
-            )
+            measured["svs"] = batch.spreads()
         for rho_idx, rho_db in enumerate(cfg.rho_db_values):
             snr = SnrSpec(rho_db)
             if "dpc" in cfg.metrics:
-                rates, converged = batch.dpc(snr, cfg.allocation_mode)
-                measured["dpc"] = rates, np.where(
-                    converged, None, "iterative water-filling hit the iteration cap"
-                )
+                measured["dpc"] = batch.dpc(snr, cfg.allocation_mode)
             if "zf" in cfg.metrics or "fairness" in cfg.metrics:
-                zf, fairness = batch.zf(snr, cfg.allocation_mode)
-                measured["zf"] = zf, batch.zf_failures
-                measured["fairness"] = fairness, batch.zf_failures
+                zf, fairness, zf_reasons = batch.zf(snr, cfg.allocation_mode)
+                measured["zf"] = zf, zf_reasons
+                measured["fairness"] = fairness, zf_reasons
             for metric_idx, metric in enumerate(cfg.metrics):
                 slots = (m_idx, n_idx, rho_idx, drawn, metric_idx)
                 values[slots], reasons[slots] = measured[metric]
@@ -399,7 +394,8 @@ def aggregate_result_rows(rows, grid_points: int = CDF_GRID_POINTS) -> tuple:
     Means and medians cover valid (non-degenerate) trials only. The CDF also
     carries saturated (+inf) degenerate values as tail mass; degenerate rows
     without a usable value (NaN) are only counted. A grid_points that is not
-    an integer >= 1 raises ConfigError.
+    an integer >= 1 raises ConfigError; a valid row whose value is NaN or
+    -inf, or a degenerate -inf row, raises InvalidInputError.
     """
     grid_points = check_number(grid_points, "grid_points", int, ConfigError)
     if grid_points < 1:
@@ -417,7 +413,7 @@ def aggregate_result_rows(rows, grid_points: int = CDF_GRID_POINTS) -> tuple:
         median = float(np.median(valid)) if valid else None
         try:
             cdf = compute_cdf(valid + saturated, grid_points)
-        except (EmptySampleError, InvalidInputError):
+        except EmptySampleError:
             cdf = None
         cells.append(
             CellAggregate(

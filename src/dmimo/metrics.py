@@ -14,6 +14,10 @@ may fold several equal-shape tensors into the snapshot axis; per-slice
 results (`CapacityResult.slice_rates`) then belong to each tensor unchanged.
 SliceBatch gives per-tensor arrays of every metric for several tensors, with
 the singular values, Gram matrices and ZF gains computed once for every SNR.
+It alone decides which tensors are degenerate and why, and returns a reason
+per tensor with each metric's values. The kernels under it return plain
+arrays, such as the ZF fault codes of `tensor._zf_gains`; exceptions are
+built only where a public function raises.
 Capacity results hold their allocations as read-only (S, K) power arrays;
 PowerAllocation is only the typed result of the public `waterfill`.
 
@@ -108,32 +112,29 @@ class CapacityResult:
     """Outcome of a capacity optimization.
 
     `powers` is an (S, K) array with one power vector per (t, l) slice in
-    snapshot-major order, or a single row in joint mode; `water_levels` has
-    one water level per row. `slice_rates` holds each slice's rate (under the
-    shared allocation in joint mode) and `slice_converged` whether its
-    optimizer converged, in snapshot-major order; the sum rate is the mean of
-    `slice_rates`. `iterations` is the largest iteration count any slice
-    used. All four arrays are read-only.
+    snapshot-major order, or a single row in joint mode. `slice_rates` holds
+    each slice's rate (under the shared allocation in joint mode) and
+    `slice_converged` whether its optimizer converged, in snapshot-major
+    order; the sum rate is the mean of `slice_rates`. `iterations` is the
+    largest iteration count any slice used. All three arrays are read-only.
     """
 
     sum_rate_bits_per_s_per_hz: float
     powers: np.ndarray
-    water_levels: np.ndarray
     iterations: int
     converged: bool
     slice_rates: np.ndarray
     slice_converged: np.ndarray
 
 
-def _result(rates, p, mu, iterations, converged) -> CapacityResult:
+def _result(rates, p, iterations, converged) -> CapacityResult:
     """A CapacityResult from per-slice rates and convergence flags plus (S, K)
-    powers and (S,) water levels, each array stored read-only as given."""
-    for array in (rates, p, mu, converged):
+    powers, each array stored read-only as given."""
+    for array in (rates, p, converged):
         array.setflags(write=False)
     return CapacityResult(
         float(np.mean(rates)),
         p,
-        mu,
         int(iterations),
         bool(np.all(converged)),
         rates,
@@ -166,7 +167,8 @@ def svs(ch) -> float:
     saturation marker when any slice is rank deficient (condition number
     >= 1e12), never a silent large number.
     """
-    return float(SliceBatch(_slice_stack(ch)[None]).spreads()[0])
+    spreads, _ = SliceBatch(_slice_stack(ch)[None]).spreads()
+    return float(spreads[0])
 
 
 def _waterfill_rows(noise: np.ndarray, budget: float) -> tuple:
@@ -250,10 +252,7 @@ def _ascend_on_simplex(rates_at, gradient, k, tol, max_iterations) -> CapacityRe
     """Joint allocation by projected gradient ascent on the simplex.
 
     `rates_at(p)` gives every slice's rate under p; the objective is their
-    mean. Armijo backtracking makes it monotone. The reported water level
-    maps the KKT multiplier to a level: with a single slice the active-user
-    gradient is 1/(ln2 * mu), so mu = 1/(ln2 * max_k grad_k); over many
-    slices it is an informational analog.
+    mean. Armijo backtracking makes it monotone.
     """
     p = np.full(k, 1.0 / k)
     rates = rates_at(p)
@@ -283,14 +282,12 @@ def _ascend_on_simplex(rates_at, gradient, k, tol, max_iterations) -> CapacityRe
             break
         rel = (cand_value - value) / max(abs(cand_value), 1e-12)
         p, rates, value = candidate, cand_rates, cand_value
-        grad = gradient(p)
-        step = min(step * 2.0, 1e6)
         if rel < tol:
             converged = True
             break
-    top = float(np.max(grad))
-    level = np.array([1.0 if top <= 0.0 else 1.0 / (_LN2 * top)])
-    return _result(rates, p[None], level, iterations, np.full(rates.shape, converged))
+        grad = gradient(p)
+        step = min(step * 2.0, 1e6)
+    return _result(rates, p[None], iterations, np.full(rates.shape, converged))
 
 
 def zf_sum_rate(ch, snr, allocation_mode: str = "per_tl") -> CapacityResult:
@@ -312,9 +309,9 @@ def zf_sum_rate(ch, snr, allocation_mode: str = "per_tl") -> CapacityResult:
 
 def _zf_per_slice(noise: np.ndarray) -> CapacityResult:
     """ZF water-filled on each slice of an (S, K) effective-noise grid on its own."""
-    p, mu = _waterfill_rows(noise, 1.0)
+    p, _ = _waterfill_rows(noise, 1.0)
     rates = np.log2(1.0 + p / noise).sum(axis=1)
-    return _result(rates, p, mu, 1, np.ones(rates.shape, dtype=bool))
+    return _result(rates, p, 1, np.ones(rates.shape, dtype=bool))
 
 
 def _zf_joint(noise_grid: np.ndarray) -> CapacityResult:
@@ -368,14 +365,13 @@ def _dpc_per_slice(gram, c, tol, max_iterations):
     the best, the first one on ties. Monotone non-decreasing by construction.
     All live slices step together; a slice leaves the batch once it
     converges, so each one follows its own iterates. Returns (values, p,
-    water levels, iterations per slice, converged per slice).
+    iterations per slice, converged per slice).
     """
     s, k, _ = gram.shape
     damped = np.array(sorted({0.5, 0.25, 0.125, 1.0 / k} - {1.0}, reverse=True))
 
     p = np.full((s, k), 1.0 / k)
     value = _dpc_objective(p, gram, c)
-    mu = np.ones(s)
     iterations = np.zeros(s, dtype=int)
     converged = np.zeros(s, dtype=bool)
     live = np.arange(s)
@@ -392,11 +388,11 @@ def _dpc_per_slice(gram, c, tol, max_iterations):
         live, inv_noise, active = live[~idle], inv_noise[~idle], active[~idle]
         noise = np.full_like(inv_noise, np.inf)
         np.divide(1.0, inv_noise, out=noise, where=active)
-        q, mu[live] = _waterfill_rows(noise, 1.0)
+        q, _ = _waterfill_rows(noise, 1.0)
 
         best_value = _dpc_objective(q, gram[live], c)
         worse = np.flatnonzero(~(best_value > value[live]))
-        if worse.size and damped.size:
+        if worse.size:
             held = live[worse]
             step = damped[:, None]
             candidates = (1.0 - step) * p[held][:, None, :] + step * q[worse][:, None, :]
@@ -412,7 +408,7 @@ def _dpc_per_slice(gram, c, tol, max_iterations):
         done = ~improved | (rel < tol)
         converged[live[done]] = True
         live = live[~done]
-    return value, p, mu, iterations, converged
+    return value, p, iterations, converged
 
 
 def dpc_capacity(
@@ -448,8 +444,8 @@ def dpc_capacity(
     c = snr.rho_linear * k / m
     if mode == "joint":
         return _dpc_joint(gram, c, tol, max_iterations)
-    values, p, mu, iterations, converged = _dpc_per_slice(gram, c, tol, max_iterations)
-    return _result(values, p, mu, iterations.max(), converged)
+    values, p, iterations, converged = _dpc_per_slice(gram, c, tol, max_iterations)
+    return _result(values, p, iterations.max(), converged)
 
 
 def _dpc_joint(gram: np.ndarray, c: float, tol: float, max_iterations: int) -> CapacityResult:
@@ -472,12 +468,14 @@ def _gram(h: np.ndarray) -> np.ndarray:
 class SliceBatch:
     """Equal-shape channel tensors ("items") evaluated together.
 
-    Built from an (items, T, L, K, M) array. Entry i of every array that
-    `spreads`, `zf` and `dpc` return equals what svs, zf_sum_rate (and the
-    mean count_allocated_users of its powers) and dpc_capacity give on item
-    i alone: each kernel treats every slice on its own, so stacking neither
-    mixes items nor changes a bit. One batched SVD serves the spread and the
-    ZF condition check, and the ZF gains are computed once for every SNR.
+    Built from an (items, T, L, K, M) array. Entry i of every value array
+    that `spreads`, `zf` and `dpc` return equals what svs, zf_sum_rate (and
+    the mean count_allocated_users of its powers) and dpc_capacity give on
+    item i alone: each kernel treats every slice on its own, so stacking
+    neither mixes items nor changes a bit. Each also returns, last, a reason
+    per item: None, or why its value is degenerate. One batched SVD serves
+    the spread and the ZF condition check, and the ZF gains are computed
+    once for every SNR.
     """
 
     def __init__(self, stack: np.ndarray):
@@ -489,35 +487,37 @@ class SliceBatch:
         """(items, T, L, K) singular values, descending; needs K <= M."""
         return singular_values(self.stack)
 
-    def spreads(self) -> np.ndarray:
-        """Per item: svs() of its slices."""
+    def spreads(self) -> tuple:
+        """(svs() of each item's slices, reasons): inf where a slice saturates."""
         smax, smin = self.sv[..., 0].ravel(), self.sv[..., -1].ravel()
         saturated = (smin <= 0.0) | (smax >= COND_LIMIT * smin)
         ratios = np.divide(smax, smin, out=np.ones_like(smax), where=~saturated)
         # scalar log10 per slice: numpy's vector log10 may round differently
         db = np.array([10.0 * math.log10(r) for r in ratios.tolist()])
         bad = saturated.reshape(self.items, -1).any(axis=1)
-        return np.where(bad, math.inf, db.reshape(self.items, -1).mean(axis=1))
+        values = np.where(bad, math.inf, db.reshape(self.items, -1).mean(axis=1))
+        return values, np.where(bad, "saturated singular-value spread (rank-deficient draw)", None)
 
     @cached_property
     def _zf(self) -> tuple:
-        """(ZF gains (items, T, L, K), zf_failures)."""
-        gains, errors = _zf_gains(self.sv, _gram(self.stack))
-        reason = "rank-deficient slice at (t={0.snapshot}, l={0.subcarrier})"
-        return gains, [None if e is None else reason.format(e) for e in errors]
-
-    @property
-    def zf_failures(self) -> list:
-        """Per item: None, or why zf_sum_rate fails on it; the same at every SNR."""
-        return self._zf[1]
+        """(ZF gains (items, T, L, K), reasons): an item fails at every SNR
+        where zf_sum_rate raises on it, named by its first faulty slice."""
+        gains, faults = _zf_gains(self.sv, _gram(self.stack))
+        flat = faults.reshape(self.items, -1)
+        t, l = np.unravel_index(np.argmax(flat != 0, axis=1), faults.shape[1:])
+        reasons = np.full(self.items, None, dtype=object)
+        for i in np.flatnonzero(flat.any(axis=1)):
+            reasons[i] = f"rank-deficient slice at (t={t[i]}, l={l[i]})"
+        return gains, reasons
 
     def zf(self, snr: SnrSpec, mode: str) -> tuple:
-        """(sum rates, mean allocated users) over the items, NaN where ZF fails."""
-        gains, failures = self._zf
-        ok = np.array([f is None for f in failures])
+        """(sum rates, mean allocated users, reasons) over the items; NaN
+        where ZF fails."""
+        gains, reasons = self._zf
+        ok = np.array([r is None for r in reasons])
         rates, users = np.full(self.items, np.nan), np.full(self.items, np.nan)
         if not ok.any():
-            return rates, users
+            return rates, users, reasons
         n = int(ok.sum())
         noise = gains[ok].reshape(n, -1, self.k) * self.m / (snr.rho_linear * self.k)
         if mode == "per_tl":
@@ -528,18 +528,19 @@ class SliceBatch:
             results = [_zf_joint(grid) for grid in noise]
             rates[ok] = [r.sum_rate_bits_per_s_per_hz for r in results]
             users[ok] = [np.mean(count_allocated_users(r.powers)) for r in results]
-        return rates, users
+        return rates, users, reasons
 
     def dpc(self, snr: SnrSpec, mode: str) -> tuple:
-        """(sum rates, converged) over the items. Per-slice allocation treats
-        every slice on its own, so one dpc_capacity call on the items folded
-        into the snapshot axis serves them all; joint is one call per item."""
+        """(sum rates, reasons) over the items; a reason marks a run that hit
+        the iteration cap. Per-slice allocation treats every slice on its
+        own, so one dpc_capacity call on the items folded into the snapshot
+        axis serves them all; joint is one call per item."""
         if mode == "joint":
             results = [dpc_capacity(item, snr, mode) for item in self.stack]
-            rates = [r.sum_rate_bits_per_s_per_hz for r in results]
-            return np.array(rates), np.array([r.converged for r in results])
-        res = dpc_capacity(self.stack.reshape((-1,) + self.stack.shape[2:]), snr, mode)
-        return (
-            res.slice_rates.reshape(self.items, -1).mean(axis=1),
-            res.slice_converged.reshape(self.items, -1).all(axis=1),
-        )
+            rates = np.array([r.sum_rate_bits_per_s_per_hz for r in results])
+            converged = np.array([r.converged for r in results])
+        else:
+            res = dpc_capacity(self.stack.reshape((-1,) + self.stack.shape[2:]), snr, mode)
+            rates = res.slice_rates.reshape(self.items, -1).mean(axis=1)
+            converged = res.slice_converged.reshape(self.items, -1).all(axis=1)
+        return rates, np.where(converged, None, "iterative water-filling hit the iteration cap")

@@ -14,6 +14,9 @@ import numpy as np
 
 from .errors import EmptySampleError, InvalidInputError, check_fields, check_number
 
+# grid size of a CDF table unless a caller asks for another
+CDF_GRID_POINTS = 512
+
 
 @dataclass(frozen=True)
 class CdfTable:
@@ -45,7 +48,7 @@ class CdfTable:
         return self.num_saturated / self.num_samples
 
 
-def compute_cdf(samples, grid_points: int = 512) -> CdfTable:
+def compute_cdf(samples, grid_points: int = CDF_GRID_POINTS) -> CdfTable:
     """Empirical CDF of `samples` on a uniform grid over [min, max].
 
     +inf entries are saturation markers: counted in the denominator and in

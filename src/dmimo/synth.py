@@ -188,6 +188,16 @@ class Scene:
         return np.repeat(np.arange(self.num_aps), self.antennas_per_ap)
 
 
+def check_spacing(min_s: float, max_s: float, error=InvalidInputError) -> None:
+    """Raise `error` unless 0 <= min_s <= max_s and max_s > 0: the one rule
+    for pairwise spacing bounds, wherever they are given."""
+    if not (0 <= min_s <= max_s and max_s > 0):
+        raise error(
+            "min_spacing_m must be in [0, max_spacing_m] and max_spacing_m > 0, "
+            f"got {min_s} and {max_s}"
+        )
+
+
 @dataclass(frozen=True)
 class UserLayout:
     """K user positions with pairwise spacing bounds.
@@ -209,10 +219,7 @@ class UserLayout:
             raise InvalidInputError("positions must be finite")
         check_fields(self)
         min_s, max_s = self.min_spacing_m, self.max_spacing_m
-        if min_s < 0 or not max_s > 0 or min_s > max_s:
-            raise InvalidInputError(
-                "min_spacing_m must be in [0, max_spacing_m], max_spacing_m > 0"
-            )
+        check_spacing(min_s, max_s)
         if pos.shape[0] > 1:
             diffs = pos[:, None, :] - pos[None, :, :]
             dist = np.sqrt((diffs**2).sum(axis=2))
@@ -297,7 +304,7 @@ def gen_iid_rayleigh(dims, rng) -> ChannelTensor:
     return ChannelTensor(data, np.zeros(m, dtype=np.int64))
 
 
-def gen_trajectory_users(scene: Scene, num_users: int, spacing=(0.1, 5.0), rng=None) -> UserLayout:
+def gen_trajectory_users(scene: Scene, num_users: int, spacing, rng) -> UserLayout:
     """Draw K user positions uniformly in the scene region.
 
     Positions are accepted only when every pairwise distance lies within
@@ -312,10 +319,7 @@ def gen_trajectory_users(scene: Scene, num_users: int, spacing=(0.1, 5.0), rng=N
         raise InvalidInputError("num_users must be >= 1")
     min_s = check_number(spacing[0], "spacing[0]")
     max_s = check_number(spacing[1], "spacing[1]")
-    if min_s < 0 or not max_s > 0 or min_s > max_s:
-        raise InvalidInputError(
-            "spacing must satisfy 0 <= min <= max with max > 0"
-        )
+    check_spacing(min_s, max_s)
     gen = _generator(rng)
     region = scene.region
     if num_users >= 2:
@@ -368,7 +372,7 @@ def _check_spacing_feasible(region: Region, num_users: int, min_s: float) -> Non
         )
 
 
-def gen_geometric(scene: Scene, users: UserLayout, rng=None) -> ChannelTensor:
+def gen_geometric(scene: Scene, users: UserLayout, rng) -> ChannelTensor:
     """Synthesize a (T, L, K, M) tensor from the scene geometry.
 
     Per AP-user link: `num_scatterers` single-bounce rays with complex

@@ -188,23 +188,29 @@ def zf_effective_gains(matrix) -> np.ndarray:
 
     Accepts one K x M matrix or a stack with leading dims and returns gains
     of shape (..., K). Raises RankDeficiencyError when a Gram matrix has
-    condition number >= COND_LIMIT; on a (T, L, K, M) stack the error names
-    the first offending (t, l) in snapshot-major order.
+    condition number >= COND_LIMIT or its inverse is not positive definite;
+    on a (T, L, K, M) stack the error names the first offending (t, l) in
+    snapshot-major order, a singular one before any other.
     """
     m = _as_snapshot_stack(matrix)
     sv = np.linalg.svd(m, compute_uv=False)
     gram = m @ m.conj().swapaxes(-1, -2)
-    (gains,), (error,) = _zf_gains(sv[None], gram[None])
-    if error is not None:
-        raise error
+    (gains,), (faults,) = _zf_gains(sv[None], gram[None])
+    bad = np.flatnonzero(faults)
+    if bad.size:
+        first = int(bad[0])
+        t, l = map(int, np.unravel_index(first, faults.shape)) if faults.ndim == 2 else (None, None)
+        raise RankDeficiencyError(_ZF_FAULTS[faults.flat[first]], snapshot=t, subcarrier=l)
     return gains
 
 
-_GRAM_SINGULAR = (
+# the message of each _zf_gains fault code
+_ZF_FAULTS = (
+    None,
     "channel Gram matrix is singular or near-singular "
-    f"(squared condition >= {COND_LIMIT:.0e})"
+    f"(squared condition >= {COND_LIMIT:.0e})",
+    "channel Gram inverse lost positive definiteness",
 )
-_GRAM_INDEFINITE = "channel Gram inverse lost positive definiteness"
 
 
 def _zf_gains(sv: np.ndarray, gram: np.ndarray) -> tuple:
@@ -212,32 +218,17 @@ def _zf_gains(sv: np.ndarray, gram: np.ndarray) -> tuple:
 
     `sv` (items, ..., K) holds each matrix's descending singular values and
     `gram` (items, ..., K, K) its Gram matrix. Returns (gains (items, ..., K),
-    errors): errors[i] is the RankDeficiencyError item i fails with, or None.
-    A failed item keeps NaN gains; an ill-conditioned one never reaches the
-    batched inverse, so one singular Gram matrix cannot fail the others.
+    faults (items, ...)): an int8 code per matrix, 0 if it is usable, 1 if
+    it is singular, 2 if its inverse is not positive definite. An item with
+    a singular matrix keeps NaN gains and never reaches the batched inverse,
+    so it cannot fail the other items, and its other matrices read 0.
     """
-    items = sv.shape[0]
     smax, smin = sv[..., 0], sv[..., -1]
     # gram condition is the squared singular-value ratio
     singular = (smin <= 0.0) | (smax * smax >= COND_LIMIT * (smin * smin))
-    errors = _rank_errors(singular, _GRAM_SINGULAR, [None] * items)
-    ok = np.array([e is None for e in errors])
+    ok = ~singular.reshape(len(sv), -1).any(axis=1)
     gains = np.full(sv.shape, np.nan)
     gains[ok] = np.real(np.diagonal(np.linalg.inv(gram[ok]), axis1=-2, axis2=-1))
-    return gains, _rank_errors(~np.all(gains > 0.0, axis=-1), _GRAM_INDEFINITE, errors)
-
-
-def _rank_errors(bad: np.ndarray, message: str, errors: list) -> list:
-    """`errors` with a RankDeficiencyError added for each item that has none yet
-    but a flagged matrix in `bad` (items, ...).
-
-    The error names the item's first flagged matrix, snapshot-major: its
-    (t, l) when the item is a (T, L) grid of matrices.
-    """
-    out = list(errors)
-    for i in np.flatnonzero(bad.reshape(len(out), -1).any(axis=1)):
-        if out[i] is None:
-            where = np.unravel_index(int(np.argmax(bad[i])), bad[i].shape)
-            t, l = map(int, where) if bad[i].ndim == 2 else (None, None)
-            out[i] = RankDeficiencyError(message, snapshot=t, subcarrier=l)
-    return out
+    faults = singular.astype(np.int8)
+    faults[ok] = np.where(np.all(gains[ok] > 0.0, axis=-1), 0, 2)
+    return gains, faults

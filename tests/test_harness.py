@@ -266,6 +266,15 @@ class TestAggregates:
         assert cell.num_valid == 0
         assert cell.mean is None and cell.median is None and cell.cdf is None
 
+    @pytest.mark.parametrize("value, name", [(math.nan, "NaN"), (-math.inf, "-inf")])
+    def test_valid_row_without_a_number_raises(self, value, name):
+        rows = [
+            ResultRow(0, 8, 1, 2, 0.0, "zf", 5.0, False),
+            ResultRow(1, 8, 1, 2, 0.0, "zf", value, False),
+        ]
+        with pytest.raises(InvalidInputError, match=f"must not contain {name}"):
+            aggregate_result_rows(rows)
+
 
 class TestDegenerateHandling:
     def test_duplicated_file_users_flagged(self, tmp_path):

@@ -1,5 +1,6 @@
 """Separability and capacity metrics against independent references."""
 
+import functools
 import math
 
 import numpy as np
@@ -23,6 +24,7 @@ from dmimo import (
     zf_sum_rate,
 )
 
+from dmimo import metrics
 from dmimo.metrics import SliceBatch, _dpc_system, _waterfill_rows
 from dmimo.selfcheck import (
     damped_step_slice,
@@ -56,10 +58,9 @@ def assert_matches_slices(out, singles):
     """A tensor result is exactly the slice results, averaged."""
     rates = [r.sum_rate_bits_per_s_per_hz for r in singles]
     assert out.sum_rate_bits_per_s_per_hz == np.mean(rates)
-    assert len(out.powers) == len(out.water_levels) == len(singles)
-    for p, level, single in zip(out.powers, out.water_levels, singles):
+    assert len(out.powers) == len(singles)
+    for p, single in zip(out.powers, singles):
         assert np.array_equal(p, single.powers[0])
-        assert level == single.water_levels[0]
 
 
 # frozen from the bisection water-filling oracle:
@@ -133,8 +134,7 @@ class TestCapacityResult:
         out = fn(ch, SnrSpec(10.0), allocation_mode=mode)
         rows = 6 if mode == "per_tl" else 1
         assert out.powers.shape == (rows, 3)
-        assert out.water_levels.shape == (rows,)
-        for array in (out.powers, out.water_levels, out.slice_rates, out.slice_converged):
+        for array in (out.powers, out.slice_rates, out.slice_converged):
             with pytest.raises(ValueError):
                 array[0] = 0
 
@@ -513,7 +513,6 @@ class TestJointAllocationMode:
         ch = gen_iid_rayleigh((2, 2, 3, 8), RngHandle(69, 0))
         out = dpc_capacity(ch, SnrSpec(10.0), allocation_mode="joint")
         assert out.powers.shape == (1, 3)
-        assert out.water_levels.shape == (1,)
         assert out.powers[0].sum() == pytest.approx(1.0, abs=1e-9)
 
 
@@ -532,11 +531,14 @@ class TestSliceBatch:
         data, items = self.tensors()
         batch = SliceBatch(data)
         snr = SnrSpec(8.0)
-        spreads = batch.spreads()
+        spreads, spread_reasons = batch.spreads()
         assert isinstance(spreads, np.ndarray)
         assert spreads.tolist() == [svs(ch) for ch in items]
-        rates, users = batch.zf(snr, mode)
-        assert batch.zf_failures == [None, "rank-deficient slice at (t=1, l=0)", None]
+        assert math.isinf(spreads[1])
+        saturated = "saturated singular-value spread (rank-deficient draw)"
+        assert spread_reasons.tolist() == [None, saturated, None]
+        rates, users, reasons = batch.zf(snr, mode)
+        assert reasons.tolist() == [None, "rank-deficient slice at (t=1, l=0)", None]
         assert math.isnan(rates[1]) and math.isnan(users[1])
         with pytest.raises(RankDeficiencyError) as info:
             zf_sum_rate(items[1], snr, allocation_mode=mode)
@@ -545,19 +547,33 @@ class TestSliceBatch:
             single = zf_sum_rate(items[i], snr, allocation_mode=mode)
             assert rates[i] == single.sum_rate_bits_per_s_per_hz
             assert users[i] == np.mean(count_allocated_users(single.powers))
-        dpc_rates, converged = batch.dpc(snr, mode)
+        dpc_rates, dpc_reasons = batch.dpc(snr, mode)
         for i, ch in enumerate(items):
             single = dpc_capacity(ch, snr, allocation_mode=mode)
             assert dpc_rates[i] == single.sum_rate_bits_per_s_per_hz
-            assert converged[i] == single.converged
+            assert (dpc_reasons[i] is None) == single.converged
 
     @pytest.mark.parametrize("mode", ["per_tl", "joint"])
     def test_all_singular_batch_reads_nan(self, mode):
         data, _ = self.tensors()
         batch = SliceBatch(data[[1, 1]])
-        rates, users = batch.zf(SnrSpec(8.0), mode)
+        rates, users, reasons = batch.zf(SnrSpec(8.0), mode)
         assert np.isnan(rates).all() and np.isnan(users).all()
-        assert batch.zf_failures == ["rank-deficient slice at (t=1, l=0)"] * 2
+        assert reasons.tolist() == ["rank-deficient slice at (t=1, l=0)"] * 2
+
+    @pytest.mark.parametrize("mode, cap", [("per_tl", 2), ("joint", 12)])
+    def test_dpc_reason_marks_the_items_that_hit_the_cap(self, mode, cap, monkeypatch):
+        # the six slices of mixed_effort_tensor() as six one-slice items
+        items = mixed_effort_tensor().data.reshape(6, 1, 1, 3, 12)
+        snr = SnrSpec(5.0)
+        capped = functools.partial(dpc_capacity, max_iterations=cap)
+        monkeypatch.setattr(metrics, "dpc_capacity", capped)
+        rates, reasons = SliceBatch(items).dpc(snr, mode)
+        singles = [capped(ChannelTensor(item, np.zeros(12)), snr, mode) for item in items]
+        assert rates.tolist() == [r.sum_rate_bits_per_s_per_hz for r in singles]
+        expected = [None if r.converged else "iterative water-filling hit the iteration cap" for r in singles]
+        assert reasons.tolist() == expected
+        assert None in expected and len(set(expected)) == 2
 
     def test_inverse_that_lost_positive_definiteness_fails_its_item_only(self, monkeypatch):
         # four (2, 2, 3, 8) tensors. In items 1 and 3 one slice's first user is
@@ -569,7 +585,7 @@ class TestSliceBatch:
         data[3, 0, 1, 0] *= 1e3
         data[3, 1, 0, 2] = data[3, 1, 0, 0]
         snr = SnrSpec(8.0)
-        clean_rates, clean_users = SliceBatch(data).zf(snr, "per_tl")
+        clean_rates, clean_users, _ = SliceBatch(data).zf(snr, "per_tl")
         assert np.isfinite(clean_rates[:3]).all()
         real_inv = np.linalg.inv
 
@@ -580,8 +596,8 @@ class TestSliceBatch:
 
         monkeypatch.setattr(np.linalg, "inv", inv)
         batch = SliceBatch(data)
-        rates, users = batch.zf(snr, "per_tl")
-        assert batch.zf_failures == [
+        rates, users, reasons = batch.zf(snr, "per_tl")
+        assert reasons.tolist() == [
             None,
             "rank-deficient slice at (t=1, l=1)",
             None,

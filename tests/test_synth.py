@@ -155,7 +155,7 @@ class TestUserLayout:
 class TestTrajectoryUsers:
     def test_draw_respects_bounds(self):
         scene = default_scene()
-        users = gen_trajectory_users(scene, 12, rng=RngHandle(9, 0))
+        users = gen_trajectory_users(scene, 12, (0.1, 5.0), rng=RngHandle(9, 0))
         assert users.num_users == 12
         assert np.all(scene.region.contains(users.positions))
         d = users.positions[:, None, :] - users.positions[None, :, :]
@@ -165,8 +165,8 @@ class TestTrajectoryUsers:
 
     def test_deterministic_for_stream(self):
         scene = default_scene()
-        a = gen_trajectory_users(scene, 6, rng=RngHandle(5, 1))
-        b = gen_trajectory_users(scene, 6, rng=RngHandle(5, 1))
+        a = gen_trajectory_users(scene, 6, (0.1, 5.0), rng=RngHandle(5, 1))
+        b = gen_trajectory_users(scene, 6, (0.1, 5.0), rng=RngHandle(5, 1))
         assert np.array_equal(a.positions, b.positions)
 
     def test_impossible_spacing_raises(self):
@@ -197,6 +197,14 @@ class TestTrajectoryUsers:
         state = gen.bit_generator.state
         with pytest.raises(InfeasibleLayoutError, match=bound):
             gen_trajectory_users(default_scene(), num_users, spacing=(min_spacing, 100.0), rng=gen)
+        assert gen.bit_generator.state == state
+
+    @pytest.mark.parametrize("spacing", [(2.0, 1.0), (-0.1, 1.0), (0.0, 0.0)])
+    def test_out_of_range_spacing_raises_before_drawing(self, spacing):
+        gen = np.random.default_rng(0)
+        state = gen.bit_generator.state
+        with pytest.raises(InvalidInputError, match="min_spacing_m must be in"):
+            gen_trajectory_users(default_scene(), 3, spacing, gen)
         assert gen.bit_generator.state == state
 
 
@@ -265,7 +273,7 @@ class TestIidRayleigh:
 class TestGeometric:
     def test_dims_map_and_determinism(self):
         scene = default_scene(num_subcarriers=3, num_snapshots=2)
-        users = gen_trajectory_users(scene, 4, rng=RngHandle(20, 0))
+        users = gen_trajectory_users(scene, 4, (0.1, 5.0), rng=RngHandle(20, 0))
         ch = gen_geometric(scene, users, rng=RngHandle(20, 1))
         assert ch.dims == (2, 3, 4, 128)
         assert ch.num_aps == 4
@@ -393,7 +401,7 @@ class TestGeometric:
         scene = default_scene("mixed", num_snapshots=10)
         powers = []
         for trial in range(3):
-            users = gen_trajectory_users(scene, 4, rng=RngHandle(24, 2 * trial))
+            users = gen_trajectory_users(scene, 4, (0.1, 5.0), rng=RngHandle(24, 2 * trial))
             ch = gen_geometric(scene, users, rng=RngHandle(24, 2 * trial + 1))
             powers.append(np.abs(ch.data) ** 2)
         mean_power = float(np.mean(np.concatenate([p.ravel() for p in powers])))
@@ -416,7 +424,7 @@ class TestGeometric:
         distributed = default_scene()
         spread = {"one": [], "four": []}
         for trial in range(100):
-            users = gen_trajectory_users(distributed, 8, rng=RngHandle(25, 3 * trial))
+            users = gen_trajectory_users(distributed, 8, (0.1, 5.0), rng=RngHandle(25, 3 * trial))
             one = gen_geometric(colocated, users, rng=RngHandle(25, 3 * trial + 1))
             # reuse the same antenna budget: keep 8 antennas per corner AP
             small = Scene(
