@@ -64,10 +64,11 @@ from .errors import (
     EmptySampleError,
     InfeasibleLayoutError,
     InvalidInputError,
+    TopologyError,
     check_number,
 )
 from .metrics import SliceBatch, SnrSpec
-from .prep import draw_subarray_columns, normalize
+from .prep import check_topology, draw_subarray_columns, normalize
 from .stats import CDF_GRID_POINTS, compute_cdf
 from .synth import gen_geometric, gen_trajectory_users
 from .tensor import ChannelTensor, RngHandle, ap_columns
@@ -196,21 +197,12 @@ def _source_inventory(cfg: ExperimentConfig):
     return tensor.antenna_ap_map, tensor.dims[:2], tensor
 
 
-def _validate_feasibility(cfg: ExperimentConfig, num_aps: int, ap_antennas: int, k_file):
-    for n in cfg.n_values:
-        if n > num_aps:
-            raise ConfigError(
-                f"sweeps.n_values: N={n} exceeds the source's {num_aps} APs"
-            )
-    for m in cfg.m_values:
-        for n in cfg.n_values:
-            if m % n != 0:
-                raise ConfigError(f"(M={m}, N={n}) is infeasible: N must divide M")
-            if m // n > ap_antennas:
-                raise ConfigError(
-                    f"(M={m}, N={n}) needs W={m // n} antennas per AP "
-                    f"but the source provides {ap_antennas}"
-                )
+def _validate_feasibility(cfg: ExperimentConfig, blocks: dict, k_file):
+    for m, n in product(cfg.m_values, cfg.n_values):
+        try:
+            check_topology(blocks, m, n)
+        except TopologyError as exc:
+            raise ConfigError(f"(M={m}, N={n}) is infeasible: {exc}") from None
     if k_file is not None and max(cfg.k_values) > k_file:
         raise ConfigError(
             f"sweeps.k_values: K={max(cfg.k_values)} exceeds the channel file's "
@@ -356,8 +348,6 @@ def _run_chunks(run_share, workers: int) -> list:
     """[run_share(w) for w in range(workers)]: share 0 runs here, the others
     in forked workers. An error in any share is raised here, after every
     worker has ended."""
-    if workers == 1:
-        return [run_share(0)]
     running = {}  # worker index -> pid, until the worker is reaped
     readers = {}  # worker index -> its outcome's read end
     try:
@@ -455,12 +445,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> Experim
 
     ap_map, grid, file_tensor = _source_inventory(cfg)
     blocks = ap_columns(ap_map)
-    _validate_feasibility(
-        cfg,
-        len(blocks),
-        min(len(block) for block in blocks.values()),
-        None if file_tensor is None else file_tensor.num_users,
-    )
+    _validate_feasibility(cfg, blocks, None if file_tensor is None else file_tensor.num_users)
 
     axes = (
         cfg.m_values,
@@ -536,6 +521,8 @@ def read_result_rows(path) -> tuple:
             raise InvalidInputError(
                 f"{where}: value must be finite when degenerate_flag is 0, got {parts[6]!r}"
             )
+        if value == -math.inf:
+            raise InvalidInputError(f"{where}: value must not be -inf, got {parts[6]!r}")
         cell = trials_read.setdefault((m, n, k, rho_db, metric), set())
         if trial in cell:
             raise InvalidInputError(f"{where}: repeats an earlier (trial, M, N, K, rho_db, metric)")

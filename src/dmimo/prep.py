@@ -4,7 +4,9 @@ Normalization rescales each user so its total energy over all snapshots and
 subcarriers equals M*L*T, removing large-scale gain imbalance between users
 while keeping every relative variation across antennas, subcarriers, and
 snapshots. Selection slices an (M_sub = W*N)-antenna subarray out of a full
-tensor by drawing N access points and W elements per AP uniformly at random.
+tensor by drawing N access points and W elements per AP uniformly at random;
+check_topology is the one rule for which (M, N) a channel can serve, applied
+to every draw and, by the harness, to a whole sweep before any trial runs.
 Selection never renormalizes: a subarray keeps exactly the energy its
 antennas captured, which is the point of comparing topologies fairly.
 """
@@ -120,31 +122,34 @@ def select_subarray(ch: ChannelTensor, m_total: int, n_aps: int, rng) -> tuple:
     return sliced, topo
 
 
+def check_topology(blocks: dict, m_total: int, n_aps: int) -> int:
+    """Return W = m_total / n_aps, or raise TopologyError unless 1 <= n_aps
+    <= the APs of `blocks` (an AP -> columns map, see tensor.ap_columns) and
+    n_aps divides m_total >= 1, or ApCapacityError unless every AP holds W
+    elements: the one rule for which topologies a channel can serve."""
+    m_total = check_number(m_total, "m_total", int, TopologyError)
+    n_aps = check_number(n_aps, "n_aps", int, TopologyError)
+    if n_aps < 1 or n_aps > len(blocks):
+        raise TopologyError(f"requested {n_aps} APs but the channel has {len(blocks)}")
+    if m_total < 1 or m_total % n_aps != 0:
+        raise TopologyError(f"m_total={m_total} is not divisible by n_aps={n_aps}")
+    w = m_total // n_aps
+    smallest = min(len(block) for block in blocks.values())
+    if w > smallest:
+        raise ApCapacityError(f"need W={w} elements per AP but the smallest AP has {smallest}")
+    return w
+
+
 def draw_subarray_columns(blocks: dict, m_total: int, n_aps: int, rng) -> tuple:
     """The random draw behind select_subarray, on an AP -> columns map
     (see tensor.ap_columns).
 
-    Checks that W = m_total / n_aps elements can come from each of `n_aps`
-    APs, then draws the APs uniformly without replacement and W elements of
-    each chosen AP in ascending AP order; this call order fixes the stream.
-    Returns (antenna columns, chosen AP ids, element picks per AP).
+    Checks the topology with check_topology, then draws the APs uniformly
+    without replacement and W elements of each chosen AP in ascending AP
+    order; this call order fixes the stream. Returns (antenna columns,
+    chosen AP ids, element picks per AP).
     """
-    m_total = check_number(m_total, "m_total", int, TopologyError)
-    n_aps = check_number(n_aps, "n_aps", int, TopologyError)
-    if n_aps < 1 or n_aps > len(blocks):
-        raise TopologyError(
-            f"requested {n_aps} APs but the tensor has {len(blocks)}"
-        )
-    if m_total < 1 or m_total % n_aps != 0:
-        raise TopologyError(
-            f"m_total={m_total} is not divisible by n_aps={n_aps}"
-        )
-    w = m_total // n_aps
-    smallest = min(len(block) for block in blocks.values())
-    if w > smallest:
-        raise ApCapacityError(
-            f"need W={w} elements per AP but the smallest AP has {smallest}"
-        )
+    w = check_topology(blocks, m_total, n_aps)
     gen = _generator(rng)
     chosen = np.sort(gen.choice(np.asarray(list(blocks)), size=n_aps, replace=False))
     picks = [np.sort(gen.choice(len(blocks[ap]), size=w, replace=False)) for ap in chosen.tolist()]

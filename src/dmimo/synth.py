@@ -6,6 +6,8 @@ in a rectangular region, and a per-AP propagation condition. A LoS link mixes
 a deterministic plane wave (set by the Ricean K-factor) with scattered rays;
 an NLoS link is scattered rays only. Either way the mean link power is 1, so
 per-user normalization downstream only removes large-scale imbalance.
+Placement and UserLayout test pairwise spacing with one function, so every
+layout the generator accepts passes UserLayout.
 """
 
 from __future__ import annotations
@@ -198,6 +200,14 @@ def check_spacing(min_s: float, max_s: float, error=InvalidInputError) -> None:
         )
 
 
+def _within_spacing(a: np.ndarray, b: np.ndarray, min_s: float, max_s: float) -> np.ndarray:
+    """Whether each distance between points `a` and `b` ((..., 3), broadcast)
+    lies in [min_s, max_s]: the one pair test, with the squares summed in x, y,
+    z order, so a layout gen_trajectory_users accepts always passes UserLayout."""
+    dist = np.sqrt(((a - b) ** 2).sum(axis=-1))
+    return (min_s <= dist) & (dist <= max_s)
+
+
 @dataclass(frozen=True)
 class UserLayout:
     """K user positions with pairwise spacing bounds.
@@ -220,15 +230,12 @@ class UserLayout:
         check_fields(self)
         min_s, max_s = self.min_spacing_m, self.max_spacing_m
         check_spacing(min_s, max_s)
-        if pos.shape[0] > 1:
-            diffs = pos[:, None, :] - pos[None, :, :]
-            dist = np.sqrt((diffs**2).sum(axis=2))
-            pair = dist[np.triu_indices(pos.shape[0], k=1)]
-            if np.any(pair < min_s) or np.any(pair > max_s):
-                raise PlacementError(
-                    "positions have pairwise distances outside the spacing bounds "
-                    f"[{min_s}, {max_s}]"
-                )
+        i, j = np.triu_indices(pos.shape[0], k=1)
+        if not _within_spacing(pos[i], pos[j], min_s, max_s).all():
+            raise PlacementError(
+                "positions have pairwise distances outside the spacing bounds "
+                f"[{min_s}, {max_s}]"
+            )
         pos.setflags(write=False)
         object.__setattr__(self, "positions", pos)
 
@@ -325,19 +332,13 @@ def gen_trajectory_users(scene: Scene, num_users: int, spacing, rng) -> UserLayo
     if num_users >= 2:
         _check_spacing_feasible(region, num_users, min_s)
     x0, y0, z0 = region.origin
-    accepted: list[np.ndarray] = []
-    rejects = 0
-    while len(accepted) < num_users:
+    positions = np.empty((num_users, 3))
+    placed = rejects = 0
+    while placed < num_users:
         u, v = gen.random(2)
-        cand = np.array([x0 + u * region.width, y0 + v * region.depth, z0])
-        ok = True
-        for p in accepted:
-            d = float(np.linalg.norm(cand - p))
-            if d < min_s or d > max_s:
-                ok = False
-                break
-        if ok:
-            accepted.append(cand)
+        positions[placed] = (x0 + u * region.width, y0 + v * region.depth, z0)
+        if _within_spacing(positions[:placed], positions[placed], min_s, max_s).all():
+            placed += 1
         else:
             rejects += 1
             if rejects >= _MAX_PLACEMENT_REJECTS:
@@ -346,7 +347,7 @@ def gen_trajectory_users(scene: Scene, num_users: int, spacing, rng) -> UserLayo
                     f"[{min_s}, {max_s}] m in a {region.width} x {region.depth} m "
                     f"region after {_MAX_PLACEMENT_REJECTS} rejected candidates"
                 )
-    return UserLayout(np.array(accepted), min_spacing_m=min_s, max_spacing_m=max_s)
+    return UserLayout(positions, min_spacing_m=min_s, max_spacing_m=max_s)
 
 
 def _check_spacing_feasible(region: Region, num_users: int, min_s: float) -> None:

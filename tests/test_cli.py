@@ -258,14 +258,18 @@ class TestErrors:
 
     def test_malformed_results_row_exits_2(self, tmp_path, capsys):
         results = tmp_path / "results.csv"
-        results.write_text(
-            "trial,M,N,K,rho_db,metric,value,degenerate_flag\nabc,16,4,12,0.0,svs,1.0,0\n"
-        )
         out = tmp_path / "o"
-        assert main(["cdf", str(results), "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err == f"error: {results}:2: trial must be an integer, got 'abc'\n"
-        assert not out.exists()
+        header = "trial,M,N,K,rho_db,metric,value,degenerate_flag\n"
+        for rows, message in (
+            ("abc,16,4,12,0.0,svs,1.0,0\n", "2: trial must be an integer, got 'abc'"),
+            # a degenerate row with a -inf value, which no run writes
+            ("0,8,1,2,0.0,svs,3.5,0\n1,8,1,2,0.0,svs,-inf,1\n", "3: value must not be -inf, got '-inf'"),
+        ):
+            results.write_text(header + rows)
+            assert main(["cdf", str(results), "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err == f"error: {results}:{message}\n"
+            assert not out.exists()
 
     def test_negative_oracle_seed_exits_2(self, capsys):
         assert main(["oracle", "--seed", "-1"]) == 2

@@ -170,6 +170,7 @@ class TestRowLayout:
             ("0,8,1,2,0.0,svs,x,1", "value must be a number, got 'x'"),
             ("0,8,1,2,0.0,svs,nan,0", "value must be finite when degenerate_flag is 0, got 'nan'"),
             ("0,8,1,2,0.0,svs,-inf,0", "value must be finite when degenerate_flag is 0, got '-inf'"),
+            ("0,8,1,2,0.0,svs,-inf,1", "value must not be -inf, got '-inf'"),
             ("0,8,1,2,0.0,svs,4.5,1", "repeats an earlier (trial, M, N, K, rho_db, metric)"),
         ],
     )
@@ -517,20 +518,35 @@ class TestFileSource:
 
 
 class TestFeasibilityChecks:
+    # the source has 2 APs of 8 antennas; each message names the first
+    # infeasible (M, N) and the rule prep.check_topology applies to it
     def test_too_many_aps(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(
+            ConfigError, match=r"^\(M=8, N=4\) is infeasible: requested 4 APs but the channel has 2$"
+        ):
             run_experiment(scene_config(n_values=(4,)))
+        with pytest.raises(ConfigError, match=r"^\(M=6, N=3\) is infeasible: requested 3 APs"):
+            run_experiment(scene_config(m_values=(6,), n_values=(1, 3)))
 
     def test_indivisible_m(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(
+            ConfigError, match=r"^\(M=9, N=2\) is infeasible: m_total=9 is not divisible by n_aps=2$"
+        ):
             run_experiment(scene_config(m_values=(9,), n_values=(2,)))
         # N must divide M for every (M, N) pair, not just some
-        with pytest.raises(ConfigError):
-            run_experiment(scene_config(m_values=(8, 9), n_values=(2,)))
+        for m_values, n_values in (((8, 9), (2,)), ((7,), (1, 2))):
+            m = m_values[-1]
+            with pytest.raises(ConfigError, match=rf"^\(M={m}, N=2\) is infeasible: m_total={m} is not"):
+                run_experiment(scene_config(m_values=m_values, n_values=n_values))
 
     def test_per_ap_capacity(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(
+            ConfigError,
+            match=r"^\(M=16, N=1\) is infeasible: need W=16 elements per AP but the smallest AP has 8$",
+        ):
             run_experiment(scene_config(m_values=(16,), n_values=(1,)))
+        with pytest.raises(ConfigError, match=r"^\(M=18, N=2\) is infeasible: need W=9 elements"):
+            run_experiment(scene_config(m_values=(8, 18), n_values=(2,)))
 
     def test_k_beyond_min_m(self):
         with pytest.raises(ConfigError):
