@@ -10,7 +10,6 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -26,9 +25,9 @@ from .config import (
 from .errors import ToolkitError, check_number
 from .harness import (
     aggregate_result_rows,
-    _cell_to_dict,
     read_result_rows,
     run_experiment,
+    write_cdf_tables,
 )
 from .selfcheck import DEFAULT_SEED, run_selfcheck
 from .stats import CDF_GRID_POINTS
@@ -104,8 +103,7 @@ def _cmd_cdf(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "cdf_tables.json"
-    payload = {"version": 1, "cells": [_cell_to_dict(c) for c in cells]}
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_cdf_tables(cells, path)
     print(f"wrote {path} ({len(cells)} cells)")
     return 0
 

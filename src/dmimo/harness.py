@@ -177,8 +177,17 @@ class ExperimentResult:
         }
 
     def write_aggregates(self, path) -> None:
-        text = json.dumps(self.aggregates_dict(), indent=2, sort_keys=True) + "\n"
-        Path(path).write_text(text)
+        _write_json(self.aggregates_dict(), path)
+
+
+def write_cdf_tables(cells, path) -> None:
+    """Write the cdf_tables.json of `dmimo cdf`: every cell of
+    aggregate_result_rows as aggregates.json spells it."""
+    _write_json({"version": 1, "cells": [_cell_to_dict(c) for c in cells]}, path)
+
+
+def _write_json(payload: dict, path) -> None:
+    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _cell_to_dict(cell: CellAggregate) -> dict:
@@ -510,6 +519,10 @@ def read_result_rows(path) -> tuple:
             except ValueError:
                 noun = "an integer" if kind is int else "a number"
                 raise InvalidInputError(f"{where}: {name} must be {noun}, got {field!r}") from None
+            # only write_csv's own spelling of the value: no '08', '+0.0' or 'INF'
+            written = repr(fields[-1]) if kind is float else str(fields[-1])
+            if written != field:
+                raise InvalidInputError(f"{where}: {name} must be written {written!r}, got {field!r}")
         trial, m, n, k, rho_db, metric, value, flag = fields
         if metric not in METRIC_NAMES:
             raise InvalidInputError(f"{where}: unknown metric {metric!r}")

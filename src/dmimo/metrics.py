@@ -24,6 +24,9 @@ PowerAllocation is only the typed result of the public `waterfill`.
 Both optimizers accept allocation_mode="per_tl" (independent allocation per
 slice, the default) or "joint" (one allocation shared by all slices, i.e. the
 max over p placed outside the (t, l) average). The two coincide at L = T = 1.
+Every allocation is the one water-filling closed form p_k = max(0, mu - n_k)
+of `_waterfill_rows`: per-slice ZF, each DPC best response, `waterfill`, and
+the simplex projection of the joint ascent, which water-fills -v.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ from .tensor import (
     COND_LIMIT,
     ChannelTensor,
     _as_snapshot_stack,
+    _gram,
     _zf_gains,
     singular_values,
     zf_effective_gains,
@@ -178,20 +182,14 @@ def _waterfill_rows(noise: np.ndarray, budget: float) -> tuple:
     marks a user that may not take power; every row needs one finite entry.
     Returns (p with the shape of noise, water level per row).
     """
-    rows = np.arange(noise.shape[0])
-    order = np.argsort(noise, axis=1, kind="stable")
-    sorted_noise = noise[rows[:, None], order]
     k = noise.shape[1]
+    sorted_noise = np.sort(noise, axis=1)
     levels = (budget + np.cumsum(sorted_noise, axis=1)) / np.arange(1, k + 1, dtype=float)
-    # feasible active-set sizes keep every active noise strictly under water
-    feasible = levels > sorted_noise
-    active = k - np.argmax(feasible[:, ::-1], axis=1)
-    mu = levels[rows, active - 1]
-    p = np.empty_like(noise)
-    p[rows[:, None], order] = np.where(
-        np.arange(k) < active[:, None], mu[:, None] - sorted_noise, 0.0
-    )
-    return p, mu
+    # mu is the level of the largest active set whose noisiest user lies
+    # strictly under water
+    active = k - np.argmax((levels > sorted_noise)[:, ::-1], axis=1)
+    mu = levels[np.arange(noise.shape[0]), active - 1]
+    return np.maximum(mu[:, None] - noise, 0.0), mu
 
 
 def waterfill(noise_levels, budget) -> PowerAllocation:
@@ -237,22 +235,12 @@ def _check_mode(allocation_mode: str) -> str:
     return allocation_mode
 
 
-def _project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the unit simplex {p >= 0, sum p = 1}."""
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    idx = np.arange(1, v.shape[0] + 1)
-    cond = u - css / idx > 0
-    rho = int(np.flatnonzero(cond)[-1]) + 1
-    theta = css[rho - 1] / rho
-    return np.maximum(v - theta, 0.0)
-
-
 def _ascend_on_simplex(rates_at, gradient, k, tol, max_iterations) -> CapacityResult:
     """Joint allocation by projected gradient ascent on the simplex.
 
     `rates_at(p)` gives every slice's rate under p; the objective is their
-    mean. Armijo backtracking makes it monotone.
+    mean. Armijo backtracking makes it monotone. The Euclidean projection of
+    v onto {p >= 0, sum p = 1} is water-filling of -v under unit budget.
     """
     p = np.full(k, 1.0 / k)
     rates = rates_at(p)
@@ -267,7 +255,7 @@ def _ascend_on_simplex(rates_at, gradient, k, tol, max_iterations) -> CapacityRe
         candidate = p
         cand_rates, cand_value = rates, value
         for _ in range(60):
-            candidate = _project_simplex(p + step * grad)
+            candidate = _waterfill_rows(-(p + step * grad)[None], 1.0)[0][0]
             ascent = float(grad @ (candidate - p))
             if ascent <= 0.0:
                 break
@@ -458,11 +446,6 @@ def _dpc_joint(gram: np.ndarray, c: float, tol: float, max_iterations: int) -> C
         return np.mean(c * _dpc_interference_gains(p, gram, c), axis=0) / _LN2
 
     return _ascend_on_simplex(rates_at, gradient, gram.shape[-1], tol, max_iterations)
-
-
-def _gram(h: np.ndarray) -> np.ndarray:
-    """Gram matrices H H^H of a stack of K x M matrices."""
-    return h @ h.conj().swapaxes(-1, -2)
 
 
 class SliceBatch:

@@ -194,14 +194,18 @@ def zf_effective_gains(matrix) -> np.ndarray:
     """
     m = _as_snapshot_stack(matrix)
     sv = np.linalg.svd(m, compute_uv=False)
-    gram = m @ m.conj().swapaxes(-1, -2)
-    (gains,), (faults,) = _zf_gains(sv[None], gram[None])
+    (gains,), (faults,) = _zf_gains(sv[None], _gram(m)[None])
     bad = np.flatnonzero(faults)
     if bad.size:
         first = int(bad[0])
         t, l = map(int, np.unravel_index(first, faults.shape)) if faults.ndim == 2 else (None, None)
         raise RankDeficiencyError(_ZF_FAULTS[faults.flat[first]], snapshot=t, subcarrier=l)
     return gains
+
+
+def _gram(h: np.ndarray) -> np.ndarray:
+    """Gram matrices H H^H of a stack of K x M matrices."""
+    return h @ h.conj().swapaxes(-1, -2)
 
 
 # the message of each _zf_gains fault code

@@ -264,6 +264,8 @@ class TestErrors:
             ("abc,16,4,12,0.0,svs,1.0,0\n", "2: trial must be an integer, got 'abc'"),
             # a degenerate row with a -inf value, which no run writes
             ("0,8,1,2,0.0,svs,3.5,0\n1,8,1,2,0.0,svs,-inf,1\n", "3: value must not be -inf, got '-inf'"),
+            # a value no run spells this way
+            ("0,8,1,2,0.0,svs,3.50,0\n", "2: value must be written '3.5', got '3.50'"),
         ):
             results.write_text(header + rows)
             assert main(["cdf", str(results), "--out", str(out)]) == 2

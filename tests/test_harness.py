@@ -172,6 +172,18 @@ class TestRowLayout:
             ("0,8,1,2,0.0,svs,-inf,0", "value must be finite when degenerate_flag is 0, got '-inf'"),
             ("0,8,1,2,0.0,svs,-inf,1", "value must not be -inf, got '-inf'"),
             ("0,8,1,2,0.0,svs,4.5,1", "repeats an earlier (trial, M, N, K, rho_db, metric)"),
+            # a field must be spelled as write_csv writes its value
+            ("1_0,8,1,2,0.0,svs,1.0,0", "trial must be written '10', got '1_0'"),
+            (" \u0663,8,1,2,0.0,svs,1.0,0", "trial must be written '3', got ' \u0663'"),
+            ("08,8,1,2,0.0,svs,1.0,0", "trial must be written '8', got '08'"),
+            ("1,+8,1,2,0.0,svs,1.0,0", "M must be written '8', got '+8'"),
+            ("1,8,01,2,0.0,svs,1.0,0", "N must be written '1', got '01'"),
+            ("1,8,1, 2,0.0,svs,1.0,0", "K must be written '2', got ' 2'"),
+            ("1,8,1,2,+0.0,svs,1.0,0", "rho_db must be written '0.0', got '+0.0'"),
+            ("1,8,1,2,0.00,svs,1.0,0", "rho_db must be written '0.0', got '0.00'"),
+            ("1,8,1,2,0.0,svs, 2.5 ,0", "value must be written '2.5', got ' 2.5 '"),
+            ("1,8,1,2,0.0,svs,INF,1", "value must be written 'inf', got 'INF'"),
+            ("1,8,1,2,0.0,svs,1_5,0", "value must be written '15.0', got '1_5'"),
         ],
     )
     def test_read_result_rows_rejects_bad_fields(self, tmp_path, row, message):

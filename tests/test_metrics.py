@@ -191,6 +191,17 @@ class TestWaterfill:
         alloc = waterfill([1.0, 2.0], 1.0)
         assert alloc.p.tolist() == [1.0, 0.0]
         assert alloc.water_level == 2.0
+        # a user a few ulps under the water level gets max(0, mu - n) > 0 all
+        # the same, also in a row with a user barred by +inf noise
+        noise = np.array([14.75106272916899, 14.751062729168995, 11.503206981963643])
+        budget = 3.2478557472053478
+        alloc = waterfill(noise, budget)
+        barred = np.append(noise, np.inf)
+        p, mu = _waterfill_rows(barred[None], budget)
+        for got, level, n in ((alloc.p, alloc.water_level, noise), (p[0], mu[0], barred)):
+            assert np.array_equal(got, np.maximum(level - n, 0.0))
+            assert got[0] > 0.0
+            assert got.sum() == pytest.approx(budget, rel=1e-12, abs=0.0)
 
     def test_frozen_seeded_vector(self):
         noise = np.random.default_rng(2024).uniform(0.1, 5.0, 12)
