@@ -13,6 +13,8 @@ import argparse
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .chanfile import write_channel_file
 from .config import (
     ConfigError,
@@ -90,10 +92,8 @@ def _cmd_run(args) -> int:
     agg_path = out_dir / "aggregates.json"
     result.write_csv(csv_path)
     result.write_aggregates(agg_path)
-    print(
-        f"wrote {csv_path} ({len(result.rows)} rows, "
-        f"{len(result.degenerate)} degenerate) and {agg_path}"
-    )
+    degenerate = np.count_nonzero(np.not_equal(result.reasons, None))
+    print(f"wrote {csv_path} ({result.values.size} rows, {degenerate} degenerate) and {agg_path}")
     return 0
 
 
@@ -170,7 +170,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ToolkitError as exc:
+    except (ToolkitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

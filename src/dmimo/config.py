@@ -38,6 +38,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
 import typing
 from dataclasses import dataclass
 from pathlib import Path
@@ -111,11 +112,14 @@ class SceneSource:
 
 @dataclass(frozen=True)
 class FileSource:
-    """Channel-file source: tensors load from `path` once per run."""
+    """Channel-file source: tensors load from `path` (a str or os.PathLike,
+    kept as its str) once per run."""
 
     path: str
 
     def __post_init__(self):
+        if not isinstance(self.path, (str, os.PathLike)):
+            raise ConfigError(f"path must be a string, got {self.path!r}")
         if not str(self.path):
             raise ConfigError("path must be a non-empty path")
         object.__setattr__(self, "path", str(self.path))

@@ -31,9 +31,10 @@ at the number of chunks; W = 1 runs every chunk in-process.
 Results live in one dense grid with axes (M, N, rho, K, trial, metric), in
 config order (metrics in canonical order): a value per slot, and a reason in
 each degenerate slot. Each chunk's (M, N, rho, trial, metric) results are
-copied into its own (K index, trial) slots, and the rows are the grid read in
-C order, which is also their serialization order. Aggregates (mean, median,
-512-point CDF) skip degenerate trials and report them separately.
+copied into its own (K index, trial) slots. ExperimentResult is that grid,
+written to CSV in C order; its rows, degenerate records and cells are views.
+One aggregator turns a grid into cells (mean, median, 512-point CDF; it skips
+degenerate trials and counts them), for a run and for rows read back.
 """
 
 from __future__ import annotations
@@ -45,7 +46,8 @@ import pickle
 import signal
 import traceback
 from dataclasses import asdict, dataclass
-from itertools import product
+from functools import cached_property
+from itertools import product, zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -149,20 +151,50 @@ class CellAggregate:
     cdf: object
 
 
-@dataclass(frozen=True)
+def _axes(cfg: ExperimentConfig) -> tuple:
+    """The (M, N, rho, K, trial, metric) axes of cfg's result grid."""
+    return (
+        cfg.m_values, cfg.n_values, cfg.rho_db_values, cfg.k_values, range(cfg.trials), cfg.metrics
+    )
+
+
+@dataclass(frozen=True, eq=False)
 class ExperimentResult:
+    """One run's read-only grid over _axes(config): a value per slot, and the
+    reason of each degenerate slot (None elsewhere). rows, degenerate and cells
+    are views of the grid in C order, built on first use."""
+
     config: ExperimentConfig
-    rows: tuple
-    cells: tuple
-    degenerate: tuple
+    values: np.ndarray
+    reasons: np.ndarray
+
+    def _slots(self):
+        grids = self.values.ravel().tolist(), self.reasons.ravel().tolist()
+        return zip(product(*_axes(self.config)), *grids)
+
+    @cached_property
+    def rows(self) -> tuple:
+        return tuple(
+            ResultRow(trial, m, n, k, rho_db, metric, value, reason is not None)
+            for (m, n, rho_db, k, trial, metric), value, reason in self._slots()
+        )
+
+    @cached_property
+    def degenerate(self) -> tuple:
+        return tuple(
+            DegenerateRecord(trial, m, n, k, rho_db, metric, reason)
+            for (m, n, rho_db, k, trial, metric), _, reason in self._slots() if reason is not None
+        )
+
+    @cached_property
+    def cells(self) -> tuple:
+        return _aggregate(_axes(self.config), self.values, np.not_equal(self.reasons, None))
 
     def to_csv_text(self) -> str:
         lines = [",".join(RESULT_COLUMNS)]
-        for r in self.rows:
-            lines.append(
-                f"{r.trial},{r.m},{r.n},{r.k},{r.rho_db!r},{r.metric},"
-                f"{r.value!r},{1 if r.degenerate else 0}"
-            )
+        for (m, n, rho_db, k, trial, metric), value, reason in self._slots():
+            flag = int(reason is not None)
+            lines.append(f"{trial},{m},{n},{k},{rho_db!r},{metric},{value!r},{flag}")
         return "\n".join(lines) + "\n"
 
     def write_csv(self, path) -> None:
@@ -270,13 +302,7 @@ def _chunk_worker(cfg: ExperimentConfig, file_tensor, blocks: dict, k_idx: int, 
     """(values, reasons) of one chunk of trials, both of shape
     (M, N, rho, trial, metric): a value per slot, and a reason in each
     degenerate one."""
-    shape = (
-        len(cfg.m_values),
-        len(cfg.n_values),
-        len(cfg.rho_db_values),
-        len(trials),
-        len(cfg.metrics),
-    )
+    shape = tuple(len(axis) for axis in _axes(cfg)[:3]) + (len(trials), len(cfg.metrics))
     values = np.full(shape, math.nan)
     reasons = np.full(shape, None, dtype=object)  # a reason marks a degenerate row
     drawn = []  # chunk positions of the trials with a normalized tensor
@@ -387,49 +413,49 @@ def _run_chunks(run_share, workers: int) -> list:
             os.waitpid(pid, 0)
 
 
-def aggregate_result_rows(rows, grid_points: int = CDF_GRID_POINTS) -> tuple:
-    """Group rows into per-cell statistics, in order of each cell's first row.
+def _aggregate(axes, values, degenerate, grid_points: int = CDF_GRID_POINTS) -> tuple:
+    """The cells of a (M, N, rho, K, trial, metric) value grid and its degenerate
+    mask, in C order. Means and medians cover valid trials only. The CDF also
+    carries saturated (+inf) degenerate values as tail mass; degenerate values
+    without a usable value (NaN) are only counted."""
+    per_cell = [np.moveaxis(grid, 4, 5).reshape(-1, grid.shape[4]) for grid in (values, degenerate)]
+    cells = []
+    for (m, n, rho_db, k, metric), entries, flags in zip(product(*axes[:4], axes[5]), *per_cell):
+        valid = entries[~flags]
+        saturated = entries[flags & np.isinf(entries)]
+        mean = float(np.mean(valid)) if valid.size else None
+        median = float(np.median(valid)) if valid.size else None
+        try:
+            cdf = compute_cdf(np.concatenate([valid, saturated]), grid_points)
+        except EmptySampleError:
+            cdf = None
+        counts = entries.size, valid.size, entries.size - valid.size  # trials, valid, degenerate
+        cells.append(CellAggregate(m, n, k, rho_db, metric, *counts, mean, median, cdf))
+    return tuple(cells)
 
-    Means and medians cover valid (non-degenerate) trials only. The CDF also
-    carries saturated (+inf) degenerate values as tail mass; degenerate rows
-    without a usable value (NaN) are only counted. A grid_points that is not
-    an integer >= 1 raises ConfigError; a valid row whose value is NaN or
-    -inf, or a degenerate -inf row, raises InvalidInputError.
+
+def aggregate_result_rows(rows, grid_points: int = CDF_GRID_POINTS) -> tuple:
+    """The cells of rows in write_csv's order, aggregated as ExperimentResult.cells.
+
+    The rows must fill one (M, N, rho, K, trial, metric) grid in C order, each
+    axis's values in order of first appearance, or the first row out of place
+    raises InvalidInputError, as does a valid NaN or -inf value or a degenerate
+    -inf one. A grid_points that is not an integer >= 1 raises ConfigError.
     """
     grid_points = check_number(grid_points, "grid_points", int, ConfigError)
     if grid_points < 1:
         raise ConfigError(f"grid_points must be >= 1, got {grid_points}")
-    groups: dict = {}
-    for r in rows:
-        groups.setdefault((r.m, r.n, r.k, r.rho_db, r.metric), []).append(r)
-    cells = []
-    for (m, n, k, rho_db, metric), entries in groups.items():
-        valid = [r.value for r in entries if not r.degenerate]
-        saturated = [
-            r.value for r in entries if r.degenerate and math.isinf(r.value)
-        ]
-        mean = float(np.mean(valid)) if valid else None
-        median = float(np.median(valid)) if valid else None
-        try:
-            cdf = compute_cdf(valid + saturated, grid_points)
-        except EmptySampleError:
-            cdf = None
-        cells.append(
-            CellAggregate(
-                m=m,
-                n=n,
-                k=k,
-                rho_db=rho_db,
-                metric=metric,
-                num_trials=len(entries),
-                num_valid=len(valid),
-                num_degenerate=len(entries) - len(valid),
-                mean=mean,
-                median=median,
-                cdf=cdf,
-            )
-        )
-    return tuple(cells)
+    rows = tuple(rows)
+    if not rows:
+        return ()
+    slots = [(r.m, r.n, r.rho_db, r.k, r.trial, r.metric) for r in rows]
+    axes = [tuple(dict.fromkeys(axis)) for axis in zip(*slots)]
+    for index, (slot, expected) in enumerate(zip_longest(slots, product(*axes))):
+        if slot != expected:
+            problem = f"({rows[index]}) is out of write_csv's order" if slot else "is missing"
+            raise InvalidInputError(f"result row {index + 1} {problem}")
+    grid = np.array([(r.value, r.degenerate) for r in rows]).reshape(*map(len, axes), 2)
+    return _aggregate(axes, grid[..., 0], grid[..., 1] == 1, grid_points)
 
 
 def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> ExperimentResult:
@@ -440,9 +466,9 @@ def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> Experim
     are forked. `workers` defaults to the CPUs this process may run on and
     is capped at the number of chunks; 1 runs every chunk here. Each chunk's
     values and degenerate reasons are copied into its own (K, trial) slots of
-    one dense (M, N, rho, K, trial, metric) grid, and the rows are read off
-    that grid in C order. Results are identical for any `workers` because
-    each trial owns pre-assigned random streams and grid slots.
+    one dense (M, N, rho, K, trial, metric) grid, which the result holds.
+    Results are identical for any `workers` because each trial owns
+    pre-assigned random streams and grid slots.
     """
     if not isinstance(cfg, ExperimentConfig):
         raise ConfigError("run_experiment expects an ExperimentConfig")
@@ -456,15 +482,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> Experim
     blocks = ap_columns(ap_map)
     _validate_feasibility(cfg, blocks, None if file_tensor is None else file_tensor.num_users)
 
-    axes = (
-        cfg.m_values,
-        cfg.n_values,
-        cfg.rho_db_values,
-        cfg.k_values,
-        range(cfg.trials),
-        cfg.metrics,
-    )
-    shape = tuple(len(axis) for axis in axes)
+    shape = tuple(len(axis) for axis in _axes(cfg))
     values = np.full(shape, math.nan)
     reasons = np.full(shape, None, dtype=object)  # a reason marks a degenerate row
 
@@ -479,17 +497,9 @@ def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> Experim
             slots = (slice(None),) * 3 + (k_idx, slice(trials.start, trials.stop))
             values[slots], reasons[slots] = chunk_values, chunk_reasons
 
-    rows = []
-    degenerate = []
-    for (m, n, rho_db, k, trial, metric), value, reason in zip(
-        product(*axes), values.ravel().tolist(), reasons.ravel().tolist()
-    ):
-        rows.append(ResultRow(trial, m, n, k, rho_db, metric, value, reason is not None))
-        if reason is not None:
-            degenerate.append(DegenerateRecord(trial, m, n, k, rho_db, metric, reason))
-    rows, degenerate = tuple(rows), tuple(degenerate)
-    cells = aggregate_result_rows(rows)
-    return ExperimentResult(config=cfg, rows=rows, cells=cells, degenerate=degenerate)
+    for grid in (values, reasons):
+        grid.setflags(write=False)
+    return ExperimentResult(config=cfg, values=values, reasons=reasons)
 
 
 def read_result_rows(path) -> tuple:

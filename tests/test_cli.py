@@ -1,5 +1,6 @@
 """End-to-end command-line pipeline: synth -> run -> cdf, plus oracle."""
 
+import errno
 import json
 
 import pytest
@@ -49,6 +50,22 @@ def write_run_config(tmp_path, channel_path):
         )
     )
     return path
+
+
+def synth_and_run(tmp_path):
+    """(synth config, run config, results.csv) of a synth -> run pipeline."""
+    synth_cfg = write_synth_config(tmp_path)
+    assert main(["synth", "--config", str(synth_cfg), "--out", str(tmp_path / "channels")]) == 0
+    run_cfg = write_run_config(tmp_path, tmp_path / "channels" / "channel.dmct")
+    assert main(["run", "--config", str(run_cfg), "--out", str(tmp_path / "results")]) == 0
+    return synth_cfg, run_cfg, tmp_path / "results" / "results.csv"
+
+
+def one_error_line(capsys) -> str:
+    """The stderr of a command that failed with one `error:` line and no traceback."""
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
 
 
 class TestPipeline:
@@ -272,6 +289,46 @@ class TestErrors:
             err = capsys.readouterr().err
             assert err == f"error: {results}:{message}\n"
             assert not out.exists()
+
+    def test_cdf_on_a_csv_missing_a_line_exits_2(self, tmp_path, capsys):
+        *_, results = synth_and_run(tmp_path)
+        lines = results.read_text().splitlines(keepends=True)
+        del lines[5]  # row 5 of 24: the svs row of trial 1
+        results.write_text("".join(lines))
+        capsys.readouterr()
+        out = tmp_path / "cdfs"
+        assert main(["cdf", str(results), "--out", str(out)]) == 2
+        err = one_error_line(capsys)
+        assert err.startswith("error: result row 5 (ResultRow(trial=1, m=8, n=2, k=2, rho_db=0.0, metric='dpc'")
+        assert err.endswith(") is out of write_csv's order\n")
+        assert not (out / "cdf_tables.json").exists()
+
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_unreadable_channel_file_exits_2(self, tmp_path, capsys, kind):
+        channel = tmp_path / "channel.dmct"
+        if kind == "directory":
+            channel.mkdir()
+        run_cfg = write_run_config(tmp_path, channel)
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(run_cfg), "--out", str(out)]) == 2
+        code = errno.ENOENT if kind == "missing" else errno.EISDIR
+        assert one_error_line(capsys).startswith(f"error: [Errno {code}] ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["synth", "run", "cdf"])
+    def test_out_naming_a_file_exits_2(self, tmp_path, capsys, command):
+        synth_cfg, run_cfg, results = synth_and_run(tmp_path)
+        capsys.readouterr()
+        taken = tmp_path / "taken"
+        taken.write_text("a file\n")
+        args = {
+            "synth": ["synth", "--config", str(synth_cfg)],
+            "run": ["run", "--config", str(run_cfg)],
+            "cdf": ["cdf", str(results)],
+        }[command]
+        assert main(args + ["--out", str(taken)]) == 2
+        assert one_error_line(capsys) == f"error: [Errno {errno.EEXIST}] File exists: '{taken}'\n"
+        assert taken.read_text() == "a file\n"
 
     def test_negative_oracle_seed_exits_2(self, capsys):
         assert main(["oracle", "--seed", "-1"]) == 2

@@ -128,6 +128,15 @@ class TestValidation:
         with pytest.raises(ConfigError):
             config_from_dict(base_dict(source={"type": "file", "path": ""}))
 
+    def test_file_source_path_must_be_a_path(self, tmp_path):
+        # str() would turn these into the file names 'None' and "b'x'"
+        with pytest.raises(ConfigError, match=r"^source\.path must be a string, got None$"):
+            config_from_dict(base_dict(source={"type": "file", "path": None}))
+        for path in (b"x", 3):
+            with pytest.raises(ConfigError, match=rf"^path must be a string, got {path!r}$"):
+                FileSource(path=path)
+        assert FileSource(path=tmp_path / "ch.dmct").path == str(tmp_path / "ch.dmct")
+
     def test_bad_sweeps(self):
         for patch in (
             {"m_values": []},

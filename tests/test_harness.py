@@ -25,7 +25,7 @@ from dmimo import (
     write_channel_file,
     RngHandle,
 )
-from dmimo import harness, synth
+from dmimo import cli, harness, synth
 from dmimo.harness import RESULT_COLUMNS, ResultRow, _stream_id
 
 
@@ -58,6 +58,25 @@ def scene_config(**overrides):
     )
     fields.update(overrides)
     return ExperimentConfig(**fields)
+
+
+def mixed_file_config(tmp_path):
+    """Three of six file users per trial, where user 4 copies user 1 (a trial
+    holding both saturates its spread and fails ZF) and user 5 is all zero (a
+    trial holding it cannot be normalized); the other trials are valid."""
+    data = gen_iid_rayleigh((1, 1, 6, 8), RngHandle(94, 0)).data.copy()
+    data[0, 0, 4] = data[0, 0, 1]
+    data[0, 0, 5] = 0.0
+    return file_config(
+        tmp_path,
+        data,
+        np.repeat([0, 1], 4),
+        m_values=(8, 4),
+        rho_db_values=(0.0, 10.0),
+        k_values=(3,),
+        trials=12,
+        seed=3,
+    )
 
 
 def file_config(tmp_path, data, ap_map, **overrides):
@@ -215,6 +234,69 @@ class TestRowLayout:
             ResultRow(0, 8, 1, 2, 0.0, "svs", math.inf, True),
             ResultRow(1, 8, 1, 2, 15.0, "fairness", 2.0, False),
         )
+
+
+class TestResultGrid:
+    """ExperimentResult is the run's grid; rows, records and cells are views of it."""
+
+    def test_run_and_writes_build_no_rows(self, tmp_path, monkeypatch):
+        cfg = mixed_file_config(tmp_path)
+        outputs = {}
+        for name in ("unpatched", "stubbed"):
+            if name == "stubbed":
+
+                def no_rows(*args):
+                    raise AssertionError("a ResultRow was built")
+
+                monkeypatch.setattr(harness, "ResultRow", no_rows)
+            result = run_experiment(cfg)
+            result.write_csv(tmp_path / f"{name}.csv")
+            result.write_aggregates(tmp_path / f"{name}.json")
+            outputs[name] = [(tmp_path / f"{name}.{ext}").read_bytes() for ext in ("csv", "json")]
+        assert outputs["stubbed"] == outputs["unpatched"]
+        assert b",1\n" in outputs["stubbed"][0]  # degenerate rows went through the grid too
+
+    def test_values_and_reasons_are_read_only(self):
+        result = run_experiment(scene_config(trials=2))
+        shape = (2, 2, 2, 1, 2, 4)  # M, N, rho, K, trial, metric
+        for grid in (result.values, result.reasons):
+            assert grid.shape == shape
+            with pytest.raises(ValueError, match="read-only"):
+                grid[0, 0, 0, 0, 0, 0] = 1.0
+
+    def test_cdf_of_the_csv_gives_the_run_cells(self, tmp_path, capsys):
+        result = run_experiment(mixed_file_config(tmp_path))
+        # cells with saturated tail mass, and cells with NaN rows only counted
+        assert any(c.cdf is not None and c.cdf.num_saturated for c in result.cells)
+        assert any(c.num_degenerate > (c.cdf.num_saturated if c.cdf else 0) for c in result.cells)
+        result.write_csv(tmp_path / "results.csv")
+        assert cli.main(["cdf", str(tmp_path / "results.csv"), "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        tables = json.loads((tmp_path / "cdf_tables.json").read_text())
+        assert tables["cells"] == json.loads(json.dumps(result.aggregates_dict()))["cells"]
+
+    @staticmethod
+    def rejection(rows) -> str:
+        with pytest.raises(InvalidInputError) as info:
+            aggregate_result_rows(rows)
+        return str(info.value)
+
+    def test_rows_must_fill_the_grid_in_write_csv_order(self):
+        rows = list(run_experiment(scene_config(trials=3)).rows)
+        assert len(aggregate_result_rows(rows)) == 2 * 2 * 2 * 4
+        last = len(rows)
+
+        def misplaced(number, row):
+            return f"result row {number} ({row}) is out of write_csv's order"
+
+        # row 6 missing mid-grid, then the last row missing
+        assert self.rejection(rows[:5] + rows[6:]) == misplaced(6, rows[6])
+        assert self.rejection(rows[:-1]) == f"result row {last} is missing"
+        # row 6 repeated next to itself, then row 1 repeated at the end
+        assert self.rejection(rows[:6] + rows[5:]) == misplaced(7, rows[5])
+        assert self.rejection(rows + rows[:1]) == misplaced(last + 1, rows[0])
+        # rows 4 and 5 swapped
+        assert self.rejection(rows[:3] + [rows[4], rows[3]] + rows[5:]) == misplaced(4, rows[4])
 
 
 class TestAggregates:
