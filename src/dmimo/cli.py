@@ -10,7 +10,9 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import shutil
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +52,21 @@ def _check_synth_keys(obj) -> None:
     )
 
 
+@contextmanager
+def _output_dir(path):
+    """Make the --out directory `path` before the work that fills it, so an
+    unusable one fails first; if the work then fails, remove what this made."""
+    out_dir = Path(path)
+    made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
+    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        yield out_dir
+    except BaseException:
+        if made:
+            shutil.rmtree(made[-1], ignore_errors=True)
+        raise
+
+
 def _cmd_synth(args) -> int:
     obj = read_json(args.config)
     _check_synth_keys(obj)
@@ -63,12 +80,11 @@ def _cmd_synth(args) -> int:
         for key in ("min_spacing_m", "max_spacing_m")
     )
     num_users = check_number(obj["num_users"], "synth config 'num_users'", int)
-    users = gen_trajectory_users(scene, num_users, spacing, RngHandle(seed, 0))
-    tensor = gen_geometric(scene, users, RngHandle(seed, 1))
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "channel.dmct"
-    write_channel_file(tensor, path)
+    with _output_dir(args.out) as out_dir:
+        users = gen_trajectory_users(scene, num_users, spacing, RngHandle(seed, 0))
+        tensor = gen_geometric(scene, users, RngHandle(seed, 1))
+        path = out_dir / "channel.dmct"
+        write_channel_file(tensor, path)
     t, l, k, m = tensor.dims
     print(f"wrote {path} (T={t}, L={l}, K={k}, M={m}, {tensor.num_aps} APs)")
     return 0
@@ -85,13 +101,12 @@ def _cmd_run(args) -> int:
         overrides["allocation_mode"] = args.allocation_mode.replace("-", "_")
     if overrides:
         cfg = cfg.replace(**overrides)
-    result = run_experiment(cfg, workers=args.workers)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / "results.csv"
-    agg_path = out_dir / "aggregates.json"
-    result.write_csv(csv_path)
-    result.write_aggregates(agg_path)
+    with _output_dir(args.out) as out_dir:
+        result = run_experiment(cfg, workers=args.workers)
+        csv_path = out_dir / "results.csv"
+        agg_path = out_dir / "aggregates.json"
+        result.write_csv(csv_path)
+        result.write_aggregates(agg_path)
     degenerate = np.count_nonzero(np.not_equal(result.reasons, None))
     print(f"wrote {csv_path} ({result.values.size} rows, {degenerate} degenerate) and {agg_path}")
     return 0

@@ -203,16 +203,11 @@ def scene_from_dict(obj) -> Scene:
     if isinstance(obj, str):
         try:
             return default_scene(obj)
-        except Exception as exc:
+        except InvalidInputError as exc:
             raise ConfigError(f"unknown scene tag {obj!r}") from exc
     if not isinstance(obj, dict):
         raise ConfigError("scene must be a tag string or an object")
-    try:
-        return _from_dict(Scene, obj, "scene")
-    except ConfigError:
-        raise
-    except Exception as exc:
-        raise ConfigError(f"invalid scene: {exc}") from exc
+    return _from_dict(Scene, obj, "scene")
 
 
 def scene_to_dict(scene: Scene) -> dict:

@@ -23,10 +23,10 @@ for a fixed seed the output bytes do not depend on the chunk cap or on how
 many worker processes execute the chunks.
 
 Chunk i runs in worker i mod W. Worker 0 is the calling process; the other
-W - 1 are forked, so they inherit the config, the channel-file tensor and
-the AP blocks without pickling, and each sends back only its chunks'
-results. By default W is the number of CPUs the process may run on, capped
-at the number of chunks; W = 1 runs every chunk in-process.
+W - 1 are forked, so they inherit the config, the trial source and the AP
+blocks without pickling, and each sends back only its chunks' results. By
+default W is the number of CPUs the process may run on, capped at the
+number of chunks; W = 1 runs every chunk in-process.
 
 Results live in one dense grid with axes (M, N, rho, K, trial, metric), in
 config order (metrics in canonical order): a value per slot, and a reason in
@@ -56,7 +56,6 @@ from .chanfile import read_channel_file
 from .config import (
     METRIC_NAMES,
     ExperimentConfig,
-    FileSource,
     SceneSource,
     config_to_dict,
 )
@@ -229,25 +228,51 @@ def _cell_to_dict(cell: CellAggregate) -> dict:
     return out
 
 
-def _source_inventory(cfg: ExperimentConfig):
-    """(antenna -> AP map, (T, L) of every drawn tensor, file tensor or None)."""
+def _trial_source(cfg: ExperimentConfig) -> tuple:
+    """(AP blocks, T*L*M_total entries per user, draw) of cfg's source, read
+    once, after checking that every sweep cell is feasible on it.
+    draw(k_idx, trial) is the trial's full-size ChannelTensor: a scene's users
+    and channel, or K of the channel file's users in file order, drawn from
+    the trial's own streams."""
     if isinstance(cfg.source, SceneSource):
-        scene = cfg.source.scene
-        return scene.antenna_ap_map(), (scene.num_snapshots, scene.num_subcarriers), None
-    tensor = read_channel_file(cfg.source.path)
-    return tensor.antenna_ap_map, tensor.dims[:2], tensor
+        src = cfg.source
+        ap_map, available = src.scene.antenna_ap_map(), math.inf  # a scene places any K
+        slices = src.scene.num_snapshots * src.scene.num_subcarriers
 
+        def draw(k_idx: int, trial: int) -> ChannelTensor:
+            users = gen_trajectory_users(
+                src.scene,
+                cfg.k_values[k_idx],
+                (src.min_spacing_m, src.max_spacing_m),
+                RngHandle(cfg.seed, _stream_id(_STREAM_USERS, k_idx, trial)),
+            )
+            return gen_geometric(
+                src.scene, users, RngHandle(cfg.seed, _stream_id(_STREAM_CHANNEL, k_idx, trial))
+            )
+    else:
+        tensor = read_channel_file(cfg.source.path)
+        ap_map, available = tensor.antenna_ap_map, tensor.num_users
+        slices = tensor.num_snapshots * tensor.num_subcarriers
 
-def _validate_feasibility(cfg: ExperimentConfig, blocks: dict, k_file):
+        def draw(k_idx: int, trial: int) -> ChannelTensor:
+            gen = RngHandle(cfg.seed, _stream_id(_STREAM_USERS, k_idx, trial)).generator()
+            chosen = np.sort(gen.choice(available, size=cfg.k_values[k_idx], replace=False))
+            # take, unlike data[:, :, chosen], returns an owned C-order array the
+            # tensor can adopt without a second copy
+            data = np.take(tensor.data, chosen, axis=2)
+            data.setflags(write=False)
+            return ChannelTensor(data, ap_map)
+
+    blocks = ap_columns(ap_map)
     for m, n in product(cfg.m_values, cfg.n_values):
         try:
             check_topology(blocks, m, n)
         except TopologyError as exc:
             raise ConfigError(f"(M={m}, N={n}) is infeasible: {exc}") from None
-    if k_file is not None and max(cfg.k_values) > k_file:
+    if max(cfg.k_values) > available:
         raise ConfigError(
             f"sweeps.k_values: K={max(cfg.k_values)} exceeds the channel file's "
-            f"{k_file} users"
+            f"{available} users"
         )
     needs_tall = [name for name in ("svs", "zf", "fairness") if name in cfg.metrics]
     if needs_tall and max(cfg.k_values) > min(cfg.m_values):
@@ -255,32 +280,7 @@ def _validate_feasibility(cfg: ExperimentConfig, blocks: dict, k_file):
             f"metrics {needs_tall} need K <= M; sweep has "
             f"K={max(cfg.k_values)} > M={min(cfg.m_values)}"
         )
-
-
-def _draw_full_tensor(cfg: ExperimentConfig, file_tensor, k_idx: int, trial: int):
-    k = cfg.k_values[k_idx]
-    if isinstance(cfg.source, SceneSource):
-        src = cfg.source
-        users = gen_trajectory_users(
-            src.scene,
-            k,
-            (src.min_spacing_m, src.max_spacing_m),
-            RngHandle(cfg.seed, _stream_id(_STREAM_USERS, k_idx, trial)),
-        )
-        return gen_geometric(
-            src.scene,
-            users,
-            RngHandle(cfg.seed, _stream_id(_STREAM_CHANNEL, k_idx, trial)),
-        )
-    if k == file_tensor.num_users:
-        return file_tensor
-    gen = RngHandle(cfg.seed, _stream_id(_STREAM_USERS, k_idx, trial)).generator()
-    chosen = np.sort(gen.choice(file_tensor.num_users, size=k, replace=False))
-    # take, unlike data[:, :, chosen], returns an owned C-order array the
-    # tensor can adopt without a second copy
-    data = np.take(file_tensor.data, chosen, axis=2)
-    data.setflags(write=False)
-    return ChannelTensor(data, file_tensor.antenna_ap_map)
+    return blocks, slices * len(ap_map), draw
 
 
 def _chunks(cfg: ExperimentConfig, entries_per_user: int) -> list:
@@ -298,10 +298,10 @@ def _chunks(cfg: ExperimentConfig, entries_per_user: int) -> list:
     return out
 
 
-def _chunk_worker(cfg: ExperimentConfig, file_tensor, blocks: dict, k_idx: int, trials) -> tuple:
-    """(values, reasons) of one chunk of trials, both of shape
-    (M, N, rho, trial, metric): a value per slot, and a reason in each
-    degenerate one."""
+def _chunk_worker(cfg: ExperimentConfig, draw, blocks: dict, k_idx: int, trials) -> tuple:
+    """(values, reasons) of one chunk of trials, each drawn by draw(k_idx,
+    trial), both of shape (M, N, rho, trial, metric): a value per slot, and a
+    reason in each degenerate one."""
     shape = tuple(len(axis) for axis in _axes(cfg)[:3]) + (len(trials), len(cfg.metrics))
     values = np.full(shape, math.nan)
     reasons = np.full(shape, None, dtype=object)  # a reason marks a degenerate row
@@ -309,7 +309,7 @@ def _chunk_worker(cfg: ExperimentConfig, file_tensor, blocks: dict, k_idx: int, 
     tensors = []  # their normalized (T, L, K, M) data
     for pos, trial in enumerate(trials):
         try:
-            norm = normalize(_draw_full_tensor(cfg, file_tensor, k_idx, trial))
+            norm = normalize(draw(k_idx, trial))
         except (DegenerateUserError, InfeasibleLayoutError) as exc:
             reasons[:, :, :, pos, :] = str(exc)
             continue
@@ -478,19 +478,17 @@ def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> Experim
     if workers < 1:
         raise ConfigError("workers must be >= 1")
 
-    ap_map, grid, file_tensor = _source_inventory(cfg)
-    blocks = ap_columns(ap_map)
-    _validate_feasibility(cfg, blocks, None if file_tensor is None else file_tensor.num_users)
+    blocks, entries_per_user, draw = _trial_source(cfg)
 
     shape = tuple(len(axis) for axis in _axes(cfg))
     values = np.full(shape, math.nan)
     reasons = np.full(shape, None, dtype=object)  # a reason marks a degenerate row
 
-    chunks = _chunks(cfg, grid[0] * grid[1] * len(ap_map))
+    chunks = _chunks(cfg, entries_per_user)
     workers = min(workers, len(chunks))
 
     def run_share(index):
-        return [_chunk_worker(cfg, file_tensor, blocks, *chunk) for chunk in chunks[index::workers]]
+        return [_chunk_worker(cfg, draw, blocks, *chunk) for chunk in chunks[index::workers]]
 
     for index, share in enumerate(_run_chunks(run_share, workers)):
         for (k_idx, trials), (chunk_values, chunk_reasons) in zip(chunks[index::workers], share):

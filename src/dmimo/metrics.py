@@ -23,7 +23,8 @@ PowerAllocation is only the typed result of the public `waterfill`.
 
 Both optimizers accept allocation_mode="per_tl" (independent allocation per
 slice, the default) or "joint" (one allocation shared by all slices, i.e. the
-max over p placed outside the (t, l) average). The two coincide at L = T = 1.
+max over p placed outside the (t, l) average). At L = T = 1 the two agree
+to within the optimizers' tolerances.
 Every allocation is the one water-filling closed form p_k = max(0, mu - n_k)
 of `_waterfill_rows`: per-slice ZF, each DPC best response, `waterfill`, and
 the simplex projection of the joint ascent, which water-fills -v.
@@ -180,8 +181,22 @@ def _waterfill_rows(noise: np.ndarray, budget: float) -> tuple:
 
     Sort-based closed form per row: p_k = max(0, mu - n_k). A +inf noise
     marks a user that may not take power; every row needs one finite entry.
-    Returns (p with the shape of noise, water level per row).
+    A row whose powers miss the budget by more than 1e-12 of it (the budget
+    lies within a few float spacings of the noise, so budget + n rounds it
+    away) is solved again on its noise less its quietest noise, where the
+    budget is exact. Returns (p with the shape of noise, water level per row).
     """
+    p, mu = _water_levels(noise, budget)
+    missed = np.abs(p.sum(axis=1) - budget) > 1e-12 * budget
+    if missed.any():
+        floor = np.min(noise[missed], axis=1)
+        p[missed], mu[missed] = _water_levels(noise[missed] - floor[:, None], budget)
+        mu[missed] += floor
+    return p, mu
+
+
+def _water_levels(noise: np.ndarray, budget: float) -> tuple:
+    """The closed form of _waterfill_rows, exact while budget + n keeps the budget."""
     k = noise.shape[1]
     sorted_noise = np.sort(noise, axis=1)
     levels = (budget + np.cumsum(sorted_noise, axis=1)) / np.arange(1, k + 1, dtype=float)

@@ -13,6 +13,7 @@ layout the generator accepts passes UserLayout.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -122,6 +123,11 @@ class Scene:
             raise InvalidInputError("ap_positions must hold at least one access point")
         if any(len(p) != 3 or not all(math.isfinite(c) for c in p) for p in self.ap_positions):
             raise InvalidInputError("ap_positions must be finite (x, y, z) triples")
+        if not isinstance(self.condition_per_ap, Iterable):
+            raise InvalidInputError(
+                "condition_per_ap must be a sequence of 'los'/'nlos' tags, "
+                f"got {self.condition_per_ap!r}"
+            )
         conditions = tuple(str(c).lower() for c in self.condition_per_ap)
         if len(conditions) != len(self.ap_positions):
             raise InvalidInputError("condition_per_ap must give one tag per access point")

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from dmimo import read_channel_file, read_result_rows
+from dmimo import cli, read_channel_file, read_result_rows
 from dmimo.cli import main
 
 
@@ -217,6 +217,7 @@ class TestErrors:
             (("ap_positions", 0, 0), "0", "scene.ap_positions[0][0]"),
             (("region", "origin", 2), True, "scene.region.origin[2]"),
             (("region", "width"), "3", "scene.region.width"),
+            (("condition_per_ap",), 5, "scene.condition_per_ap"),
         ],
     )
     def test_malformed_scene_field_exits_2(self, tmp_path, capsys, command, path, value, field):
@@ -257,9 +258,17 @@ class TestErrors:
         cfg["sweeps"]["n_values"] = [3]
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(cfg))
-        code = main(["run", "--config", str(bad), "--out", str(tmp_path / "o")])
+        # a failed run removes the --out directories it made, and only those
+        code = main(["run", "--config", str(bad), "--out", str(tmp_path / "o" / "deep")])
         assert code == 2
-        capsys.readouterr()
+        assert not (tmp_path / "o").exists()
+        kept = tmp_path / "kept"
+        kept.mkdir()
+        (kept / "notes.txt").write_text("mine\n")
+        assert main(["run", "--config", str(bad), "--out", str(kept / "new")]) == 2
+        assert main(["run", "--config", str(bad), "--out", str(kept)]) == 2
+        assert [p.name for p in kept.iterdir()] == ["notes.txt"]
+        assert "(M=8, N=3) is infeasible" in capsys.readouterr().err
 
     @pytest.mark.parametrize("grid_points", ["0", "-3"])
     def test_bad_grid_points_exits_2(self, tmp_path, capsys, grid_points):
@@ -316,9 +325,16 @@ class TestErrors:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["synth", "run", "cdf"])
-    def test_out_naming_a_file_exits_2(self, tmp_path, capsys, command):
+    def test_out_naming_a_file_exits_2(self, tmp_path, capsys, monkeypatch, command):
         synth_cfg, run_cfg, results = synth_and_run(tmp_path)
         capsys.readouterr()
+
+        def work(*args, **kwargs):
+            raise AssertionError("the work ran before --out was made")
+
+        # an unusable --out fails before any work runs
+        monkeypatch.setattr(cli, "run_experiment", work)
+        monkeypatch.setattr(cli, "gen_geometric", work)
         taken = tmp_path / "taken"
         taken.write_text("a file\n")
         args = {

@@ -14,7 +14,10 @@ from dmimo import (
     config_to_dict,
     default_scene,
     load_config,
+    scene_from_dict,
+    scene_to_dict,
 )
+from dmimo.config import source_to_dict
 
 
 def base_dict(**overrides):
@@ -94,12 +97,19 @@ class TestParsing:
         d1 = config_to_dict(cfg)
         d2 = config_to_dict(config_from_dict(d1))
         assert d1 == d2
+        for tag in ("los", "nlos", "mixed"):
+            scene = default_scene(tag)
+            assert scene_from_dict(scene_to_dict(scene)) == scene
 
 
 class TestValidation:
     def test_unknown_and_missing_keys(self):
         with pytest.raises(ConfigError):
             config_from_dict(base_dict(extra=1))
+        with pytest.raises(ConfigError, match="^config must be an object$"):
+            config_from_dict([base_dict()])
+        with pytest.raises(ConfigError, match="^sweeps must be an object$"):
+            config_from_dict(base_dict(sweeps=[16, 32]))
         obj = base_dict()
         del obj["sweeps"]
         with pytest.raises(ConfigError):
@@ -123,6 +133,23 @@ class TestValidation:
     def test_bad_source(self):
         with pytest.raises(ConfigError):
             config_from_dict(base_dict(source={"type": "url", "path": "x"}))
+        with pytest.raises(ConfigError, match="^source must be an object$"):
+            config_from_dict(base_dict(source="scene"))
+        with pytest.raises(ConfigError, match="^scene must be a tag string or an object$"):
+            config_from_dict(base_dict(source={"type": "scene", "scene": 5}))
+        scene = scene_to_dict(default_scene("los"))
+        scene["region"] = [0.0, 0.0, 0.8]
+        with pytest.raises(ConfigError, match=r"^scene\.region must be an object$"):
+            config_from_dict(base_dict(source={"type": "scene", "scene": scene}))
+        with pytest.raises(ConfigError, match="^scene must be a Scene$"):
+            SceneSource(scene="los")
+        with pytest.raises(ConfigError, match="^source must be a SceneSource or FileSource$"):
+            ExperimentConfig(
+                source=3, m_values=(16,), n_values=(1,), rho_db_values=(0.0,), k_values=(4,),
+                trials=1, seed=0,
+            )
+        with pytest.raises(ConfigError, match="^source must be a SceneSource or FileSource$"):
+            source_to_dict(3)
         with pytest.raises(ConfigError):
             config_from_dict(base_dict(source={"type": "scene", "scene": "fog"}))
         with pytest.raises(ConfigError):

@@ -604,6 +604,23 @@ class TestFileSource:
         again = run_experiment(cfg)
         assert result.to_csv_text() == again.to_csv_text()
 
+    def test_k_equal_to_file_users_keeps_its_bytes(self, tmp_path):
+        # K = 4 draws every file user, in file order
+        data = gen_iid_rayleigh((2, 2, 4, 8), RngHandle(97, 0)).data
+        cfg = file_config(
+            tmp_path,
+            data,
+            np.repeat([0, 1], 4),
+            m_values=(8, 4),
+            rho_db_values=(0.0, 10.0),
+            k_values=(2, 4),
+        )
+        for workers in (1, 2):
+            csv_text = run_experiment(cfg, workers=workers).to_csv_text()
+            assert hashlib.sha256(csv_text.encode()).hexdigest() == (
+                "87281df7686ee8b6d6cba896999cf5e0e1ffea7bd47a48eb1a1c96bb01131a4e"
+            )
+
     def test_k_beyond_file_rejected(self, tmp_path):
         ch = gen_iid_rayleigh((1, 1, 3, 8), RngHandle(93, 0))
         cfg = file_config(tmp_path, ch.data, np.repeat([0, 1], 4), k_values=(4,))

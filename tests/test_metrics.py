@@ -222,13 +222,22 @@ class TestWaterfill:
 
     def test_kkt_conditions(self):
         rng = np.random.default_rng(54)
+        draws = []
         for _ in range(2000):
             k = int(rng.integers(1, 17))
             noise = np.exp(rng.uniform(np.log(1e-3), np.log(1e2), k))
-            budget = float(rng.uniform(0.1, 10.0))
+            draws.append((noise, float(rng.uniform(0.1, 10.0))))
+        # a unit budget down to a few float spacings of the noise, where
+        # budget + n rounds the budget away
+        for _ in range(2000):
+            k = int(rng.integers(1, 17))
+            draws.append((np.exp(rng.uniform(np.log(1e-3), np.log(1e20), k)), 1.0))
+        for noise in ([9214408719149346.0, 1.6e16], [1e17, 2e17, 3e17], [1e17, 1e17]):
+            draws.append((np.array(noise), 1.0))
+        for noise, budget in draws:
             alloc = waterfill(noise, budget)
             mu = alloc.water_level
-            assert abs(alloc.p.sum() - budget) <= 1e-9 * max(1.0, budget)
+            assert abs(alloc.p.sum() - budget) <= 1e-12 * budget, (noise, budget)
             active = alloc.p > 0
             assert np.all(np.abs(alloc.p[active] + noise[active] - mu) <= 1e-10 * max(1.0, mu))
             assert np.all(noise[~active] >= mu - 1e-10 * max(1.0, mu))
@@ -379,6 +388,16 @@ class TestDpcCapacity:
             dpc = dpc_capacity(mat, snr).sum_rate_bits_per_s_per_hz
             zf = zf_sum_rate(mat, snr).sum_rate_bits_per_s_per_hz
             assert dpc >= zf - 1e-8
+
+    def test_dominates_zf_with_the_budget_at_the_noise_floor(self):
+        # at -170 dB the effective noise is ~1e17 times the unit power budget
+        mat = cplx(np.random.default_rng(1), (4, 8))
+        snr = SnrSpec(-170.0)
+        dpc, zf = dpc_capacity(mat, snr), zf_sum_rate(mat, snr)
+        for out in (dpc, zf):
+            assert out.powers.sum() == pytest.approx(1.0, rel=1e-12)
+            assert out.sum_rate_bits_per_s_per_hz < 1e-12
+        assert dpc.sum_rate_bits_per_s_per_hz >= zf.sum_rate_bits_per_s_per_hz - 1e-9
 
     def test_orthogonal_rows_close_the_gap(self):
         rng = np.random.default_rng(61)
