@@ -113,12 +113,11 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_cdf(args) -> int:
-    rows = read_result_rows(args.results)
-    cells = aggregate_result_rows(rows, grid_points=args.grid_points)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "cdf_tables.json"
-    write_cdf_tables(cells, path)
+    with _output_dir(args.out) as out_dir:
+        rows = read_result_rows(args.results)
+        cells = aggregate_result_rows(rows, grid_points=args.grid_points)
+        path = out_dir / "cdf_tables.json"
+        write_cdf_tables(cells, path)
     print(f"wrote {path} ({len(cells)} cells)")
     return 0
 

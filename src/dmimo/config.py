@@ -37,14 +37,13 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 import os
 import typing
 from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ConfigError, InvalidInputError, check_fields, check_number
-from .metrics import ALLOCATION_MODES
+from .metrics import ALLOCATION_MODES, SnrSpec
 from .synth import Region, Scene, check_spacing, default_scene
 
 CONFIG_VERSION = 1
@@ -53,7 +52,7 @@ METRIC_NAMES = ("svs", "dpc", "zf", "fairness")
 
 SWEEP_AXES = ("m_values", "n_values", "rho_db_values", "k_values")
 
-# stream-id packing in the harness caps the per-axis sweep sizes
+# stream ids in the harness pack the K, M and N indices, which caps those axes
 _MAX_SWEEP = 256
 _MAX_TRIALS = 2**32
 
@@ -74,22 +73,28 @@ def _as_tuple(values, name: str) -> tuple:
         raise ConfigError(f"{name} must be a list") from None
 
 
+def _rho_db(value, index: int) -> float:
+    """A rho_db_values entry as the dB value SnrSpec accepts."""
+    try:
+        return SnrSpec(value).rho_db
+    except InvalidInputError as exc:
+        raise ConfigError(f"sweeps.rho_db_values[{index}]: {exc}") from exc
+
+
 def _sweep_axis(name: str, values) -> tuple:
-    """One sweep axis as a tuple: 1 to _MAX_SWEEP distinct entries, integers
-    >= 1, or finite numbers for rho_db_values."""
-    kind = float if name == "rho_db_values" else int
-    values = tuple(
-        check_number(v, f"sweeps.{name} entry", kind, ConfigError)
-        for v in _as_tuple(values, f"sweeps.{name}")
-    )
+    """One sweep axis as a tuple of distinct entries: SNRs in dB that SnrSpec
+    accepts for rho_db_values, else 1 to _MAX_SWEEP integers >= 1."""
+    values = _as_tuple(values, f"sweeps.{name}")
+    if name == "rho_db_values":
+        values = tuple(_rho_db(v, i) for i, v in enumerate(values))
+    else:
+        values = tuple(check_number(v, f"sweeps.{name} entry", int, ConfigError) for v in values)
+        if len(values) > _MAX_SWEEP:
+            raise ConfigError(f"sweeps.{name} holds more than {_MAX_SWEEP} values")
+        if any(v < 1 for v in values):
+            raise ConfigError(f"sweeps.{name} entries must be >= 1")
     if len(values) < 1:
         raise ConfigError(f"sweeps.{name} must be non-empty")
-    if len(values) > _MAX_SWEEP:
-        raise ConfigError(f"sweeps.{name} holds more than {_MAX_SWEEP} values")
-    if kind is int and any(v < 1 for v in values):
-        raise ConfigError(f"sweeps.{name} entries must be >= 1")
-    if kind is float and any(not math.isfinite(v) for v in values):
-        raise ConfigError(f"sweeps.{name} entries must be finite")
     if len(set(values)) != len(values):
         raise ConfigError(f"sweeps.{name} entries must be distinct")
     return values

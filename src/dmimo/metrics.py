@@ -65,6 +65,9 @@ DEFAULT_MAX_ITERATIONS = 500
 # fraction of total power below which a user counts as unallocated
 ALLOCATED_EPSILON_FRACTION = 1e-12
 
+# keeps rho and 1/rho within 1e+-300, so every metric's noise scale is finite
+MAX_ABS_RHO_DB = 3000.0
+
 
 @dataclass(frozen=True)
 class SnrSpec:
@@ -74,8 +77,8 @@ class SnrSpec:
 
     def __post_init__(self):
         check_fields(self)
-        if not math.isfinite(self.rho_db):
-            raise InvalidInputError("rho_db must be finite")
+        if not abs(self.rho_db) <= MAX_ABS_RHO_DB:
+            raise InvalidInputError(f"rho_db must lie within ±{MAX_ABS_RHO_DB:g} dB, got {self.rho_db!r}")
 
     @property
     def rho_linear(self) -> float:
@@ -120,31 +123,28 @@ class CapacityResult:
     snapshot-major order, or a single row in joint mode. `slice_rates` holds
     each slice's rate (under the shared allocation in joint mode) and
     `slice_converged` whether its optimizer converged, in snapshot-major
-    order; the sum rate is the mean of `slice_rates`. `iterations` is the
-    largest iteration count any slice used. All three arrays are read-only.
+    order. `iterations` is the largest iteration count any slice used. All
+    three arrays are stored read-only as given.
     """
 
-    sum_rate_bits_per_s_per_hz: float
     powers: np.ndarray
     iterations: int
-    converged: bool
     slice_rates: np.ndarray
     slice_converged: np.ndarray
 
+    def __post_init__(self):
+        for array in (self.powers, self.slice_rates, self.slice_converged):
+            array.setflags(write=False)
 
-def _result(rates, p, iterations, converged) -> CapacityResult:
-    """A CapacityResult from per-slice rates and convergence flags plus (S, K)
-    powers, each array stored read-only as given."""
-    for array in (rates, p, converged):
-        array.setflags(write=False)
-    return CapacityResult(
-        float(np.mean(rates)),
-        p,
-        int(iterations),
-        bool(np.all(converged)),
-        rates,
-        converged,
-    )
+    @property
+    def sum_rate_bits_per_s_per_hz(self) -> float:
+        """The mean of `slice_rates`."""
+        return float(np.mean(self.slice_rates))
+
+    @property
+    def converged(self) -> bool:
+        """Whether every slice converged."""
+        return bool(np.all(self.slice_converged))
 
 
 def _slice_stack(ch) -> np.ndarray:
@@ -290,7 +290,7 @@ def _ascend_on_simplex(rates_at, gradient, k, tol, max_iterations) -> CapacityRe
             break
         grad = gradient(p)
         step = min(step * 2.0, 1e6)
-    return _result(rates, p[None], iterations, np.full(rates.shape, converged))
+    return CapacityResult(p[None], iterations, rates, np.full(rates.shape, converged))
 
 
 def zf_sum_rate(ch, snr, allocation_mode: str = "per_tl") -> CapacityResult:
@@ -314,7 +314,7 @@ def _zf_per_slice(noise: np.ndarray) -> CapacityResult:
     """ZF water-filled on each slice of an (S, K) effective-noise grid on its own."""
     p, _ = _waterfill_rows(noise, 1.0)
     rates = np.log2(1.0 + p / noise).sum(axis=1)
-    return _result(rates, p, 1, np.ones(rates.shape, dtype=bool))
+    return CapacityResult(p, 1, rates, np.ones(rates.shape, dtype=bool))
 
 
 def _zf_joint(noise_grid: np.ndarray) -> CapacityResult:
@@ -361,27 +361,27 @@ def _dpc_interference_gains(p, gram, c):
 def _dpc_per_slice(gram, c, tol, max_iterations):
     """Sum-power iterative water-filling on every slice of an (S, K, K) Gram stack.
 
-    Best-response iteration (Jindal et al., IEEE T-IT 51(4), 2005): water-fill
-    against every user's interference-reduced effective noise and take that
-    full best-response step wherever it raises the objective. Only on the
-    slices where it would not are damped steps towards it evaluated, keeping
-    the best, the first one on ties. Monotone non-decreasing by construction.
-    All live slices step together; a slice leaves the batch once it
-    converges, so each one follows its own iterates. Returns (values, p,
-    iterations per slice, converged per slice).
+    Modified best-response iteration (Jindal et al., IEEE T-IT 51(4), 2005):
+    water-fill against every user's interference-reduced effective noise and
+    take that full best-response step q wherever it raises the objective.
+    Only where it would not does a slice take the paper's damped step
+    (1 - 1/K) p + q/K instead. Monotone non-decreasing by construction. All
+    live slices step together; a slice leaves the batch once it converges,
+    so each one follows its own iterates. Returns (values, p, the last
+    iteration that still had live slices, converged per slice).
     """
     s, k, _ = gram.shape
-    damped = np.array(sorted({0.5, 0.25, 0.125, 1.0 / k} - {1.0}, reverse=True))
+    step = 1.0 / k
 
     p = np.full((s, k), 1.0 / k)
     value = _dpc_objective(p, gram, c)
-    iterations = np.zeros(s, dtype=int)
+    iterations = 0
     converged = np.zeros(s, dtype=bool)
     live = np.arange(s)
     for it in range(1, max_iterations + 1):
         if live.size == 0:
             break
-        iterations[live] = it
+        iterations = it
         bkk = _dpc_interference_gains(p[live], gram[live], c)
         denom = np.maximum(1.0 - c * p[live] * bkk, 1e-300)
         inv_noise = c * np.where(bkk > 0.0, bkk / denom, 0.0)
@@ -397,13 +397,8 @@ def _dpc_per_slice(gram, c, tol, max_iterations):
         worse = np.flatnonzero(~(best_value > value[live]))
         if worse.size:
             held = live[worse]
-            step = damped[:, None]
-            candidates = (1.0 - step) * p[held][:, None, :] + step * q[worse][:, None, :]
-            cand_values = _dpc_objective(candidates, gram[held][:, None], c)
-            best = np.argmax(cand_values, axis=1)
-            rows = np.arange(worse.size)
-            q[worse] = candidates[rows, best]
-            best_value[worse] = cand_values[rows, best]
+            q[worse] = (1.0 - step) * p[held] + step * q[worse]
+            best_value[worse] = _dpc_objective(q[worse], gram[held], c)
         improved = best_value > value[live]
         rel = (best_value - value[live]) / np.maximum(np.abs(best_value), 1e-12)
         p[live[improved]] = q[improved]
@@ -426,7 +421,8 @@ def dpc_capacity(
     Maximizes log2 det(I + c H^H P H) per (t, l) slice (c = rho*K/M) over
     diagonal P with tr(P) = 1, then averages; joint mode optimizes one P for
     the average directly. Per slice, each iteration takes the full
-    best-response step, damped only where it would lower the objective.
+    best-response step q, or the damped step (1 - 1/K) p + q/K towards it
+    where q would not raise the objective.
     Convergence: relative objective change < tol or max_iterations reached
     — if any slice hits the cap the result comes back with converged=False
     rather than raising. The K x K Gram identity
@@ -448,7 +444,7 @@ def dpc_capacity(
     if mode == "joint":
         return _dpc_joint(gram, c, tol, max_iterations)
     values, p, iterations, converged = _dpc_per_slice(gram, c, tol, max_iterations)
-    return _result(values, p, iterations.max(), converged)
+    return CapacityResult(p, iterations, values, converged)
 
 
 def _dpc_joint(gram: np.ndarray, c: float, tol: float, max_iterations: int) -> CapacityResult:
@@ -537,8 +533,10 @@ class SliceBatch:
             results = [dpc_capacity(item, snr, mode) for item in self.stack]
             rates = np.array([r.sum_rate_bits_per_s_per_hz for r in results])
             converged = np.array([r.converged for r in results])
+            capped = "projected gradient ascent hit the iteration cap"
         else:
             res = dpc_capacity(self.stack.reshape((-1,) + self.stack.shape[2:]), snr, mode)
             rates = res.slice_rates.reshape(self.items, -1).mean(axis=1)
             converged = res.slice_converged.reshape(self.items, -1).all(axis=1)
-        return rates, np.where(converged, None, "iterative water-filling hit the iteration cap")
+            capped = "iterative water-filling hit the iteration cap"
+        return rates, np.where(converged, None, capped)

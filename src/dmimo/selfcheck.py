@@ -5,9 +5,9 @@ eigendecomposition for singular values, cofactor inverse, bisection water
 level, grid search over the two-user simplex, counting CDF) and shares no
 code path with the routine it checks. The one self-referential check runs
 per-slice DPC against itself at tol=1e-15 and 20,000 iterations; a slice
-whose damped steps must take over is also checked against the joint-mode
-gradient ascent. The test suite's frozen values were computed by these
-oracles, and the tests import them from here.
+on which the damped step must take over is also checked against the
+joint-mode gradient ascent. The test suite's frozen values were computed by
+these oracles, and the tests import them from here.
 """
 
 from __future__ import annotations
@@ -121,9 +121,10 @@ def _complex_draw(gen, shape):
 
 def damped_step_slice():
     """A 5-user, 2-antenna slice and its SNR on which per-slice DPC's full
-    best-response step lowers the objective at iteration 2, so the damped
-    steps must take over. Such slices are rare: 11 of the 300,000 draws of
-    default_rng(0..299999) made this way; this is the draw of seed 54421."""
+    best-response step q lowers the objective at iteration 2, so the damped
+    step (1 - 1/K) p + q/K must take over. Such slices are rare: 11 of the
+    300,000 draws of default_rng(0..299999) made this way; this is the draw
+    of seed 54421."""
     gen = np.random.default_rng(54421)
     matrix = _complex_draw(gen, (5, 2))
     return matrix, SnrSpec.from_linear(10.0 ** gen.uniform(-1.0, 3.0))

@@ -180,6 +180,8 @@ class TestErrors:
             ("m_values", [16, "x"]),
             ("k_values", [True]),
             ("rho_db_values", [0.0, "high"]),
+            ("rho_db_values", [3083.0]),
+            ("rho_db_values", [-3076.0]),
             ("min_spacing_m", "near"),
             ("min_spacing_m", float("nan")),
             ("max_spacing_m", False),
@@ -335,6 +337,7 @@ class TestErrors:
         # an unusable --out fails before any work runs
         monkeypatch.setattr(cli, "run_experiment", work)
         monkeypatch.setattr(cli, "gen_geometric", work)
+        monkeypatch.setattr(cli, "read_result_rows", work)
         taken = tmp_path / "taken"
         taken.write_text("a file\n")
         args = {

@@ -14,6 +14,7 @@ from dmimo import (
     config_to_dict,
     default_scene,
     load_config,
+    run_experiment,
     scene_from_dict,
     scene_to_dict,
 )
@@ -172,6 +173,8 @@ class TestValidation:
             {"n_values": [-1]},
             {"rho_db_values": [float("inf")]},
             {"rho_db_values": [0.0, 0.0]},
+            {"rho_db_values": [3083.0]},
+            {"rho_db_values": [-3076.0]},
             {"k_values": list(range(1, 300))},
             {"m_values": 16},
             {"rho_db_values": None},
@@ -180,6 +183,16 @@ class TestValidation:
             obj["sweeps"].update(patch)
             with pytest.raises(ConfigError):
                 config_from_dict(obj)
+
+    def test_rho_axis_is_not_capped(self):
+        # stream ids pack the K, M and N indices, never the rho index
+        obj = base_dict(trials=1)
+        obj["sweeps"]["rho_db_values"] = [round(-10.0 + 0.1 * i, 1) for i in range(301)]
+        cfg = config_from_dict(obj)
+        assert len(cfg.rho_db_values) == 301
+        result = run_experiment(cfg, workers=1)
+        assert result.values.shape == (2, 2, 301, 1, 1, 2)
+        assert not np.isnan(result.values).any()
 
     def test_bad_scalars(self):
         with pytest.raises(ConfigError):

@@ -90,8 +90,9 @@ class TestSnrSpec:
         assert SnrSpec.from_linear(2.0).rho_db == pytest.approx(3.0102999566398, rel=1e-12)
 
     def test_validation(self):
-        with pytest.raises(InvalidInputError):
-            SnrSpec(math.nan)
+        for rho_db in (math.nan, 3000.5, -3000.5, 3083.0):
+            with pytest.raises(InvalidInputError):
+                SnrSpec(rho_db)
         with pytest.raises(InvalidInputError):
             SnrSpec.from_linear(0.0)
         with pytest.raises(InvalidInputError):
@@ -399,6 +400,16 @@ class TestDpcCapacity:
             assert out.sum_rate_bits_per_s_per_hz < 1e-12
         assert dpc.sum_rate_bits_per_s_per_hz >= zf.sum_rate_bits_per_s_per_hz - 1e-9
 
+    @pytest.mark.parametrize("rho_db", [-3000.0, 3000.0])
+    def test_dominates_zf_at_the_snr_bounds(self, rho_db):
+        # the SNRs SnrSpec accepts keep rho and 1/rho finite, so both rates are
+        mat = cplx(np.random.default_rng(2), (12, 16))
+        snr = SnrSpec(rho_db)
+        dpc = dpc_capacity(mat, snr).sum_rate_bits_per_s_per_hz
+        zf = zf_sum_rate(mat, snr).sum_rate_bits_per_s_per_hz
+        assert math.isfinite(dpc) and math.isfinite(zf)
+        assert dpc >= zf - 1e-9
+
     def test_orthogonal_rows_close_the_gap(self):
         rng = np.random.default_rng(61)
         for _ in range(20):
@@ -440,7 +451,7 @@ class TestDpcCapacity:
 
     def test_one_objective_determinant_per_slice_iteration(self, factorizations):
         # the full best-response step raises the objective at every iteration
-        # here, so no damped candidate is ever factored
+        # here, so no damped step is ever factored
         ch = mixed_effort_tensor()
         snr = SnrSpec(5.0)
         iterations = [r.iterations for r in per_slice_results(lambda m: dpc_capacity(m, snr), ch)]
@@ -455,7 +466,7 @@ class TestDpcCapacity:
         matrix, snr = damped_step_slice()
         factorizations()
         capped = dpc_capacity(matrix, snr, max_iterations=2)
-        # the damped candidates were factored before the run's last iteration
+        # the damped step was factored before the run's last iteration
         assert factorizations()["slogdet"] > capped.iterations + 1
         assert not capped.converged
         out = dpc_capacity(matrix, snr)
@@ -466,6 +477,15 @@ class TestDpcCapacity:
         assert rate == pytest.approx(joint.sum_rate_bits_per_s_per_hz, rel=1e-6)
         tight = dpc_capacity(matrix, snr, tol=1e-15, max_iterations=20000)
         assert rate == pytest.approx(tight.sum_rate_bits_per_s_per_hz, rel=1e-9)
+
+    def test_a_step_that_falls_is_replaced_by_one_damped_step(self, factorizations):
+        # the start, two full steps and the one damped step of iteration 2
+        matrix, snr = damped_step_slice()
+        factorizations()
+        dpc_capacity(matrix, snr, max_iterations=2)
+        assert factorizations()["slogdet"] == 4
+        out = dpc_capacity(matrix, snr)
+        assert round(out.sum_rate_bits_per_s_per_hz, 12) == 20.163933173441
 
     def test_iteration_cap_reports_not_raises(self):
         mat = cplx(np.random.default_rng(65), (6, 24))
@@ -601,7 +621,8 @@ class TestSliceBatch:
         rates, reasons = SliceBatch(items).dpc(snr, mode)
         singles = [capped(ChannelTensor(item, np.zeros(12)), snr, mode) for item in items]
         assert rates.tolist() == [r.sum_rate_bits_per_s_per_hz for r in singles]
-        expected = [None if r.converged else "iterative water-filling hit the iteration cap" for r in singles]
+        optimizer = {"per_tl": "iterative water-filling", "joint": "projected gradient ascent"}[mode]
+        expected = [None if r.converged else f"{optimizer} hit the iteration cap" for r in singles]
         assert reasons.tolist() == expected
         assert None in expected and len(set(expected)) == 2
 
