@@ -15,20 +15,27 @@ Total size is therefore 16 + M + 8*T*L*K*M bytes. Coefficients are stored in
 float32; reading promotes to the in-memory complex128 representation, so a
 file round-trips to identical bytes.
 
-Memory: reading holds one complex128 tensor (twice the payload's size) plus
-one fixed block of _BLOCK_ENTRIES float32 pairs; the payload streams through
-that block, and the tensor that comes back owns the array it was read into.
-Writing likewise converts one block at a time.
+Memory: every payload check streams the file through one fixed block of
+_BLOCK_ENTRIES float32 pairs. read_channel_file holds one complex128 tensor
+(twice the payload's size) plus that block, and the tensor that comes back
+owns the array it was read into. scan_channel_file runs the same checks but
+keeps only the header and the AP map; its ChannelFile then reads a subset of
+users by offset, holding their float32 pairs and the complex128 tensor made
+from them. Writing converts one block at a time: write_channel_file cuts a
+tensor into blocks, and write_channel_blocks takes blocks of rows as a
+generator makes them, so the whole tensor never exists in memory.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import struct
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import FormatError, InvalidInputError
 from .tensor import ChannelTensor, _ap_runs
 
 MAGIC = b"DMCT"
@@ -50,28 +57,73 @@ def expected_file_size(dims) -> int:
     return HEADER_SIZE + m + 8 * t * l * k * m
 
 
-def write_channel_file(ch: ChannelTensor, path) -> None:
-    """Serialize a ChannelTensor; dims above 65535 do not fit the header."""
-    if not isinstance(ch, ChannelTensor):
-        raise FormatError("write_channel_file expects a ChannelTensor")
-    for name, value in zip("TLKM", ch.dims):
+def _header(dims, antenna_ap_map) -> bytes:
+    """The header and AP map bytes of a file; dims above 65535 or AP ids
+    above 255 do not fit the format."""
+    for name, value in zip("TLKM", dims):
         if value > _DIM_LIMIT:
             raise FormatError(
                 f"dimension {name}={value} exceeds the format's u16 limit {_DIM_LIMIT}"
             )
-    ap_map = np.asarray(ch.antenna_ap_map)
+    ap_map = np.asarray(antenna_ap_map)
     if ap_map.max() > _AP_ID_LIMIT:
         raise FormatError(
             f"AP id {int(ap_map.max())} exceeds the format's u8 limit {_AP_ID_LIMIT}"
         )
-    t, l, k, m = ch.dims
-    header = _HEADER.pack(MAGIC, FORMAT_VERSION, t, l, k, m, ch.num_aps)
+    t, l, k, m = dims
+    head = _HEADER.pack(MAGIC, FORMAT_VERSION, t, l, k, m, len(np.unique(ap_map)))
+    return head + ap_map.astype(np.uint8).tobytes()
+
+
+def write_channel_file(ch: ChannelTensor, path) -> None:
+    """Serialize a ChannelTensor; dims above 65535 do not fit the header."""
+    if not isinstance(ch, ChannelTensor):
+        raise FormatError("write_channel_file expects a ChannelTensor")
+    head = _header(ch.dims, ch.antenna_ap_map)
     flat = ch.data.reshape(-1)
     with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(ap_map.astype(np.uint8).tobytes())
+        fh.write(head)
         for start in range(0, flat.size, _BLOCK_ENTRIES):
             fh.write(flat[start : start + _BLOCK_ENTRIES].astype("<c8"))
+
+
+def write_channel_blocks(path, dims, antenna_ap_map, blocks) -> None:
+    """Write the channel file of a (T, L, K, M) tensor that arrives in blocks,
+    holding one block at a time.
+
+    Each block is (first, values), with values of shape (T, L, B, C): it fills
+    rows first to first + B - 1 of every (t, l) slab, the slab's K*M entries
+    taken as rows of C. Each row is written once, at its offset, so the file
+    is that of write_channel_file on the whole tensor, byte for byte. A value
+    that is not finite in float32, or blocks that hold more or fewer entries
+    than the tensor, raise InvalidInputError; on any failure the file is
+    removed.
+    """
+    head = _header(dims, antenna_ap_map)
+    t, l, k, m = dims
+    slab_bytes = 8 * k * m
+    with open(path, "wb") as fh:
+        try:
+            fh.write(head)
+            fh.flush()
+            written = 0
+            for first, values in blocks:
+                part = np.ascontiguousarray(values, dtype="<c8")
+                if not np.isfinite(part).all():
+                    raise InvalidInputError("channel tensor entries must all be finite")
+                offset = len(head) + 8 * first * part.shape[3]
+                for row in part.reshape(t * l, -1):
+                    if os.pwrite(fh.fileno(), row, offset) < row.nbytes:
+                        raise OSError(f"short write to {path}")
+                    offset += slab_bytes
+                written += part.size
+            if written != t * l * k * m:
+                raise InvalidInputError(
+                    f"blocks hold {written} entries, the {dims} tensor {t * l * k * m}"
+                )
+        except BaseException:
+            os.unlink(path)
+            raise
 
 
 def read_channel_file(path) -> ChannelTensor:
@@ -81,72 +133,123 @@ def read_channel_file(path) -> ChannelTensor:
     truncation errors also carry the total size the header promised.
     """
     with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        head = fh.read(HEADER_SIZE)
-        if len(head) < HEADER_SIZE:
-            raise FormatError(
-                f"file ends inside the {HEADER_SIZE}-byte header ({len(head)} bytes)",
-                byte_offset=len(head),
-            )
-        magic, version, t, l, k, m, ap_count = _HEADER.unpack(head)
-        if magic != MAGIC:
-            raise FormatError(
-                f"bad magic {magic!r}, expected {MAGIC!r}", byte_offset=0
-            )
-        if version != FORMAT_VERSION:
-            raise FormatError(
-                f"unsupported format version {version}, expected {FORMAT_VERSION}",
-                byte_offset=4,
-            )
-        for index, (name, value) in enumerate(zip("TLKM", (t, l, k, m))):
-            if value == 0:
-                raise FormatError(
-                    f"dimension {name} is zero", byte_offset=6 + 2 * index
-                )
-        if ap_count == 0:
-            raise FormatError("AP count is zero", byte_offset=14)
-
-        expected = expected_file_size((t, l, k, m))
-        if size < expected:
-            raise _truncated((t, l, k, m), size)
-        if size > expected:
-            raise FormatError(
-                f"{size - expected} trailing bytes after the "
-                f"{expected}-byte tensor",
-                byte_offset=expected,
-                expected_size=expected,
-            )
-
-        ap_map = np.frombuffer(fh.read(m), dtype=np.uint8).astype(np.int64)
-        if ap_map.size < m:
-            raise _truncated((t, l, k, m), HEADER_SIZE + ap_map.size)
-        distinct = np.unique(ap_map)
-        if distinct.size != ap_count:
-            raise FormatError(
-                f"AP map holds {distinct.size} distinct ids but the header "
-                f"declares {ap_count}",
-                byte_offset=HEADER_SIZE,
-            )
-        # one run of antenna columns per AP id
-        if len(_ap_runs(ap_map)) != distinct.size:
-            raise FormatError(
-                "AP map does not group antennas contiguously per AP",
-                byte_offset=HEADER_SIZE,
-            )
-
-        data = np.empty((t, l, k, m), dtype=np.complex128)
-        _read_payload(fh, data.reshape(-1), (t, l, k, m))
+        dims, ap_map = _read_header(fh)
+        data = np.empty(dims, dtype=np.complex128)
+        flat = data.reshape(-1)
+        for start, part in _payload_blocks(fh, dims):
+            flat[start : start + part.size] = part
     data.setflags(write=False)
     return ChannelTensor(data, ap_map)
 
 
-def _read_payload(fh, out: np.ndarray, dims) -> None:
-    """Fill the flat complex128 `out` from the payload at fh's position, one
-    block of float32 pairs at a time, checking each block is finite."""
+@dataclass(frozen=True, eq=False)
+class ChannelFile:
+    """A channel file that scan_channel_file has checked: its path, its
+    (T, L, K, M) dims and its AP map, without its payload."""
+
+    path: str
+    dims: tuple
+    antenna_ap_map: np.ndarray
+
+    def read_users(self, users) -> ChannelTensor:
+        """The (T, L, len(users), M) tensor of the file's users at the strictly
+        increasing indices `users`.
+
+        Each (t, l) slab's runs of consecutive users are read by offset, on a
+        descriptor opened for this call. A file that no longer has its
+        header's size raises the FormatError read_channel_file would.
+        """
+        t, l, k, m = self.dims
+        users = np.asarray(users)
+        if not (
+            users.ndim == 1 and users.size and users.dtype.kind in "iu"
+            and users[0] >= 0 and users[-1] < k and np.all(np.diff(users) > 0)
+        ):
+            raise InvalidInputError(f"users must be strictly increasing indices below {k}")
+        # runs of consecutive users: positions lo to hi - 1 hold file users
+        # users[lo] onward
+        edges = [0, *(np.flatnonzero(np.diff(users) != 1) + 1).tolist(), users.size]
+        raw = np.empty((t * l, users.size, m), dtype="<c8")
+        runs = [(raw[:, lo:hi], 8 * m * int(users[lo])) for lo, hi in zip(edges, edges[1:])]
+        with open(self.path, "rb") as fh:
+            fd = fh.fileno()
+            _check_size(self.dims, os.fstat(fd).st_size)
+            for slab in range(t * l):
+                base = HEADER_SIZE + m + slab * 8 * k * m
+                for run, skip in runs:
+                    out = run[slab]
+                    if os.preadv(fd, [out], base + skip) < out.nbytes:
+                        raise _truncated(self.dims, os.fstat(fd).st_size)
+        data = raw.reshape(t, l, users.size, m).astype(np.complex128)
+        data.setflags(write=False)
+        return ChannelTensor(data, self.antenna_ap_map)
+
+
+def scan_channel_file(path) -> ChannelFile:
+    """Check a channel file as read_channel_file does, with the same errors,
+    in one streaming pass that keeps only its header and AP map."""
+    with open(path, "rb") as fh:
+        dims, ap_map = _read_header(fh)
+        for _ in _payload_blocks(fh, dims):
+            pass
+    ap_map.setflags(write=False)
+    return ChannelFile(os.fspath(path), dims, ap_map)
+
+
+def _read_header(fh) -> tuple:
+    """((T, L, K, M), AP map) of the file open at its start in fh, after
+    checking the header, the file's size and the AP map."""
+    size = os.fstat(fh.fileno()).st_size
+    head = fh.read(HEADER_SIZE)
+    if len(head) < HEADER_SIZE:
+        raise FormatError(
+            f"file ends inside the {HEADER_SIZE}-byte header ({len(head)} bytes)",
+            byte_offset=len(head),
+        )
+    magic, version, t, l, k, m, ap_count = _HEADER.unpack(head)
+    if magic != MAGIC:
+        raise FormatError(f"bad magic {magic!r}, expected {MAGIC!r}", byte_offset=0)
+    if version != FORMAT_VERSION:
+        raise FormatError(
+            f"unsupported format version {version}, expected {FORMAT_VERSION}",
+            byte_offset=4,
+        )
+    for index, (name, value) in enumerate(zip("TLKM", (t, l, k, m))):
+        if value == 0:
+            raise FormatError(f"dimension {name} is zero", byte_offset=6 + 2 * index)
+    if ap_count == 0:
+        raise FormatError("AP count is zero", byte_offset=14)
+    dims = (t, l, k, m)
+    _check_size(dims, size)
+
+    ap_map = np.frombuffer(fh.read(m), dtype=np.uint8).astype(np.int64)
+    if ap_map.size < m:
+        raise _truncated(dims, HEADER_SIZE + ap_map.size)
+    distinct = np.unique(ap_map)
+    if distinct.size != ap_count:
+        raise FormatError(
+            f"AP map holds {distinct.size} distinct ids but the header "
+            f"declares {ap_count}",
+            byte_offset=HEADER_SIZE,
+        )
+    # one run of antenna columns per AP id
+    if len(_ap_runs(ap_map)) != distinct.size:
+        raise FormatError(
+            "AP map does not group antennas contiguously per AP",
+            byte_offset=HEADER_SIZE,
+        )
+    return dims, ap_map
+
+
+def _payload_blocks(fh, dims):
+    """The payload at fh's position, one block of float32 pairs at a time:
+    yields (index of the block's first entry, block), each checked to be
+    complete and finite. The block is reused for the next one."""
     payload_offset = HEADER_SIZE + int(dims[3])
-    block = np.empty(min(_BLOCK_ENTRIES, out.size), dtype="<c8")
-    for start in range(0, out.size, block.size):
-        part = block[: out.size - start]
+    total = math.prod(dims)
+    block = np.empty(min(_BLOCK_ENTRIES, total), dtype="<c8")
+    for start in range(0, total, block.size):
+        part = block[: total - start]
         got = fh.readinto(part)
         if got < part.nbytes:
             raise _truncated(dims, payload_offset + 8 * start + got)
@@ -156,7 +259,21 @@ def _read_payload(fh, out: np.ndarray, dims) -> None:
                 "payload holds a non-finite coefficient",
                 byte_offset=payload_offset + 8 * (start + int(bad[0])),
             )
-        out[start : start + part.size] = part
+        yield start, part
+
+
+def _check_size(dims, size: int) -> None:
+    """Raise FormatError unless a file of `size` bytes has the size its
+    header's dims promise."""
+    expected = expected_file_size(dims)
+    if size < expected:
+        raise _truncated(dims, size)
+    if size > expected:
+        raise FormatError(
+            f"{size - expected} trailing bytes after the {expected}-byte tensor",
+            byte_offset=expected,
+            expected_size=expected,
+        )
 
 
 def _truncated(dims, found: int) -> FormatError:

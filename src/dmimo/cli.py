@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .chanfile import write_channel_file
+from .chanfile import write_channel_blocks
 from .config import (
     ConfigError,
     SceneSource,
@@ -35,7 +35,7 @@ from .harness import (
 )
 from .selfcheck import DEFAULT_SEED, run_selfcheck
 from .stats import CDF_GRID_POINTS
-from .synth import gen_geometric, gen_trajectory_users
+from .synth import gen_trajectory_users, geometric_link_blocks
 from .tensor import RngHandle
 
 
@@ -82,11 +82,12 @@ def _cmd_synth(args) -> int:
     num_users = check_number(obj["num_users"], "synth config 'num_users'", int)
     with _output_dir(args.out) as out_dir:
         users = gen_trajectory_users(scene, num_users, spacing, RngHandle(seed, 0))
-        tensor = gen_geometric(scene, users, RngHandle(seed, 1))
+        # the tensor goes to the file block by block, never whole in memory
+        dims, blocks = geometric_link_blocks(scene, users, RngHandle(seed, 1))
         path = out_dir / "channel.dmct"
-        write_channel_file(tensor, path)
-    t, l, k, m = tensor.dims
-    print(f"wrote {path} (T={t}, L={l}, K={k}, M={m}, {tensor.num_aps} APs)")
+        write_channel_blocks(path, dims, scene.antenna_ap_map(), blocks)
+    t, l, k, m = dims
+    print(f"wrote {path} (T={t}, L={l}, K={k}, M={m}, {scene.num_aps} APs)")
     return 0
 
 

@@ -1,11 +1,14 @@
 """Monte-Carlo experiment execution, aggregation, and result serialization.
 
-Execution layout: one full-size tensor is drawn (or loaded) and normalized
-per (K, trial) and shared by every (M, N, rho) sweep cell, so topologies are
-compared on the same channel realization. Trials run in chunks: consecutive
-trials of one K whose full-size tensors hold at most CHUNK_ELEMENTS complex
-entries together (a larger trial runs alone), so the cap bounds the memory
-a chunk holds. Per (M, N), each trial of a chunk draws its own subarray and
+Execution layout: per (K, trial), one full-size tensor is drawn from the
+scene, or read from the channel file as the trial's K users of every (t, l)
+slab, then normalized and shared by every (M, N, rho) sweep cell, so
+topologies are compared on the same channel realization. A channel file is
+checked once, before any trial, in one streaming pass that keeps only its
+header and AP map, so a process holds only the users its trials read.
+Trials run in chunks: consecutive trials of one K whose full-size tensors
+hold at most CHUNK_ELEMENTS complex entries together (a larger trial runs
+alone), so the cap bounds the memory a chunk holds. Per (M, N), each trial of a chunk draws its own subarray and
 the subarrays are stacked into one SliceBatch, which returns per-trial
 arrays of all four metrics: the spread from one batched SVD, the ZF rate
 and fairness count from ZF gains computed once for every rho, and per rho
@@ -24,7 +27,8 @@ many worker processes execute the chunks.
 
 Chunk i runs in worker i mod W. Worker 0 is the calling process; the other
 W - 1 are forked, so they inherit the config, the trial source and the AP
-blocks without pickling, and each sends back only its chunks' results. By
+blocks without pickling, and each sends back only its chunks' results. Each
+trial read from a file opens its own descriptor, so workers share none. By
 default W is the number of CPUs the process may run on, capped at the
 number of chunks; W = 1 runs every chunk in-process.
 
@@ -52,7 +56,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .chanfile import read_channel_file
+from .chanfile import scan_channel_file
 from .config import (
     METRIC_NAMES,
     ExperimentConfig,
@@ -229,11 +233,11 @@ def _cell_to_dict(cell: CellAggregate) -> dict:
 
 
 def _trial_source(cfg: ExperimentConfig) -> tuple:
-    """(AP blocks, T*L*M_total entries per user, draw) of cfg's source, read
+    """(AP blocks, T*L*M_total entries per user, draw) of cfg's source, checked
     once, after checking that every sweep cell is feasible on it.
     draw(k_idx, trial) is the trial's full-size ChannelTensor: a scene's users
     and channel, or K of the channel file's users in file order, drawn from
-    the trial's own streams."""
+    the trial's own streams and read from the file by offset."""
     if isinstance(cfg.source, SceneSource):
         src = cfg.source
         ap_map, available = src.scene.antenna_ap_map(), math.inf  # a scene places any K
@@ -250,18 +254,14 @@ def _trial_source(cfg: ExperimentConfig) -> tuple:
                 src.scene, users, RngHandle(cfg.seed, _stream_id(_STREAM_CHANNEL, k_idx, trial))
             )
     else:
-        tensor = read_channel_file(cfg.source.path)
-        ap_map, available = tensor.antenna_ap_map, tensor.num_users
-        slices = tensor.num_snapshots * tensor.num_subcarriers
+        source = scan_channel_file(cfg.source.path)
+        ap_map, (t, l, available, _) = source.antenna_ap_map, source.dims
+        slices = t * l
 
         def draw(k_idx: int, trial: int) -> ChannelTensor:
             gen = RngHandle(cfg.seed, _stream_id(_STREAM_USERS, k_idx, trial)).generator()
             chosen = np.sort(gen.choice(available, size=cfg.k_values[k_idx], replace=False))
-            # take, unlike data[:, :, chosen], returns an owned C-order array the
-            # tensor can adopt without a second copy
-            data = np.take(tensor.data, chosen, axis=2)
-            data.setflags(write=False)
-            return ChannelTensor(data, ap_map)
+            return source.read_users(chosen)
 
     blocks = ap_columns(ap_map)
     for m, n in product(cfg.m_values, cfg.n_values):

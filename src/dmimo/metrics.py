@@ -86,8 +86,12 @@ class SnrSpec:
 
     @classmethod
     def from_linear(cls, rho_linear: float) -> "SnrSpec":
-        if not (rho_linear > 0 and math.isfinite(rho_linear)):
-            raise InvalidInputError("rho_linear must be positive and finite")
+        rho_linear = check_number(rho_linear, "rho_linear")
+        low, high = 10.0 ** (-MAX_ABS_RHO_DB / 10.0), 10.0 ** (MAX_ABS_RHO_DB / 10.0)
+        if not low <= rho_linear <= high:
+            raise InvalidInputError(
+                f"rho_linear must lie within [{low:g}, {high:g}], got {rho_linear!r}"
+            )
         return cls(10.0 * math.log10(rho_linear))
 
 

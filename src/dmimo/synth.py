@@ -388,15 +388,34 @@ def gen_geometric(scene: Scene, users: UserLayout, rng) -> ChannelTensor:
     plane wave with power ratio set by rice_k_db. Each ray's phase comes from
     its exact path length per subcarrier frequency, so the array geometry,
     frequency selectivity, and AP-position diversity are all in the tensor.
-    Mean link power is 1.
+    Mean link power is 1. The tensor is filled from geometric_link_blocks.
+    """
+    dims, blocks = geometric_link_blocks(scene, users, rng)
+    data = np.empty(dims, dtype=np.complex128)
+    links = data.reshape(dims[:2] + (-1, scene.antennas_per_ap))
+    for first, values in blocks:
+        links[:, :, first : first + values.shape[2]] = values
+    data.setflags(write=False)
+    return ChannelTensor(data, scene.antenna_ap_map())
 
-    Draw order, which fixes the output for a given stream: links run
-    user-major, then AP; each link draws its S scatterer azimuth offsets
-    (`uniform`), its S range fractions (`uniform`) and then its T x S real
-    and T x S imaginary gain parts (`standard_normal`). The geometry is then
-    evaluated for blocks of consecutive links holding at most
-    GEOMETRY_BLOCK_ENTRIES phase entries; every link is computed on its own,
-    so the block size never changes the output bytes.
+
+def geometric_link_blocks(scene: Scene, users: UserLayout, rng) -> tuple:
+    """(dims, blocks) of gen_geometric's tensor: its (T, L, K, M) dims, and an
+    iterator over its values, one block of consecutive links at a time.
+
+    Links run user-major, then AP: link j is user j // num_aps at the
+    antennas of AP j % num_aps, which are columns (j % num_aps) * W to
+    (j % num_aps + 1) * W - 1 of the tensor. A block is (first link, values)
+    with values of shape (T, L, B, W) for links first to first + B - 1.
+
+    Draw order, which fixes the output for a given stream: every random
+    number is drawn in this call, before the iterator yields. Links run in
+    link order; each draws its S scatterer azimuth offsets (`uniform`), its
+    S range fractions (`uniform`) and then its T x S real and T x S imaginary
+    gain parts (`standard_normal`). The iterator then evaluates the geometry
+    for blocks of consecutive links holding at most GEOMETRY_BLOCK_ENTRIES
+    phase entries; every link is computed on its own, so the block size
+    never changes the output bytes.
     """
     if not isinstance(users, UserLayout):
         raise InvalidInputError("users must be a UserLayout")
@@ -457,44 +476,43 @@ def gen_geometric(scene: Scene, users: UserLayout, rng) -> ChannelTensor:
 
     # phase 2: the geometry of a block of links at a time. Every distance sums
     # its squared coordinate offsets in x, y, z order.
-    data = np.empty((t_dim, l_dim, k_dim, scene.total_antennas), dtype=np.complex128)
-    out = data.reshape(t_dim, l_dim, num_links, w)
     block = max(1, GEOMETRY_BLOCK_ENTRIES // (l_dim * s * w))
-    for start in range(0, num_links, block):
-        b = slice(start, start + block)
-        ap_x, ap_y, ap_z = link_ap[b].T
-        u_x, u_y, u_z = link_user[b].T
-        e_x, e_y, e_z = elems[ap_of[b]].transpose(2, 0, 1)
-        sx = ap_x[:, None] + np.cos(angles[b]) * ranges[b]
-        sy = ap_y[:, None] + np.sin(angles[b]) * ranges[b]
 
-        # per-ray path length: AP element -> scatterer -> user, (B, S, W)
-        paths = sx[:, :, None] - e_x[:, None, :]
-        paths *= paths
-        dy = sy[:, :, None] - e_y[:, None, :]
-        dy *= dy
-        paths += dy
-        dz = ap_z[:, None] - e_z
-        paths += (dz * dz)[:, None, :]
-        np.sqrt(paths, out=paths)
-        dx, dy, dz = sx - u_x[:, None], sy - u_y[:, None], ap_z - u_z
-        d_user = np.sqrt((dx * dx + dy * dy) + (dz * dz)[:, None])
-        paths += d_user[:, :, None]
+    def link_blocks():
+        for start in range(0, num_links, block):
+            b = slice(start, start + block)
+            ap_x, ap_y, ap_z = link_ap[b].T
+            u_x, u_y, u_z = link_user[b].T
+            e_x, e_y, e_z = elems[ap_of[b]].transpose(2, 0, 1)
+            sx = ap_x[:, None] + np.cos(angles[b]) * ranges[b]
+            sy = ap_y[:, None] + np.sin(angles[b]) * ranges[b]
 
-        scattered = np.einsum("bts,blsw->btlw", gains[b], _unit_phasors(wavenumbers, paths))
-        los = np.flatnonzero(is_los[b])
-        if los.size:
-            dx = e_x[los] - u_x[los, None]
-            dy = e_y[los] - u_y[los, None]
-            dz = e_z[los] - u_z[los, None]
-            d_los = np.sqrt((dx * dx + dy * dy) + dz * dz)
-            plane = _unit_phasors(wavenumbers, d_los)
-            plane *= los_amp
-            scattered[los] = plane[:, None] + scatter_amp_los * scattered[los]
-        out[:, :, b, :] = scattered.transpose(1, 2, 0, 3)
+            # per-ray path length: AP element -> scatterer -> user, (B, S, W)
+            paths = sx[:, :, None] - e_x[:, None, :]
+            paths *= paths
+            dy = sy[:, :, None] - e_y[:, None, :]
+            dy *= dy
+            paths += dy
+            dz = ap_z[:, None] - e_z
+            paths += (dz * dz)[:, None, :]
+            np.sqrt(paths, out=paths)
+            dx, dy, dz = sx - u_x[:, None], sy - u_y[:, None], ap_z - u_z
+            d_user = np.sqrt((dx * dx + dy * dy) + (dz * dz)[:, None])
+            paths += d_user[:, :, None]
 
-    data.setflags(write=False)
-    return ChannelTensor(data, scene.antenna_ap_map())
+            scattered = np.einsum("bts,blsw->btlw", gains[b], _unit_phasors(wavenumbers, paths))
+            los = np.flatnonzero(is_los[b])
+            if los.size:
+                dx = e_x[los] - u_x[los, None]
+                dy = e_y[los] - u_y[los, None]
+                dz = e_z[los] - u_z[los, None]
+                d_los = np.sqrt((dx * dx + dy * dy) + dz * dz)
+                plane = _unit_phasors(wavenumbers, d_los)
+                plane *= los_amp
+                scattered[los] = plane[:, None] + scatter_amp_los * scattered[los]
+            yield start, scattered.transpose(1, 2, 0, 3)
+
+    return (t_dim, l_dim, k_dim, scene.total_antennas), link_blocks()
 
 
 def _unit_phasors(wavenumbers: np.ndarray, lengths: np.ndarray) -> np.ndarray:

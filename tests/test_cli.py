@@ -2,10 +2,11 @@
 
 import errno
 import json
+import os
 
 import pytest
 
-from dmimo import cli, read_channel_file, read_result_rows
+from dmimo import cli, harness, read_channel_file, read_result_rows
 from dmimo.cli import main
 
 
@@ -336,7 +337,7 @@ class TestErrors:
 
         # an unusable --out fails before any work runs
         monkeypatch.setattr(cli, "run_experiment", work)
-        monkeypatch.setattr(cli, "gen_geometric", work)
+        monkeypatch.setattr(cli, "geometric_link_blocks", work)
         monkeypatch.setattr(cli, "read_result_rows", work)
         taken = tmp_path / "taken"
         taken.write_text("a file\n")
@@ -348,6 +349,27 @@ class TestErrors:
         assert main(args + ["--out", str(taken)]) == 2
         assert one_error_line(capsys) == f"error: [Errno {errno.EEXIST}] File exists: '{taken}'\n"
         assert taken.read_text() == "a file\n"
+
+    def test_channel_file_truncated_after_the_scan_exits_2(self, tmp_path, capsys, monkeypatch):
+        synth_cfg = write_synth_config(tmp_path)
+        assert main(["synth", "--config", str(synth_cfg), "--out", str(tmp_path / "channels")]) == 0
+        channel = tmp_path / "channels" / "channel.dmct"
+        size = channel.stat().st_size
+        capsys.readouterr()
+        scanned = harness._trial_source
+
+        def scan_then_truncate(cfg):
+            source = scanned(cfg)
+            os.truncate(channel, size - 8)
+            return source
+
+        monkeypatch.setattr(harness, "_trial_source", scan_then_truncate)
+        run_cfg = write_run_config(tmp_path, channel)
+        assert main(["run", "--config", str(run_cfg), "--out", str(tmp_path / "o")]) == 2
+        err = one_error_line(capsys)
+        assert err.startswith(f"error: file truncated: header promises {size} bytes")
+        assert err.endswith(f"found {size - 8}\n")
+        assert not (tmp_path / "o").exists()
 
     def test_negative_oracle_seed_exits_2(self, capsys):
         assert main(["oracle", "--seed", "-1"]) == 2

@@ -2,6 +2,7 @@
 
 import functools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -97,6 +98,17 @@ class TestSnrSpec:
             SnrSpec.from_linear(0.0)
         with pytest.raises(InvalidInputError):
             SnrSpec.from_linear(-3.0)
+
+    def test_from_linear_names_its_argument(self):
+        bounds = "rho_linear must lie within [1e-300, 1e+300], got "
+        for rho_linear in (1e301, 5e-324, math.inf):
+            with pytest.raises(InvalidInputError, match=re.escape(bounds + repr(rho_linear))):
+                SnrSpec.from_linear(rho_linear)
+        for value in (math.nan, "2", None):
+            with pytest.raises(InvalidInputError, match="^rho_linear must be a number"):
+                SnrSpec.from_linear(value)
+        assert SnrSpec.from_linear(1e300).rho_db == 3000.0
+        assert SnrSpec.from_linear(1e-300).rho_db == -3000.0
 
     @pytest.mark.parametrize("value", ["x", None, True, "10", [10.0]])
     def test_rejects_non_numbers(self, value):
