@@ -21,9 +21,10 @@ _BLOCK_ENTRIES float32 pairs. read_channel_file holds one complex128 tensor
 owns the array it was read into. scan_channel_file runs the same checks but
 keeps only the header and the AP map; its ChannelFile then reads a subset of
 users by offset, holding their float32 pairs and the complex128 tensor made
-from them. Writing converts one block at a time: write_channel_file cuts a
-tensor into blocks, and write_channel_blocks takes blocks of rows as a
-generator makes them, so the whole tensor never exists in memory.
+from them; it fails if the file has changed since the scan. Writing converts
+one block at a time in write_channel_blocks, the one payload writer: it takes
+blocks of rows as a generator makes them, so the whole tensor never exists in
+memory, and write_channel_file hands it a tensor cut into blocks.
 """
 
 from __future__ import annotations
@@ -76,15 +77,17 @@ def _header(dims, antenna_ap_map) -> bytes:
 
 
 def write_channel_file(ch: ChannelTensor, path) -> None:
-    """Serialize a ChannelTensor; dims above 65535 do not fit the header."""
+    """Serialize a ChannelTensor; dims above 65535 do not fit the header.
+
+    The tensor goes to write_channel_blocks in blocks of whole user rows,
+    each about one read block (at least one user of every (t, l) slab).
+    """
     if not isinstance(ch, ChannelTensor):
         raise FormatError("write_channel_file expects a ChannelTensor")
-    head = _header(ch.dims, ch.antenna_ap_map)
-    flat = ch.data.reshape(-1)
-    with open(path, "wb") as fh:
-        fh.write(head)
-        for start in range(0, flat.size, _BLOCK_ENTRIES):
-            fh.write(flat[start : start + _BLOCK_ENTRIES].astype("<c8"))
+    t, l, k, m = ch.dims
+    rows = max(1, _BLOCK_ENTRIES // (t * l * m))
+    blocks = ((k0, ch.data[:, :, k0 : k0 + rows]) for k0 in range(0, k, rows))
+    write_channel_blocks(path, ch.dims, ch.antenna_ap_map, blocks)
 
 
 def write_channel_blocks(path, dims, antenna_ap_map, blocks) -> None:
@@ -93,37 +96,44 @@ def write_channel_blocks(path, dims, antenna_ap_map, blocks) -> None:
 
     Each block is (first, values), with values of shape (T, L, B, C): it fills
     rows first to first + B - 1 of every (t, l) slab, the slab's K*M entries
-    taken as rows of C. Each row is written once, at its offset, so the file
-    is that of write_channel_file on the whole tensor, byte for byte. A value
+    taken as rows of C. Each row is written once, at its offset. A value
     that is not finite in float32, or blocks that hold more or fewer entries
-    than the tensor, raise InvalidInputError; on any failure the file is
-    removed.
+    than the tensor, raise InvalidInputError. The file is written under a
+    temporary name beside `path` and renamed onto it once complete, so a file
+    already at `path` survives any failure, and a reader that holds it open
+    keeps reading the old file.
     """
+    path = os.fspath(path)
     head = _header(dims, antenna_ap_map)
     t, l, k, m = dims
     slab_bytes = 8 * k * m
-    with open(path, "wb") as fh:
-        try:
+    partial = f"{path}.{os.getpid()}.part"
+    fh = open(partial, "wb")
+    try:
+        with fh:
             fh.write(head)
             fh.flush()
             written = 0
             for first, values in blocks:
-                part = np.ascontiguousarray(values, dtype="<c8")
+                # an entry beyond float32's range becomes inf, reported below
+                with np.errstate(over="ignore"):
+                    part = np.ascontiguousarray(values, dtype="<c8")
                 if not np.isfinite(part).all():
                     raise InvalidInputError("channel tensor entries must all be finite")
                 offset = len(head) + 8 * first * part.shape[3]
                 for row in part.reshape(t * l, -1):
                     if os.pwrite(fh.fileno(), row, offset) < row.nbytes:
-                        raise OSError(f"short write to {path}")
+                        raise OSError(f"short write to {partial}")
                     offset += slab_bytes
                 written += part.size
             if written != t * l * k * m:
                 raise InvalidInputError(
                     f"blocks hold {written} entries, the {dims} tensor {t * l * k * m}"
                 )
-        except BaseException:
-            os.unlink(path)
-            raise
+        os.replace(partial, path)
+    except BaseException:
+        os.unlink(partial)
+        raise
 
 
 def read_channel_file(path) -> ChannelTensor:
@@ -145,11 +155,13 @@ def read_channel_file(path) -> ChannelTensor:
 @dataclass(frozen=True, eq=False)
 class ChannelFile:
     """A channel file that scan_channel_file has checked: its path, its
-    (T, L, K, M) dims and its AP map, without its payload."""
+    (T, L, K, M) dims and its AP map, without its payload. `stamp` is the
+    file's (device, inode, modification time in ns) when the scan opened it."""
 
     path: str
     dims: tuple
     antenna_ap_map: np.ndarray
+    stamp: tuple
 
     def read_users(self, users) -> ChannelTensor:
         """The (T, L, len(users), M) tensor of the file's users at the strictly
@@ -157,13 +169,15 @@ class ChannelFile:
 
         Each (t, l) slab's runs of consecutive users are read by offset, on a
         descriptor opened for this call. A file that no longer has its
-        header's size raises the FormatError read_channel_file would.
+        header's size raises the FormatError read_channel_file would; one
+        replaced or modified since the scan, even at the same size, raises
+        FormatError too.
         """
         t, l, k, m = self.dims
         users = np.asarray(users)
         if not (
             users.ndim == 1 and users.size and users.dtype.kind in "iu"
-            and users[0] >= 0 and users[-1] < k and np.all(np.diff(users) > 0)
+            and users[0] >= 0 and users[-1] < k and np.all(users[1:] > users[:-1])
         ):
             raise InvalidInputError(f"users must be strictly increasing indices below {k}")
         # runs of consecutive users: positions lo to hi - 1 hold file users
@@ -173,13 +187,19 @@ class ChannelFile:
         runs = [(raw[:, lo:hi], 8 * m * int(users[lo])) for lo, hi in zip(edges, edges[1:])]
         with open(self.path, "rb") as fh:
             fd = fh.fileno()
-            _check_size(self.dims, os.fstat(fd).st_size)
             for slab in range(t * l):
                 base = HEADER_SIZE + m + slab * 8 * k * m
                 for run, skip in runs:
                     out = run[slab]
                     if os.preadv(fd, [out], base + skip) < out.nbytes:
                         raise _truncated(self.dims, os.fstat(fd).st_size)
+            # after the reads, so a change while they ran is caught too
+            status = os.fstat(fd)
+        _check_size(self.dims, status.st_size)
+        if _stamp(status) != self.stamp:
+            raise FormatError(
+                f"{self.path} changed after it was checked at the start of the run"
+            )
         data = raw.reshape(t, l, users.size, m).astype(np.complex128)
         data.setflags(write=False)
         return ChannelTensor(data, self.antenna_ap_map)
@@ -189,11 +209,18 @@ def scan_channel_file(path) -> ChannelFile:
     """Check a channel file as read_channel_file does, with the same errors,
     in one streaming pass that keeps only its header and AP map."""
     with open(path, "rb") as fh:
+        stamp = _stamp(os.fstat(fh.fileno()))
         dims, ap_map = _read_header(fh)
         for _ in _payload_blocks(fh, dims):
             pass
     ap_map.setflags(write=False)
-    return ChannelFile(os.fspath(path), dims, ap_map)
+    return ChannelFile(os.fspath(path), dims, ap_map, stamp)
+
+
+def _stamp(status: os.stat_result) -> tuple:
+    """What tells one file, or one version of a file, from another: a rename
+    onto the path changes the inode, a write in place the modification time."""
+    return status.st_dev, status.st_ino, status.st_mtime_ns
 
 
 def _read_header(fh) -> tuple:

@@ -138,12 +138,16 @@ def test_read_users_reads_the_users_of_the_whole_file(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "users", [[], [3, 3], [2, 1], [-1, 0], [8, 9], [[0, 1]], [0.0, 1.0], [0.5, 1.5]]
+    "users",
+    [
+        [], [3, 3], [2, 1], [-1, 0], [8, 9], [[0, 1]], [0.0, 1.0], [0.5, 1.5],
+        np.array([2, 1], dtype=np.uint16),  # 1 - 2 wraps to 65535 in uint16
+    ],
 )
 def test_read_users_rejects_bad_indices(tmp_path, users):
     path, _ = two_ap_file(tmp_path, (1, 1, 9, 8))
     with pytest.raises(InvalidInputError, match="strictly increasing indices below 9"):
-        scan_channel_file(path).read_users(np.array(users, dtype=int if users == [] else None))
+        scan_channel_file(path).read_users(np.array(users, dtype=int if len(users) == 0 else None))
 
 
 @pytest.mark.parametrize("damage", ["truncated", "trailing", "nan-in-second-block", "bad-magic"])
@@ -184,6 +188,35 @@ def test_file_truncated_after_the_scan_fails_loudly(tmp_path, monkeypatch, worke
     with pytest.raises(FormatError, match=f"^file truncated: header promises {size} bytes") as info:
         run_experiment(run_config(path), workers=workers)
     assert (info.value.byte_offset, info.value.expected_size) == (size - 8, size)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("change", ["replaced", "rewritten-in-place"])
+def test_file_changed_after_the_scan_fails_loudly(tmp_path, monkeypatch, workers, change):
+    # the same dims and size, other entries: only the file's stamp tells
+    path, data = two_ap_file(tmp_path, (2, 2, 6, 8))
+    other = ChannelTensor(-data, np.repeat([0, 1], 4))
+    scanned = harness._trial_source
+
+    def scan_then_change(cfg):
+        source = scanned(cfg)
+        if change == "replaced":
+            write_channel_file(other, path)
+        else:
+            checked = path.stat().st_mtime_ns
+            blob = tmp_path / "other.dmct"
+            write_channel_file(other, blob)
+            with open(path, "r+b") as fh:
+                fh.write(blob.read_bytes())
+            # file times advance in clock ticks: a write later in a run
+            # lands on a later tick than the scan
+            os.utime(path, ns=(checked + 10**9, checked + 10**9))
+        return source
+
+    monkeypatch.setattr(harness, "_trial_source", scan_then_change)
+    monkeypatch.setattr(harness, "CHUNK_ELEMENTS", 1)  # one trial per chunk
+    with pytest.raises(FormatError, match="changed after it was checked"):
+        run_experiment(run_config(path), workers=workers)
 
 
 def synth_config(tmp_path, scene, num_users) -> str:
@@ -235,7 +268,40 @@ def test_failed_block_write_leaves_no_file(tmp_path):
     assert not path.exists()
     with pytest.raises(InvalidInputError, match=r"blocks hold 8 entries, the \(1, 2, 2, 4\) tensor 16"):
         write_channel_blocks(path, (1, 2, 2, 4), ap_map, [(0, values)])
-    assert not path.exists()
+    assert os.listdir(tmp_path) == []
     write_channel_blocks(path, (1, 2, 2, 4), ap_map, [(1, values), (0, 2 * values)])
     whole = np.concatenate([2 * values, values], axis=2)
     assert read_channel_file(path).data.tobytes() == whole.tobytes()
+
+
+def test_failed_write_keeps_the_file_already_there(tmp_path):
+    path, _ = two_ap_file(tmp_path, (1, 2, 3, 4))
+    blob = path.read_bytes()
+    big = np.full((1, 2, 3, 4), 1e39 + 0j)  # finite in complex128, not in float32
+    with pytest.raises(InvalidInputError, match="entries must all be finite"):
+        write_channel_file(ChannelTensor(big, np.repeat([0, 1], 2)), path)
+    assert path.read_bytes() == blob
+    assert os.listdir(tmp_path) == [path.name]
+
+
+def test_interrupted_synth_keeps_the_file_already_there(tmp_path, monkeypatch, capsys):
+    scene = default_scene("mixed", num_subcarriers=2, num_snapshots=1)
+    config = synth_config(tmp_path, scene, 3)
+    out = tmp_path / "out"
+    assert cli.main(["synth", "--config", config, "--out", str(out)]) == 0
+    blob = (out / "channel.dmct").read_bytes()
+    phasors = synth._unit_phasors
+    calls = []
+
+    def interrupt_on_the_third_call(*args):
+        calls.append(args)
+        if len(calls) == 3:
+            raise KeyboardInterrupt
+        return phasors(*args)
+
+    monkeypatch.setattr(synth, "GEOMETRY_BLOCK_ENTRIES", 1)  # one link per block
+    monkeypatch.setattr(synth, "_unit_phasors", interrupt_on_the_third_call)
+    with pytest.raises(KeyboardInterrupt):
+        cli.main(["synth", "--config", config, "--seed", "9", "--out", str(out)])
+    assert (out / "channel.dmct").read_bytes() == blob
+    assert os.listdir(out) == ["channel.dmct"]

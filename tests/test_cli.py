@@ -371,6 +371,27 @@ class TestErrors:
         assert err.endswith(f"found {size - 8}\n")
         assert not (tmp_path / "o").exists()
 
+    def test_channel_file_resynthesized_after_the_scan_exits_2(self, tmp_path, capsys, monkeypatch):
+        # another seed gives a file of the same dims and size but other users
+        synth_cfg = write_synth_config(tmp_path)
+        out = tmp_path / "channels"
+        assert main(["synth", "--config", str(synth_cfg), "--out", str(out)]) == 0
+        channel = out / "channel.dmct"
+        scanned = harness._trial_source
+
+        def scan_then_resynthesize(cfg):
+            source = scanned(cfg)
+            assert main(["synth", "--config", str(synth_cfg), "--seed", "12", "--out", str(out)]) == 0
+            return source
+
+        monkeypatch.setattr(harness, "_trial_source", scan_then_resynthesize)
+        run_cfg = write_run_config(tmp_path, channel)
+        capsys.readouterr()
+        assert main(["run", "--config", str(run_cfg), "--out", str(tmp_path / "o")]) == 2
+        err = one_error_line(capsys)
+        assert err == f"error: {channel} changed after it was checked at the start of the run\n"
+        assert not (tmp_path / "o").exists()
+
     def test_negative_oracle_seed_exits_2(self, capsys):
         assert main(["oracle", "--seed", "-1"]) == 2
         captured = capsys.readouterr()
