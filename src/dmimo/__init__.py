@@ -61,7 +61,7 @@ from .metrics import (
     waterfill,
     zf_sum_rate,
 )
-from .prep import NormalizedTensor, Topology, normalize, select_subarray
+from .prep import NormalizedTensor, normalize, select_subarray
 from .stats import CdfTable, compute_cdf
 from .synth import (
     LOS,
@@ -122,7 +122,6 @@ __all__ = [
     "SceneSource",
     "SnrSpec",
     "ToolkitError",
-    "Topology",
     "TopologyError",
     "UserLayout",
     "aggregate_result_rows",

@@ -20,11 +20,12 @@ _BLOCK_ENTRIES float32 pairs. read_channel_file holds one complex128 tensor
 (twice the payload's size) plus that block, and the tensor that comes back
 owns the array it was read into. scan_channel_file runs the same checks but
 keeps only the header and the AP map; its ChannelFile then reads a subset of
-users by offset, holding their float32 pairs and the complex128 tensor made
-from them; it fails if the file has changed since the scan. Writing converts
-one block at a time in write_channel_blocks, the one payload writer: it takes
-blocks of rows as a generator makes them, so the whole tensor never exists in
-memory, and write_channel_file hands it a tensor cut into blocks.
+users, each user's row of each (t, l) slab at its own offset, holding their
+float32 pairs and the complex128 tensor made from them; it fails if the file
+has changed since the scan. Writing converts one block at a time in
+write_channel_blocks, the one payload writer: it takes blocks of rows as a
+generator makes them, so the whole tensor never exists in memory, and
+write_channel_file hands it a tensor cut into blocks.
 """
 
 from __future__ import annotations
@@ -167,7 +168,7 @@ class ChannelFile:
         """The (T, L, len(users), M) tensor of the file's users at the strictly
         increasing indices `users`.
 
-        Each (t, l) slab's runs of consecutive users are read by offset, on a
+        Each user's row of each (t, l) slab is read at its own offset, on a
         descriptor opened for this call. A file that no longer has its
         header's size raises the FormatError read_channel_file would; one
         replaced or modified since the scan, even at the same size, raises
@@ -180,18 +181,14 @@ class ChannelFile:
             and users[0] >= 0 and users[-1] < k and np.all(users[1:] > users[:-1])
         ):
             raise InvalidInputError(f"users must be strictly increasing indices below {k}")
-        # runs of consecutive users: positions lo to hi - 1 hold file users
-        # users[lo] onward
-        edges = [0, *(np.flatnonzero(np.diff(users) != 1) + 1).tolist(), users.size]
         raw = np.empty((t * l, users.size, m), dtype="<c8")
-        runs = [(raw[:, lo:hi], 8 * m * int(users[lo])) for lo, hi in zip(edges, edges[1:])]
+        skips = [8 * m * user for user in users.tolist()]
         with open(self.path, "rb") as fh:
             fd = fh.fileno()
-            for slab in range(t * l):
+            for slab, rows in enumerate(raw):
                 base = HEADER_SIZE + m + slab * 8 * k * m
-                for run, skip in runs:
-                    out = run[slab]
-                    if os.preadv(fd, [out], base + skip) < out.nbytes:
+                for row, skip in zip(rows, skips):
+                    if os.preadv(fd, [row], base + skip) < row.nbytes:
                         raise _truncated(self.dims, os.fstat(fd).st_size)
             # after the reads, so a change while they ran is caught too
             status = os.fstat(fd)

@@ -44,7 +44,7 @@ from pathlib import Path
 
 from .errors import ConfigError, InvalidInputError, check_fields, check_number
 from .metrics import ALLOCATION_MODES, SnrSpec
-from .synth import Region, Scene, check_spacing, default_scene
+from .synth import Scene, check_spacing, default_scene
 
 CONFIG_VERSION = 1
 

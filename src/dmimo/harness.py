@@ -72,7 +72,7 @@ from .errors import (
     TopologyError,
     check_number,
 )
-from .metrics import SliceBatch, SnrSpec
+from .metrics import MAX_ABS_RHO_DB, SliceBatch, SnrSpec
 from .prep import check_topology, draw_subarray_columns, normalize
 from .stats import CDF_GRID_POINTS, compute_cdf
 from .synth import gen_geometric, gen_trajectory_users
@@ -325,7 +325,7 @@ def _chunk_worker(cfg: ExperimentConfig, draw, blocks: dict, k_idx: int, trials)
             rng = RngHandle(
                 cfg.seed, _stream_id(_STREAM_SELECT, k_idx, trials[pos], m_idx, n_idx)
             )
-            cols = draw_subarray_columns(blocks, m, n, rng)[0]
+            cols = draw_subarray_columns(blocks, m, n, rng)
             # the columns are valid, so "clip" only lets take write in place
             np.take(data, cols, axis=3, out=out, mode="clip")
         batch = SliceBatch(stack)
@@ -536,8 +536,15 @@ def read_result_rows(path) -> tuple:
             raise InvalidInputError(f"{where}: unknown metric {metric!r}")
         if flag not in ("0", "1"):
             raise InvalidInputError(f"{where}: degenerate_flag must be 0 or 1, got {flag!r}")
+        for name, number, low in (("trial", trial, 0), ("M", m, 1), ("N", n, 1), ("K", k, 1)):
+            if number < low:
+                raise InvalidInputError(f"{where}: {name} must be >= {low}, got {number}")
         if not math.isfinite(rho_db):
             raise InvalidInputError(f"{where}: rho_db must be finite, got {parts[4]!r}")
+        if abs(rho_db) > MAX_ABS_RHO_DB:
+            raise InvalidInputError(
+                f"{where}: rho_db must lie within ±{MAX_ABS_RHO_DB:g} dB, got {parts[4]!r}"
+            )
         if flag == "0" and not math.isfinite(value):
             raise InvalidInputError(
                 f"{where}: value must be finite when degenerate_flag is 0, got {parts[6]!r}"

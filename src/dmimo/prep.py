@@ -22,43 +22,9 @@ from .errors import (
     DegenerateUserError,
     InvalidInputError,
     TopologyError,
-    check_fields,
     check_number,
 )
 from .tensor import ChannelTensor, _generator, ap_columns
-
-
-@dataclass(frozen=True)
-class Topology:
-    """Record of one subarray selection: which APs, which elements.
-
-    n_aps * per_ap_antennas equals the subarray antenna count. Element ids
-    are positions within each chosen AP's own antenna block.
-    """
-
-    n_aps: int
-    per_ap_antennas: int
-    chosen_ap_ids: tuple[int, ...]
-    chosen_element_ids: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        check_fields(self)
-        n, w = self.n_aps, self.per_ap_antennas
-        if n < 1 or w < 1:
-            raise InvalidInputError("n_aps and per_ap_antennas must be >= 1")
-        if len(self.chosen_ap_ids) != n or len(set(self.chosen_ap_ids)) != n:
-            raise InvalidInputError("chosen_ap_ids must be n_aps distinct ids")
-        if len(self.chosen_element_ids) != n:
-            raise InvalidInputError("chosen_element_ids must give one group per AP")
-        for grp in self.chosen_element_ids:
-            if len(grp) != w or len(set(grp)) != w:
-                raise InvalidInputError(
-                    "chosen_element_ids must give per_ap_antennas distinct indices per AP"
-                )
-
-    @property
-    def total_antennas(self) -> int:
-        return self.n_aps * self.per_ap_antennas
 
 
 @dataclass(frozen=True)
@@ -109,17 +75,14 @@ def select_subarray(ch: ChannelTensor, m_total: int, n_aps: int, rng) -> tuple:
 
     Draws `n_aps` access points uniformly without replacement, then
     W = m_total / n_aps elements uniformly without replacement inside each
-    chosen AP. Returns (sliced ChannelTensor, Topology). No renormalization
-    happens here; the slice keeps the original coefficients.
+    chosen AP. Returns (sliced ChannelTensor, the antenna columns of `ch` it
+    holds, as draw_subarray_columns gives them). No renormalization happens
+    here; the slice keeps the original coefficients.
     """
     if not isinstance(ch, ChannelTensor):
         raise InvalidInputError("select_subarray expects a ChannelTensor")
-    cols, chosen, picks = draw_subarray_columns(
-        ap_columns(ch.antenna_ap_map), m_total, n_aps, rng
-    )
-    topo = Topology(len(chosen), len(picks[0]), chosen, picks)
-    sliced = ChannelTensor(ch.data[:, :, :, cols], ch.antenna_ap_map[cols])
-    return sliced, topo
+    cols = draw_subarray_columns(ap_columns(ch.antenna_ap_map), m_total, n_aps, rng)
+    return ChannelTensor(ch.data[:, :, :, cols], ch.antenna_ap_map[cols]), cols
 
 
 def check_topology(blocks: dict, m_total: int, n_aps: int) -> int:
@@ -140,18 +103,19 @@ def check_topology(blocks: dict, m_total: int, n_aps: int) -> int:
     return w
 
 
-def draw_subarray_columns(blocks: dict, m_total: int, n_aps: int, rng) -> tuple:
+def draw_subarray_columns(blocks: dict, m_total: int, n_aps: int, rng) -> np.ndarray:
     """The random draw behind select_subarray, on an AP -> columns map
     (see tensor.ap_columns).
 
     Checks the topology with check_topology, then draws the APs uniformly
     without replacement and W elements of each chosen AP in ascending AP
-    order; this call order fixes the stream. Returns (antenna columns,
-    chosen AP ids, element picks per AP).
+    order; this call order fixes the stream. Returns the antenna columns:
+    AP by AP in ascending id order, each AP's own in ascending order.
     """
     w = check_topology(blocks, m_total, n_aps)
     gen = _generator(rng)
     chosen = np.sort(gen.choice(np.asarray(list(blocks)), size=n_aps, replace=False))
-    picks = [np.sort(gen.choice(len(blocks[ap]), size=w, replace=False)) for ap in chosen.tolist()]
-    cols = np.concatenate([blocks[ap][grp] for ap, grp in zip(chosen.tolist(), picks)])
-    return cols, chosen, picks
+    return np.concatenate([
+        blocks[ap][np.sort(gen.choice(len(blocks[ap]), size=w, replace=False))]
+        for ap in chosen.tolist()
+    ])

@@ -185,6 +185,13 @@ class TestRowLayout:
             ("0,8.0,1,2,0.0,svs,1.0,0", "M must be an integer, got '8.0'"),
             ("0,8,1,2,high,svs,1.0,0", "rho_db must be a number, got 'high'"),
             ("0,8,1,2,nan,svs,1.0,0", "rho_db must be finite, got 'nan'"),
+            # a value no run writes: the per-entry bounds a config accepts
+            ("-1,0,-2,-3,0.0,svs,1.5,0", "trial must be >= 0, got -1"),
+            ("0,0,1,2,0.0,svs,1.5,0", "M must be >= 1, got 0"),
+            ("0,8,-2,2,0.0,svs,1.5,0", "N must be >= 1, got -2"),
+            ("0,8,1,0,0.0,svs,1.5,0", "K must be >= 1, got 0"),
+            ("0,8,1,2,3000.5,svs,1.5,0", "rho_db must lie within ±3000 dB, got '3000.5'"),
+            ("0,8,1,2,-1e+300,svs,1.5,0", "rho_db must lie within ±3000 dB, got '-1e+300'"),
             ("0,8,1,2,0.0,svs,x,0", "value must be a number, got 'x'"),
             ("0,8,1,2,0.0,svs,x,1", "value must be a number, got 'x'"),
             ("0,8,1,2,0.0,svs,nan,0", "value must be finite when degenerate_flag is 0, got 'nan'"),

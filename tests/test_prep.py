@@ -7,31 +7,28 @@ from dmimo import (
     ApCapacityError,
     ChannelTensor,
     DegenerateUserError,
+    ExperimentConfig,
     InvalidInputError,
     NormalizedTensor,
     RngHandle,
-    Topology,
+    SceneSource,
     TopologyError,
+    default_scene,
     dpc_capacity,
     gen_iid_rayleigh,
     normalize,
+    run_experiment,
     select_subarray,
     singular_values,
     SnrSpec,
+    svs,
 )
+from dmimo.harness import _STREAM_SELECT, _stream_id, _trial_source
 
 
 def four_ap_tensor(seed, dims=(1, 1, 2, 128)):
     ch = gen_iid_rayleigh(dims, RngHandle(seed, 0))
     return ChannelTensor(ch.data, np.repeat([0, 1, 2, 3], dims[3] // 4))
-
-
-def columns_from_topology(ch, topo):
-    cols = []
-    for ap, elems in zip(topo.chosen_ap_ids, topo.chosen_element_ids):
-        block = np.flatnonzero(ch.antenna_ap_map == ap)
-        cols.extend(block[list(elems)])
-    return np.array(cols)
 
 
 class TestNormalize:
@@ -95,49 +92,32 @@ class TestNormalize:
             normalize(np.ones((1, 1, 1, 2), dtype=complex))
 
 
-class TestTopology:
-    def test_total(self):
-        topo = Topology(2, 3, (0, 2), ((0, 1, 2), (4, 5, 6)))
-        assert topo.total_antennas == 6
-
-    def test_validation(self):
-        with pytest.raises(InvalidInputError):
-            Topology(2, 3, (0, 0), ((0, 1, 2), (4, 5, 6)))
-        with pytest.raises(InvalidInputError):
-            Topology(2, 3, (0, 1), ((0, 1, 2),))
-        with pytest.raises(InvalidInputError):
-            Topology(2, 3, (0, 1), ((0, 1, 1), (4, 5, 6)))
-
-
 class TestSelectSubarray:
     def test_full_selection_is_identity(self):
         ch = four_ap_tensor(40)
-        sub, topo = select_subarray(ch, 128, 4, RngHandle(40, 1))
+        sub, cols = select_subarray(ch, 128, 4, RngHandle(40, 1))
         assert np.array_equal(sub.data, ch.data)
-        assert topo.chosen_ap_ids == (0, 1, 2, 3)
-        assert topo.per_ap_antennas == 32
-        assert all(grp == tuple(range(32)) for grp in topo.chosen_element_ids)
+        assert cols.tolist() == list(range(128))
 
     def test_shapes_and_ap_structure(self):
         ch = four_ap_tensor(41)
-        sub, topo = select_subarray(ch, 64, 2, RngHandle(41, 1))
+        sub, cols = select_subarray(ch, 64, 2, RngHandle(41, 1))
         assert sub.dims == (1, 1, 2, 64)
         assert sub.num_aps == 2
-        assert topo.n_aps == 2 and topo.per_ap_antennas == 32
+        assert np.array_equal(sub.antenna_ap_map, ch.antenna_ap_map[cols])
         counts = [int(np.count_nonzero(sub.antenna_ap_map == a)) for a in sub.ap_ids]
         assert counts == [32, 32]
 
     def test_single_ap(self):
         ch = four_ap_tensor(42)
-        sub, topo = select_subarray(ch, 16, 1, RngHandle(42, 1))
+        sub, cols = select_subarray(ch, 16, 1, RngHandle(42, 1))
         assert sub.dims[3] == 16
         assert sub.num_aps == 1
-        assert len(topo.chosen_ap_ids) == 1
+        assert len(np.unique(ch.antenna_ap_map[cols])) == 1
 
     def test_slice_preserves_coefficients_and_metrics(self):
         ch = four_ap_tensor(43, dims=(2, 2, 3, 128))
-        sub, topo = select_subarray(ch, 32, 4, RngHandle(43, 1))
-        cols = columns_from_topology(ch, topo)
+        sub, cols = select_subarray(ch, 32, 4, RngHandle(43, 1))
         assert np.array_equal(sub.data, ch.data[:, :, :, cols])
         # metrics on the subarray equal metrics on the manual slice
         manual = ch.data[0, 1][:, cols]
@@ -152,8 +132,7 @@ class TestSelectSubarray:
 
     def test_no_renormalization(self):
         ch = four_ap_tensor(44)
-        sub, topo = select_subarray(ch, 16, 2, RngHandle(44, 1))
-        cols = columns_from_topology(ch, topo)
+        sub, cols = select_subarray(ch, 16, 2, RngHandle(44, 1))
         assert np.array_equal(sub.data, ch.data[:, :, :, cols])
         sub_energy = float(np.sum(np.abs(sub.data) ** 2))
         manual_energy = float(np.sum(np.abs(ch.data[:, :, :, cols]) ** 2))
@@ -165,8 +144,7 @@ class TestSelectSubarray:
         hits = np.zeros(128)
         draws = 15_000
         for _ in range(draws):
-            _, topo = select_subarray(ch, 48, 4, gen)
-            cols = columns_from_topology(ch, topo)
+            _, cols = select_subarray(ch, 48, 4, gen)
             hits[cols] += 1.0
         freq = hits / draws
         assert np.max(np.abs(freq - 12.0 / 32.0)) < 0.02
@@ -176,7 +154,34 @@ class TestSelectSubarray:
         a = select_subarray(ch, 32, 2, RngHandle(46, 5))
         b = select_subarray(ch, 32, 2, RngHandle(46, 5))
         assert np.array_equal(a[0].data, b[0].data)
-        assert a[1] == b[1]
+        assert np.array_equal(a[1], b[1])
+        assert a[1].tolist() == [
+            64, 66, 67, 68, 71, 72, 73, 75, 76, 77, 83, 86, 87, 91, 92, 95,
+            96, 97, 99, 101, 103, 104, 105, 109, 110, 111, 113, 116, 118, 119, 122, 127,
+        ]
+
+    def test_run_draws_the_antennas_select_subarray_draws(self):
+        # every slot's svs equals svs of select_subarray on the same stream,
+        # so the public function and the harness draw the same antennas
+        cfg = ExperimentConfig(
+            source=SceneSource(default_scene()),
+            m_values=(16, 32),
+            n_values=(1, 2),
+            rho_db_values=(0.0,),
+            k_values=(4,),
+            trials=3,
+            seed=49,
+            metrics=("svs",),
+        )
+        values = run_experiment(cfg, workers=1).values
+        _, _, draw = _trial_source(cfg)
+        for trial in range(cfg.trials):
+            full = normalize(draw(0, trial))
+            for m_idx, m in enumerate(cfg.m_values):
+                for n_idx, n in enumerate(cfg.n_values):
+                    stream = _stream_id(_STREAM_SELECT, 0, trial, m_idx, n_idx)
+                    sub, _ = select_subarray(full, m, n, RngHandle(cfg.seed, stream))
+                    assert values[m_idx, n_idx, 0, 0, trial, 0] == svs(sub)
 
     def test_errors(self):
         ch = four_ap_tensor(47)

@@ -28,7 +28,6 @@ from dmimo import (
     Scene,
     SceneSource,
     SnrSpec,
-    Topology,
     UserLayout,
     default_scene,
 )
@@ -39,7 +38,6 @@ SAMPLES = {
     UserLayout: UserLayout(np.array([[0.0, 0.0, 0.8], [1.0, 0.0, 0.8]]), 0.5, 2.0),
     SceneSource: SceneSource(default_scene()),
     ExperimentConfig: ExperimentConfig(SceneSource(default_scene()), (8,), (1,), (0.0,), (2,), 1, 1),
-    Topology: Topology(2, 1, (0, 3), ((1,), (0,))),
     CdfTable: CdfTable(np.arange(3.0), np.array([0.25, 0.5, 0.75]), 4, 1),
     SnrSpec: SnrSpec(10.0),
     PowerAllocation: PowerAllocation([0.25, 0.75], 1.0),
