@@ -29,7 +29,7 @@ from .config import (
 from .errors import ToolkitError, check_number
 from .harness import (
     aggregate_result_rows,
-    read_result_rows,
+    iter_result_rows,
     run_experiment,
     write_cdf_tables,
 )
@@ -115,8 +115,8 @@ def _cmd_run(args) -> int:
 
 def _cmd_cdf(args) -> int:
     with _output_dir(args.out) as out_dir:
-        rows = read_result_rows(args.results)
-        cells = aggregate_result_rows(rows, grid_points=args.grid_points)
+        # the rows go straight into the grid; the file is never held whole
+        cells = aggregate_result_rows(iter_result_rows(args.results), grid_points=args.grid_points)
         path = out_dir / "cdf_tables.json"
         write_cdf_tables(cells, path)
     print(f"wrote {path} ({len(cells)} cells)")

@@ -39,6 +39,8 @@ copied into its own (K index, trial) slots. ExperimentResult is that grid,
 written to CSV in C order; its rows, degenerate records and cells are views.
 One aggregator turns a grid into cells (mean, median, 512-point CDF; it skips
 degenerate trials and counts them), for a run and for rows read back.
+Result files never sit whole in memory: JSON is written piece by piece, and
+rows read back go line by line into compact buffers.
 """
 
 from __future__ import annotations
@@ -49,9 +51,10 @@ import os
 import pickle
 import signal
 import traceback
+from array import array
 from dataclasses import asdict, dataclass
 from functools import cached_property
-from itertools import product, zip_longest
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -80,6 +83,7 @@ from .tensor import ChannelTensor, RngHandle, ap_columns
 
 RESULT_COLUMNS = ("trial", "M", "N", "K", "rho_db", "metric", "value", "degenerate_flag")
 _COLUMN_TYPES = (int, int, int, int, float, str, float, str)
+_CONTAINERS = (dict, list, tuple)  # what json writes as an object or array
 
 _STREAM_USERS = 1
 _STREAM_CHANNEL = 2
@@ -222,7 +226,40 @@ def write_cdf_tables(cells, path) -> None:
 
 
 def _write_json(payload: dict, path) -> None:
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    """Write json.dumps(payload, indent=2, sort_keys=True) + "\n" to path piece
+    by piece, so the text is never held whole. Dict keys must be strings."""
+    with open(path, "w", encoding="utf-8") as out:
+        _write_json_value(out.write, payload, "\n")
+        out.write("\n")
+
+
+def _write_json_value(write, value, newline: str) -> None:
+    """Write value as json.dumps(..., indent=2, sort_keys=True) spells it on a
+    line that starts with newline[1:]. A container that holds containers is
+    written item by item; any other value is one json.dumps call without
+    indent, which runs json's C encoder, with only its brackets re-spaced."""
+    if not isinstance(value, _CONTAINERS) or not value:
+        write(json.dumps(value))
+        return
+    inner = newline + "  "
+    items = value.values() if isinstance(value, dict) else value
+    if not any(issubclass(kind, _CONTAINERS) for kind in set(map(type, items))):
+        text = json.dumps(value, sort_keys=True, separators=("," + inner, ": "))
+        write(f"{text[0]}{inner}{text[1:-1]}{newline}{text[-1]}")
+    elif isinstance(value, dict):
+        opener = "{"
+        for key, item in sorted(value.items()):
+            write(f"{opener}{inner}{json.dumps(key)}: ")
+            _write_json_value(write, item, inner)
+            opener = ","
+        write(newline + "}")
+    else:
+        opener = "["
+        for item in value:
+            write(opener + inner)
+            _write_json_value(write, item, inner)
+            opener = ","
+        write(newline + "]")
 
 
 def _cell_to_dict(cell: CellAggregate) -> dict:
@@ -441,21 +478,46 @@ def aggregate_result_rows(rows, grid_points: int = CDF_GRID_POINTS) -> tuple:
     axis's values in order of first appearance, or the first row out of place
     raises InvalidInputError, as does a valid NaN or -inf value or a degenerate
     -inf one. A grid_points that is not an integer >= 1 raises ConfigError.
+
+    rows may be any iterable, consumed once before grid_points is checked, so
+    an error of a row read from a file comes first. Each row is kept only as
+    its axis indices, value and flag in compact buffers, so an iterator such
+    as iter_result_rows never holds the file.
     """
+    axes = [{} for _ in range(6)]  # (M, N, rho, K, trial, metric): value -> index
+    m_axis, n_axis, rho_axis, k_axis, trial_axis, metric_axis = axes
+    indices, values, flags = array("q"), array("d"), bytearray()
+    for r in rows:
+        indices.extend((
+            m_axis.setdefault(r.m, len(m_axis)),
+            n_axis.setdefault(r.n, len(n_axis)),
+            rho_axis.setdefault(r.rho_db, len(rho_axis)),
+            k_axis.setdefault(r.k, len(k_axis)),
+            trial_axis.setdefault(r.trial, len(trial_axis)),
+            metric_axis.setdefault(r.metric, len(metric_axis)),
+        ))
+        values.append(r.value)
+        flags.append(r.degenerate)
     grid_points = check_number(grid_points, "grid_points", int, ConfigError)
     if grid_points < 1:
         raise ConfigError(f"grid_points must be >= 1, got {grid_points}")
-    rows = tuple(rows)
-    if not rows:
+    if not values:
         return ()
-    slots = [(r.m, r.n, r.rho_db, r.k, r.trial, r.metric) for r in rows]
-    axes = [tuple(dict.fromkeys(axis)) for axis in zip(*slots)]
-    for index, (slot, expected) in enumerate(zip_longest(slots, product(*axes))):
-        if slot != expected:
-            problem = f"({rows[index]}) is out of write_csv's order" if slot else "is missing"
-            raise InvalidInputError(f"result row {index + 1} {problem}")
-    grid = np.array([(r.value, r.degenerate) for r in rows]).reshape(*map(len, axes), 2)
-    return _aggregate(axes, grid[..., 0], grid[..., 1] == 1, grid_points)
+    axes = [tuple(axis) for axis in axes]
+    shape = tuple(map(len, axes))
+    slots = np.frombuffer(indices, dtype=np.int64).reshape(-1, len(axes))
+    # row i is in place when its slot is the i-th of the grid in C order
+    misplaced = np.flatnonzero(np.ravel_multi_index(slots.T, shape) != np.arange(len(values)))
+    if misplaced.size or len(values) < math.prod(shape):
+        index = int(misplaced[0]) if misplaced.size else len(values)
+        problem = "is missing"
+        if index < len(values):
+            m, n, rho_db, k, trial, metric = (a[i] for a, i in zip(axes, slots[index].tolist()))
+            row = ResultRow(trial, m, n, k, rho_db, metric, values[index], flags[index] == 1)
+            problem = f"({row}) is out of write_csv's order"
+        raise InvalidInputError(f"result row {index + 1} {problem}")
+    grid = np.frombuffer(values).reshape(shape)
+    return _aggregate(axes, grid, np.frombuffer(flags, dtype=np.uint8).reshape(shape) == 1, grid_points)
 
 
 def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> ExperimentResult:
@@ -501,59 +563,94 @@ def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> Experim
 
 
 def read_result_rows(path) -> tuple:
-    """Parse a results CSV written by ExperimentResult.write_csv. An unreadable
-    file, or a row that no run writes, raises InvalidInputError naming its line."""
+    """Every row of iter_result_rows(path)."""
+    return tuple(iter_result_rows(path))
+
+
+def iter_result_rows(path):
+    """Yield the rows of a results CSV written by ExperimentResult.write_csv,
+    reading it line by line. An unreadable file, or a row that no run writes,
+    raises InvalidInputError naming its line.
+
+    Each spelling of a row's trial, of its (M, N, K, rho_db, metric) fields and
+    of its flag is parsed and checked once, at its first line; later lines
+    parse only their value."""
     try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        with open(path, encoding="utf-8", newline="") as fh:
+            # the lines of str.splitlines, one physical line at a time
+            lines = (line for physical in fh for line in physical.splitlines())
+            if tuple(next(lines, "").split(",")) != RESULT_COLUMNS:
+                raise InvalidInputError(
+                    f"{path} does not start with the result header {','.join(RESULT_COLUMNS)}"
+                )
+            trials, cells, flags = {}, {}, {}  # spelling -> its checked fields
+            trials_read = {}  # (M, N, K, rho_db, metric) -> the trials read for that cell
+            for ln, line in enumerate(lines, start=2):
+                if not line:
+                    continue
+                if line.count(",") != len(RESULT_COLUMNS) - 1:
+                    raise InvalidInputError(f"{path}:{ln}: expected {len(RESULT_COLUMNS)} columns")
+                trial_text, rest = line.split(",", 1)
+                cell_text, value_text, flag = rest.rsplit(",", 2)
+                trial, cell = trials.get(trial_text), cells.get(cell_text)
+                try:
+                    value = float(value_text)
+                except ValueError:
+                    value = None
+                if None in (trial, cell, value, flags.get(flag)) or repr(value) != value_text:
+                    # a first spelling, or a bad value: the line's own checks, in column order
+                    trial, *cell, value, flag = _parse_result_line(path, ln, line)
+                    cell = cells[cell_text] = tuple(cell)
+                    trials[trial_text], flags[flag] = trial, flag == "1"
+                if flag == "0" and not math.isfinite(value):
+                    raise InvalidInputError(
+                        f"{path}:{ln}: value must be finite when degenerate_flag is 0, "
+                        f"got {value_text!r}"
+                    )
+                if value == -math.inf:
+                    raise InvalidInputError(f"{path}:{ln}: value must not be -inf, got {value_text!r}")
+                cell_trials = trials_read.setdefault(cell, set())
+                if trial in cell_trials:
+                    raise InvalidInputError(
+                        f"{path}:{ln}: repeats an earlier (trial, M, N, K, rho_db, metric)"
+                    )
+                cell_trials.add(trial)
+                m, n, k, rho_db, metric = cell
+                yield ResultRow(trial, m, n, k, rho_db, metric, value, flags[flag])
     except (OSError, UnicodeDecodeError) as exc:
         raise InvalidInputError(f"cannot read results {path}: {exc}") from exc
-    if not lines or tuple(lines[0].split(",")) != RESULT_COLUMNS:
+
+
+def _parse_result_line(path, ln: int, line: str) -> list:
+    """The eight fields of results line ln, each spelled as write_csv writes
+    it, after every check of the line that needs neither its value nor
+    another line."""
+    where, parts = f"{path}:{ln}", line.split(",")
+    fields = []
+    for name, kind, field in zip(RESULT_COLUMNS, _COLUMN_TYPES, parts):
+        try:
+            fields.append(kind(field))
+        except ValueError:
+            noun = "an integer" if kind is int else "a number"
+            raise InvalidInputError(f"{where}: {name} must be {noun}, got {field!r}") from None
+        # only write_csv's own spelling of the value: no '08', '+0.0' or 'INF'
+        written = repr(fields[-1]) if kind is float else str(fields[-1])
+        if written != field:
+            raise InvalidInputError(f"{where}: {name} must be written {written!r}, got {field!r}")
+    trial, m, n, k, rho_db, metric, _, flag = fields
+    if metric not in METRIC_NAMES:
+        raise InvalidInputError(f"{where}: unknown metric {metric!r}")
+    if flag not in ("0", "1"):
+        raise InvalidInputError(f"{where}: degenerate_flag must be 0 or 1, got {flag!r}")
+    for name, number, low in (("trial", trial, 0), ("M", m, 1), ("N", n, 1), ("K", k, 1)):
+        if number < low:
+            raise InvalidInputError(f"{where}: {name} must be >= {low}, got {number}")
+    if m % n:
+        raise InvalidInputError(f"{where}: N={n} does not divide M={m}, so no run draws it")
+    if not math.isfinite(rho_db):
+        raise InvalidInputError(f"{where}: rho_db must be finite, got {parts[4]!r}")
+    if abs(rho_db) > MAX_ABS_RHO_DB:
         raise InvalidInputError(
-            f"{path} does not start with the result header {','.join(RESULT_COLUMNS)}"
+            f"{where}: rho_db must lie within ±{MAX_ABS_RHO_DB:g} dB, got {parts[4]!r}"
         )
-    rows = []
-    trials_read = {}  # (M, N, K, rho_db, metric) -> the trials read for that cell
-    for ln, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        where = f"{path}:{ln}"
-        parts = line.split(",")
-        if len(parts) != len(RESULT_COLUMNS):
-            raise InvalidInputError(f"{where}: expected {len(RESULT_COLUMNS)} columns")
-        fields = []
-        for name, kind, field in zip(RESULT_COLUMNS, _COLUMN_TYPES, parts):
-            try:
-                fields.append(kind(field))
-            except ValueError:
-                noun = "an integer" if kind is int else "a number"
-                raise InvalidInputError(f"{where}: {name} must be {noun}, got {field!r}") from None
-            # only write_csv's own spelling of the value: no '08', '+0.0' or 'INF'
-            written = repr(fields[-1]) if kind is float else str(fields[-1])
-            if written != field:
-                raise InvalidInputError(f"{where}: {name} must be written {written!r}, got {field!r}")
-        trial, m, n, k, rho_db, metric, value, flag = fields
-        if metric not in METRIC_NAMES:
-            raise InvalidInputError(f"{where}: unknown metric {metric!r}")
-        if flag not in ("0", "1"):
-            raise InvalidInputError(f"{where}: degenerate_flag must be 0 or 1, got {flag!r}")
-        for name, number, low in (("trial", trial, 0), ("M", m, 1), ("N", n, 1), ("K", k, 1)):
-            if number < low:
-                raise InvalidInputError(f"{where}: {name} must be >= {low}, got {number}")
-        if not math.isfinite(rho_db):
-            raise InvalidInputError(f"{where}: rho_db must be finite, got {parts[4]!r}")
-        if abs(rho_db) > MAX_ABS_RHO_DB:
-            raise InvalidInputError(
-                f"{where}: rho_db must lie within ±{MAX_ABS_RHO_DB:g} dB, got {parts[4]!r}"
-            )
-        if flag == "0" and not math.isfinite(value):
-            raise InvalidInputError(
-                f"{where}: value must be finite when degenerate_flag is 0, got {parts[6]!r}"
-            )
-        if value == -math.inf:
-            raise InvalidInputError(f"{where}: value must not be -inf, got {parts[6]!r}")
-        cell = trials_read.setdefault((m, n, k, rho_db, metric), set())
-        if trial in cell:
-            raise InvalidInputError(f"{where}: repeats an earlier (trial, M, N, K, rho_db, metric)")
-        cell.add(trial)
-        rows.append(ResultRow(trial, m, n, k, rho_db, metric, value, flag == "1"))
-    return tuple(rows)
+    return fields

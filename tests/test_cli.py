@@ -338,7 +338,7 @@ class TestErrors:
         # an unusable --out fails before any work runs
         monkeypatch.setattr(cli, "run_experiment", work)
         monkeypatch.setattr(cli, "geometric_link_blocks", work)
-        monkeypatch.setattr(cli, "read_result_rows", work)
+        monkeypatch.setattr(cli, "iter_result_rows", work)
         taken = tmp_path / "taken"
         taken.write_text("a file\n")
         args = {
