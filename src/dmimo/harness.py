@@ -25,12 +25,18 @@ trial, M index, N index), and every kernel treats each slice on its own, so
 for a fixed seed the output bytes do not depend on the chunk cap or on how
 many worker processes execute the chunks.
 
-Chunk i runs in worker i mod W. Worker 0 is the calling process; the other
-W - 1 are forked, so they inherit the config, the trial source and the AP
-blocks without pickling, and each sends back only its chunks' results. Each
-trial read from a file opens its own descriptor, so workers share none. By
-default W is the number of CPUs the process may run on, capped at the
-number of chunks; W = 1 runs every chunk in-process.
+Chunks are handed out larger K first (trials ascending within a K), so the
+costliest chunks run first. Worker w first runs chunk w; then every worker
+takes the next chunk that nobody has run from a counter shared across the
+fork, until none is left. Worker 0 is the calling process; the other W - 1
+are forked, so they inherit the config, the trial source and the AP blocks
+without pickling, and each sends back only its chunks' results, each under
+its chunk's index. The counter is advanced under a POSIX record lock, which
+the kernel drops when its holder dies, so a worker killed at any moment
+hangs no other. Each trial read from a file opens its own descriptor, so
+workers share none. By default W is the number of CPUs the process may run
+on, capped at the number of chunks; W = 1 runs every chunk in-process, in
+order, with no counter.
 
 Results live in one dense grid with axes (M, N, rho, K, trial, metric), in
 config order (metrics in canonical order): a value per slot, and a reason in
@@ -416,16 +422,45 @@ def _fork(run_share, index: int) -> tuple:
     return pid, open(read_fd, "rb")
 
 
-def _run_chunks(run_share, workers: int) -> list:
-    """[run_share(w) for w in range(workers)]: share 0 runs here, the others
-    in forked workers. An error in any share is raised here, after every
-    worker has ended."""
+def _next_chunk(counter: int) -> int:
+    """Take the next chunk index that no worker has run: the 8-byte count at
+    the start of file descriptor `counter`, advanced by one under lockf, a
+    POSIX record lock from the offset to the end of the file (pread and
+    pwrite leave the offset at 0). Such a lock belongs to one process, so
+    the workers of a fork exclude each other, and the kernel drops it when
+    its holder dies."""
+    os.lockf(counter, os.F_LOCK, 0)
+    try:
+        index = int.from_bytes(os.pread(counter, 8, 0), "little")
+        os.pwrite(counter, (index + 1).to_bytes(8, "little"), 0)
+    finally:
+        os.lockf(counter, os.F_ULOCK, 0)
+    return index
+
+
+def _run_chunks(run_chunk, count: int, workers: int) -> list:
+    """(index, *run_chunk(index)) for every chunk index below count, each
+    once. Worker w first runs chunk w, then takes the next chunk that nobody
+    has run, until none is left: worker 0 here, the others forked, all
+    sharing one counter when there are several. An error in any worker is
+    raised here, after every worker has ended."""
+    counter = os.memfd_create("dmimo-chunks", os.MFD_CLOEXEC) if workers > 1 else None
+
+    def run_share(index):
+        done = []
+        while index < count:
+            done.append((index, *run_chunk(index)))
+            index = index + 1 if counter is None else _next_chunk(counter)
+        return done
+
     running = {}  # worker index -> pid, until the worker is reaped
     readers = {}  # worker index -> its outcome's read end
     try:
+        if counter is not None:
+            os.pwrite(counter, workers.to_bytes(8, "little"), 0)  # chunks below W are taken
         for index in range(1, workers):
             running[index], readers[index] = _fork(run_share, index)
-        shares = [run_share(0)]
+        done = run_share(0)
         for index, reader in readers.items():
             try:
                 payload, text = pickle.load(reader)
@@ -437,8 +472,8 @@ def _run_chunks(run_share, workers: int) -> list:
                 ) from None
             if text is not None:
                 raise payload from RuntimeError(f"in worker {index}:\n{text}")
-            shares.append(payload)
-        return shares
+            done.extend(payload)
+        return done
     except BaseException:
         for pid in running.values():
             os.kill(pid, signal.SIGKILL)
@@ -448,6 +483,8 @@ def _run_chunks(run_share, workers: int) -> list:
             reader.close()
         for pid in running.values():
             os.waitpid(pid, 0)
+        if counter is not None:
+            os.close(counter)
 
 
 def _aggregate(axes, values, degenerate, grid_points: int = CDF_GRID_POINTS) -> tuple:
@@ -523,12 +560,14 @@ def aggregate_result_rows(rows, grid_points: int = CDF_GRID_POINTS) -> tuple:
 def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> ExperimentResult:
     """Execute the full sweep grid for cfg.trials Monte-Carlo trials.
 
-    Feasibility of every sweep cell is checked before any trial runs. Chunk
-    i runs in worker i mod `workers`: worker 0 is this process and the others
-    are forked. `workers` defaults to the CPUs this process may run on and
-    is capped at the number of chunks; 1 runs every chunk here. Each chunk's
-    values and degenerate reasons are copied into its own (K, trial) slots of
-    one dense (M, N, rho, K, trial, metric) grid, which the result holds.
+    Feasibility of every sweep cell is checked before any trial runs. Chunks
+    are ordered larger K first; worker w runs chunk w, then each worker takes
+    the next chunk nobody has run from a shared counter until none is left.
+    Worker 0 is this process and the others are forked. `workers` defaults
+    to the CPUs this process may run on and is capped at the number of
+    chunks; 1 runs every chunk here. Each chunk's values and degenerate
+    reasons are copied into its own (K, trial) slots of one dense
+    (M, N, rho, K, trial, metric) grid, which the result holds.
     Results are identical for any `workers` because each trial owns
     pre-assigned random streams and grid slots.
     """
@@ -546,16 +585,19 @@ def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> Experim
     values = np.full(shape, math.nan)
     reasons = np.full(shape, None, dtype=object)  # a reason marks a degenerate row
 
-    chunks = _chunks(cfg, entries_per_user)
+    # larger K first, so the costliest chunks are not left for last
+    chunks = sorted(
+        _chunks(cfg, entries_per_user), key=lambda chunk: cfg.k_values[chunk[0]], reverse=True
+    )
     workers = min(workers, len(chunks))
 
-    def run_share(index):
-        return [_chunk_worker(cfg, draw, blocks, *chunk) for chunk in chunks[index::workers]]
+    def run_chunk(index):
+        return _chunk_worker(cfg, draw, blocks, *chunks[index])
 
-    for index, share in enumerate(_run_chunks(run_share, workers)):
-        for (k_idx, trials), (chunk_values, chunk_reasons) in zip(chunks[index::workers], share):
-            slots = (slice(None),) * 3 + (k_idx, slice(trials.start, trials.stop))
-            values[slots], reasons[slots] = chunk_values, chunk_reasons
+    for index, chunk_values, chunk_reasons in _run_chunks(run_chunk, len(chunks), workers):
+        k_idx, trials = chunks[index]
+        slots = (slice(None),) * 3 + (k_idx, slice(trials.start, trials.stop))
+        values[slots], reasons[slots] = chunk_values, chunk_reasons
 
     for grid in (values, reasons):
         grid.setflags(write=False)

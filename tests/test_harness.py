@@ -1,10 +1,12 @@
 """Monte-Carlo harness: determinism, row layout, aggregation, degeneracy."""
 
+import contextlib
 import hashlib
 import json
 import math
 import os
 import signal
+import time
 
 import numpy as np
 import pytest
@@ -515,12 +517,35 @@ class TestChunking:
                 assert len(harness._chunks(cfg, 8)) == chunks
                 for workers in (1, 3):
                     assert self.outputs(cfg, workers) == reference, (metrics, cap, workers)
-                    # chunk i ran in worker i mod W; worker 0 is this process
-                    used = min(workers, chunks)
+                    # every chunk ran once, and each of min(W, chunks) workers
+                    # ran at least one; worker 0 is this process
                     pids = chunk_pids()
                     assert len(pids) == chunks
-                    assert len(set(pids)) == used, (metrics, cap, workers)
-                    assert pids.count(os.getpid()) == len(range(0, chunks, used))
+                    assert len(set(pids)) == min(workers, chunks), (metrics, cap, workers)
+                    assert os.getpid() in pids
+
+    def test_mixed_k_outputs_do_not_depend_on_workers(self, tmp_path, monkeypatch, chunk_pids):
+        data = gen_iid_rayleigh((1, 1, 6, 8), RngHandle(97, 0)).data
+        cfg = file_config(tmp_path, data, np.repeat([0, 1], 4), k_values=(2, 5), trials=3)
+        monkeypatch.setattr(harness, "CHUNK_ELEMENTS", 1)
+        started = []  # (K, first trial) of each chunk, in the order they start
+        work = harness._chunk_worker
+
+        def logged(cfg, draw, blocks, k_idx, trials):
+            started.append((cfg.k_values[k_idx], trials.start))
+            return work(cfg, draw, blocks, k_idx, trials)
+
+        monkeypatch.setattr(harness, "_chunk_worker", logged)
+        reference = self.outputs(cfg)
+        # larger K first, trials ascending within a K
+        assert started == [(5, 0), (5, 1), (5, 2), (2, 0), (2, 1), (2, 2)]
+        chunk_pids()
+        # 7 workers: more than the 6 chunks, and more than a small host's CPUs
+        for workers in (2, 3, 7):
+            assert self.outputs(cfg, workers) == reference, workers
+            pids = chunk_pids()
+            assert len(pids) == 6
+            assert len(set(pids)) == min(workers, 6) and os.getpid() in pids, workers
 
     def test_chunk_cap_counts_entries_not_slices(self, tmp_path):
         data = gen_iid_rayleigh((1, 1, 2, 8), RngHandle(96, 0)).data
@@ -692,6 +717,22 @@ class TestFeasibilityChecks:
             run_experiment({"not": "a config"})
 
 
+@contextlib.contextmanager
+def within_60_s():
+    """Raise TimeoutError in the block if it runs longer than 60 s."""
+
+    def expire(signum, frame):
+        raise TimeoutError("did not return within 60 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 class TestWorkers:
     """Chunks run in forked workers; a failure in any of them reaches the caller."""
 
@@ -701,56 +742,109 @@ class TestWorkers:
             os.waitpid(-1, os.WNOHANG)
 
     @staticmethod
-    def run_with_normalize(monkeypatch, fail):
-        """Run three one-trial chunks on two workers, with `fail(in_worker)`
-        called before each trial's normalize; a run that hangs fails after 60 s."""
+    def run_with(monkeypatch, name, before):
+        """Run three one-trial chunks on two workers, with `before(in_worker,
+        *args)` called before each call of harness.<name>(*args); a run that
+        hangs fails after 60 s."""
         parent = os.getpid()
         monkeypatch.setattr(harness, "CHUNK_ELEMENTS", 1)
-        normalize = harness.normalize
+        real = getattr(harness, name)
 
-        def patched(ch):
-            fail(os.getpid() != parent)
-            return normalize(ch)
+        def patched(*args):
+            before(os.getpid() != parent, *args)
+            return real(*args)
 
-        def expire(signum, frame):
-            raise TimeoutError("run_experiment did not return within 60 s")
-
-        monkeypatch.setattr(harness, "normalize", patched)
-        previous = signal.signal(signal.SIGALRM, expire)
-        signal.alarm(60)
-        try:
+        monkeypatch.setattr(harness, name, patched)
+        with within_60_s():
             return run_experiment(scene_config(trials=3), workers=2)
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
 
     def test_worker_error_reaches_the_caller(self, monkeypatch):
-        def fail(in_worker):
-            if in_worker:  # only chunk 1, trial 1, runs in the forked worker
+        def fail(in_worker, ch):
+            if in_worker:  # chunk 1, trial 1, runs in the forked worker
                 raise RuntimeError("boom")
 
         with pytest.raises(RuntimeError, match="^boom$") as info:
-            self.run_with_normalize(monkeypatch, fail)
+            self.run_with(monkeypatch, "normalize", fail)
         assert "in worker 1" in str(info.value.__cause__)
         self.assert_workers_reaped()
 
     def test_caller_error_ends_the_workers(self, monkeypatch):
-        def fail(in_worker):
+        def fail(in_worker, ch):
             if not in_worker:
                 raise RuntimeError("boom in the caller")
 
         with pytest.raises(RuntimeError, match="^boom in the caller$"):
-            self.run_with_normalize(monkeypatch, fail)
+            self.run_with(monkeypatch, "normalize", fail)
         self.assert_workers_reaped()
 
     def test_worker_that_dies_is_an_error(self, monkeypatch):
-        def fail(in_worker):
+        def fail(in_worker, ch):
             if in_worker:
                 os._exit(3)
 
         with pytest.raises(RuntimeError, match="worker 1 exited with code 3"):
-            self.run_with_normalize(monkeypatch, fail)
+            self.run_with(monkeypatch, "normalize", fail)
         self.assert_workers_reaped()
+
+    def test_worker_that_dies_holding_the_counter_is_an_error(self, monkeypatch, tmp_path):
+        held = tmp_path / "held"
+
+        def take(in_worker, counter):
+            if in_worker:  # after chunk 1: die while holding the counter's lock
+                os.lockf(counter, os.F_LOCK, 0)
+                held.touch()
+                time.sleep(0.2)  # the caller now waits on the lock
+                os._exit(3)
+            while not held.exists():
+                time.sleep(0.01)
+
+        with pytest.raises(RuntimeError, match="worker 1 exited with code 3"):
+            self.run_with(monkeypatch, "_next_chunk", take)
+        self.assert_workers_reaped()
+
+    def test_caller_error_while_a_worker_pulls_ends_the_workers(self, monkeypatch, tmp_path):
+        held = tmp_path / "held"
+
+        def take(in_worker, counter):
+            if in_worker:  # hold the counter's lock past the 60-s limit
+                os.lockf(counter, os.F_LOCK, 0)
+                held.touch()
+                time.sleep(120)
+            while not held.exists():
+                time.sleep(0.01)
+            raise RuntimeError("boom in the caller")
+
+        with pytest.raises(RuntimeError, match="^boom in the caller$"):
+            self.run_with(monkeypatch, "_next_chunk", take)
+        self.assert_workers_reaped()
+
+    def test_counter_hands_out_each_index_once(self):
+        # more processes than a small host's CPUs; a lost update repeats an index
+        processes, takes = 5, 2000
+        counter, log = os.memfd_create("counter"), os.memfd_create("log")
+        try:
+            os.pwrite(counter, bytes(8), 0)
+            with within_60_s():
+                pids = []
+                for p in range(processes):
+                    pid = os.fork()
+                    if pid == 0:
+                        code = 1
+                        try:
+                            taken = [harness._next_chunk(counter) for _ in range(takes)]
+                            data = np.array(taken, dtype=np.int64).tobytes()
+                            os.pwrite(log, data, p * takes * 8)
+                            code = 0
+                        finally:
+                            os._exit(code)
+                    pids.append(pid)
+                codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+            taken = np.frombuffer(os.pread(log, processes * takes * 8, 0), dtype=np.int64)
+        finally:
+            os.close(counter)
+            os.close(log)
+        assert codes == [0] * processes
+        assert sorted(taken.tolist()) == list(range(processes * takes))
 
 
 class TestJointModeThroughHarness:

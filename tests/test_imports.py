@@ -1,4 +1,5 @@
-"""Every module of src/dmimo uses each name it imports.
+"""Every module of src/dmimo uses each name it imports, and importing the
+package loads nothing heavy.
 
 A stdlib-only stand-in for a linter's unused-import rule. `__init__.py` is
 exempt because it imports to re-export, and so are `from __future__`
@@ -8,6 +9,9 @@ name used only there counts too.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "dmimo"
@@ -36,3 +40,18 @@ def test_no_module_imports_a_name_it_never_uses():
         for line, name in unused_imports(path.read_text(encoding="utf-8"))
     ]
     assert found == []
+
+
+def test_importing_dmimo_leaves_multiprocessing_unloaded():
+    # a run's setup time includes `import dmimo`; multiprocessing's shared
+    # memory modules alone take milliseconds to import
+    path = os.pathsep.join(filter(None, (str(PACKAGE.parent), os.environ.get("PYTHONPATH"))))
+    script = "import dmimo, sys; print(sorted(m for m in sys.modules if 'multiprocessing' in m))"
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout == "[]\n"
