@@ -62,7 +62,7 @@ from .metrics import (
     waterfill,
     zf_sum_rate,
 )
-from .prep import NormalizedTensor, normalize, select_subarray
+from .prep import normalize, select_subarray
 from .stats import CdfTable, compute_cdf
 from .synth import (
     LOS,
@@ -110,7 +110,6 @@ __all__ = [
     "LOS",
     "METRIC_NAMES",
     "NLOS",
-    "NormalizedTensor",
     "PlacementError",
     "PowerAllocation",
     "RESULT_COLUMNS",

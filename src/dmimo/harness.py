@@ -18,8 +18,9 @@ is flagged on its own; it never fails the rest of its chunk. SliceBatch
 returns each metric's reasons with its values and so decides every reason a
 measured trial gets; the harness stores them as they come. It decides only
 the two reasons a trial gets before any metric runs: its users cannot be
-placed within the spacing bounds, or its tensor has an all-zero user. Then
-every row of the trial is degenerate, with the error's text as the reason.
+placed within the spacing bounds, or a user of its tensor is all zero or
+has an energy that underflows. Then every row of the trial is degenerate,
+with the error's text as the reason.
 Every random purpose gets its own stream id derived from (purpose, K index,
 trial, M index, N index), and every kernel treats each slice on its own, so
 for a fixed seed the output bytes do not depend on the chunk cap or on how
@@ -45,8 +46,8 @@ copied into its own (K index, trial) slots. ExperimentResult is that grid,
 written to CSV in C order; its rows, degenerate records and cells are views.
 One aggregator turns a grid into cells (mean, median, 512-point CDF; it skips
 degenerate trials and counts them), for a run and for rows read back.
-Result files never sit whole in memory: JSON is written piece by piece, and
-rows read back go line by line into compact buffers.
+Result files never sit whole in memory: CSV is written line by line and JSON
+piece by piece, and rows read back go line by line into compact buffers.
 """
 
 from __future__ import annotations
@@ -61,7 +62,6 @@ from array import array
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from itertools import product
-from pathlib import Path
 
 import numpy as np
 
@@ -182,8 +182,8 @@ class ExperimentResult:
     reasons: np.ndarray
 
     def _slots(self):
-        grids = self.values.ravel().tolist(), self.reasons.ravel().tolist()
-        return zip(product(*_axes(self.config)), *grids)
+        # slot by slot, so that no list of the whole grid is made
+        return zip(product(*_axes(self.config)), map(float, self.values.flat), self.reasons.flat)
 
     @cached_property
     def rows(self) -> tuple:
@@ -203,15 +203,19 @@ class ExperimentResult:
     def cells(self) -> tuple:
         return _aggregate(_axes(self.config), self.values, np.not_equal(self.reasons, None))
 
-    def to_csv_text(self) -> str:
-        lines = [",".join(RESULT_COLUMNS)]
+    def _csv_lines(self):
+        yield ",".join(RESULT_COLUMNS) + "\n"
         for (m, n, rho_db, k, trial, metric), value, reason in self._slots():
             flag = int(reason is not None)
-            lines.append(f"{trial},{m},{n},{k},{rho_db!r},{metric},{value!r},{flag}")
-        return "\n".join(lines) + "\n"
+            yield f"{trial},{m},{n},{k},{rho_db!r},{metric},{value!r},{flag}\n"
+
+    def to_csv_text(self) -> str:
+        return "".join(self._csv_lines())
 
     def write_csv(self, path) -> None:
-        Path(path).write_text(self.to_csv_text())
+        """Write to_csv_text() to path line by line, so the text is never held whole."""
+        with open(path, "w", encoding="utf-8") as out:
+            out.writelines(self._csv_lines())
 
     def aggregates_dict(self) -> dict:
         return {
@@ -513,8 +517,9 @@ def aggregate_result_rows(rows, grid_points: int = CDF_GRID_POINTS) -> tuple:
 
     The rows must fill one (M, N, rho, K, trial, metric) grid in C order, each
     axis's values in order of first appearance, or the first row out of place
-    raises InvalidInputError, as does a valid NaN or -inf value or a degenerate
-    -inf one. A grid_points that is not an integer >= 1 raises ConfigError.
+    or missing (row 1 when there are none) raises InvalidInputError, as does
+    a valid NaN or -inf value or a degenerate -inf one. A grid_points that
+    is not an integer >= 1 raises ConfigError.
 
     rows may be any iterable, consumed once before grid_points is checked, so
     an error of a row read from a file comes first. Each row is kept only as
@@ -538,14 +543,12 @@ def aggregate_result_rows(rows, grid_points: int = CDF_GRID_POINTS) -> tuple:
     grid_points = check_number(grid_points, "grid_points", int, ConfigError)
     if grid_points < 1:
         raise ConfigError(f"grid_points must be >= 1, got {grid_points}")
-    if not values:
-        return ()
     axes = [tuple(axis) for axis in axes]
     shape = tuple(map(len, axes))
     slots = np.frombuffer(indices, dtype=np.int64).reshape(-1, len(axes))
     # row i is in place when its slot is the i-th of the grid in C order
     misplaced = np.flatnonzero(np.ravel_multi_index(slots.T, shape) != np.arange(len(values)))
-    if misplaced.size or len(values) < math.prod(shape):
+    if misplaced.size or len(values) < max(math.prod(shape), 1):
         index = int(misplaced[0]) if misplaced.size else len(values)
         problem = "is missing"
         if index < len(values):

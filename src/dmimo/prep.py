@@ -3,17 +3,17 @@
 Normalization rescales each user so its total energy over all snapshots and
 subcarriers equals M*L*T, removing large-scale gain imbalance between users
 while keeping every relative variation across antennas, subcarriers, and
-snapshots. Selection slices an (M_sub = W*N)-antenna subarray out of a full
-tensor by drawing N access points and W elements per AP uniformly at random;
-check_topology is the one rule for which (M, N) a channel can serve, applied
-to every draw and, by the harness, to a whole sweep before any trial runs.
+snapshots; the result is a plain ChannelTensor. A user whose energy is
+zero, underflows or overflows cannot be scaled and is rejected. Selection
+slices an (M_sub = W*N)-antenna subarray out of a full tensor by drawing N
+access points and W elements per AP uniformly at random; check_topology is
+the one rule for which (M, N) a channel can serve, applied to every draw
+and, by the harness, to a whole sweep before any trial runs.
 Selection never renormalizes: a subarray keeps exactly the energy its
 antennas captured, which is the point of comparing topologies fairly.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,47 +27,38 @@ from .errors import (
 from .tensor import ChannelTensor, _generator, ap_columns
 
 
-@dataclass(frozen=True)
-class NormalizedTensor(ChannelTensor):
-    """A ChannelTensor whose per-user energy equals M*L*T.
-
-    `user_scales` records the positive scalar applied to each user's
-    coefficients.
-    """
-
-    user_scales: np.ndarray = None
-
-    def __post_init__(self):
-        super().__post_init__()
-        scales = np.array(self.user_scales, dtype=float, copy=True)
-        if scales.ndim != 1 or scales.shape[0] != self.num_users:
-            raise InvalidInputError("user_scales must give one factor per user")
-        if not np.all(np.isfinite(scales)) or np.any(scales <= 0):
-            raise InvalidInputError("user_scales must be positive and finite")
-        scales.setflags(write=False)
-        object.__setattr__(self, "user_scales", scales)
-
-
-def normalize(ch: ChannelTensor) -> NormalizedTensor:
+def normalize(ch: ChannelTensor) -> ChannelTensor:
     """Rescale each user so its energy over all (t, l, m) equals M*L*T.
 
     One positive scalar per user; relative gains within a user are untouched.
-    Raises DegenerateUserError for an all-zero user channel.
+    Raises DegenerateUserError for a user whose channel is all zero or whose
+    energy underflows, and InvalidInputError for one whose energy overflows.
     """
     if not isinstance(ch, ChannelTensor):
         raise InvalidInputError("normalize expects a ChannelTensor")
     t, l, k, m = ch.dims
-    energies = np.sum(np.abs(ch.data) ** 2, axis=(0, 1, 3))
-    if np.any(energies == 0.0):
-        bad = int(np.flatnonzero(energies == 0.0)[0])
+    with np.errstate(over="ignore", divide="ignore"):
+        energies = np.sum(np.abs(ch.data) ** 2, axis=(0, 1, 3))
+        scales = np.sqrt(m * l * t / energies)
+    usable = np.isfinite(scales) & (scales > 0.0)
+    if not usable.all():
+        bad = int(np.flatnonzero(~usable)[0])
+        if np.isinf(energies[bad]):
+            raise InvalidInputError(
+                f"user {bad}'s channel energy overflows to inf, so it cannot be normalized"
+            )
+        if not ch.data[:, :, bad].any():
+            raise DegenerateUserError(
+                f"user {bad} has an all-zero channel and cannot be normalized", user=bad
+            )
         raise DegenerateUserError(
-            f"user {bad} has an all-zero channel and cannot be normalized",
+            f"user {bad}'s channel energy underflows to {float(energies[bad])!r}, "
+            "so it cannot be normalized",
             user=bad,
         )
-    scales = np.sqrt(m * l * t / energies)
     data = ch.data * scales[None, None, :, None]
     data.setflags(write=False)
-    return NormalizedTensor(data, ch.antenna_ap_map, user_scales=scales)
+    return ChannelTensor(data, ch.antenna_ap_map)
 
 
 def select_subarray(ch: ChannelTensor, m_total: int, n_aps: int, rng) -> tuple:

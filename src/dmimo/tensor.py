@@ -32,8 +32,9 @@ class ChannelTensor:
         anything else, a writable array included, is copied to complex128
         and frozen, so a caller's later writes never reach the tensor.
     antenna_ap_map : array_like
-        Length-M integer vector; entry m is the access-point index owning
-        antenna column m. Each AP's antennas must form one contiguous run.
+        Length-M vector of integers (integral floats pass); entry m is the
+        access-point index owning antenna column m. Each AP's antennas must
+        form one contiguous run.
     """
 
     data: np.ndarray
@@ -51,7 +52,14 @@ class ChannelTensor:
             raise DimensionError(f"all dims must be >= 1, got {data.shape}")
         if not np.all(np.isfinite(data)):
             raise InvalidInputError("channel tensor entries must all be finite")
-        ap_map = np.array(self.antenna_ap_map, dtype=np.int64, copy=True)
+        raw = np.asarray(self.antenna_ap_map)
+        # integers, or integral floats in int64's range: nothing is truncated
+        integral = raw.dtype.kind in "iu" or raw.dtype.kind == "f" and np.all(
+            (raw == np.floor(raw)) & (abs(raw) < 2.0**63)
+        )
+        if not integral:
+            raise InvalidInputError("antenna_ap_map entries must be integers")
+        ap_map = raw.astype(np.int64)
         if ap_map.ndim != 1 or ap_map.shape[0] != data.shape[3]:
             raise DimensionError(
                 f"antenna_ap_map must be a length-{data.shape[3]} vector, "

@@ -9,7 +9,6 @@ from dmimo import (
     DegenerateUserError,
     ExperimentConfig,
     InvalidInputError,
-    NormalizedTensor,
     RngHandle,
     SceneSource,
     TopologyError,
@@ -37,10 +36,9 @@ class TestNormalize:
         data = np.full((1, 1, 1, 128), 0.5, dtype=complex)
         ch = ChannelTensor(data, np.zeros(128))
         out = normalize(ch)
-        assert isinstance(out, NormalizedTensor)
-        assert out.user_scales.shape == (1,)
-        assert out.user_scales[0] == 2.0
-        assert np.allclose(out.data, 1.0)
+        assert type(out) is ChannelTensor
+        # 0.5 * s is exact, so exactly 1.0 means a scale of exactly 2.0
+        assert np.array_equal(out.data, np.ones((1, 1, 1, 128)))
 
     def test_unequal_users_equalized(self):
         data = np.zeros((1, 1, 2, 2), dtype=complex)
@@ -69,7 +67,8 @@ class TestNormalize:
         ch = gen_iid_rayleigh((2, 3, 4, 16), RngHandle(32, 0))
         once = normalize(ch)
         twice = normalize(once)
-        assert np.allclose(twice.user_scales, 1.0, rtol=0, atol=1e-12)
+        # the factor the second pass applies to each user
+        assert np.allclose(twice.data / once.data, 1.0, rtol=0, atol=1e-12)
         assert np.allclose(twice.data, once.data, rtol=1e-12)
 
     def test_commutes_with_per_user_phase(self):
@@ -86,6 +85,28 @@ class TestNormalize:
         with pytest.raises(DegenerateUserError) as info:
             normalize(ChannelTensor(data, np.zeros(4)))
         assert info.value.user == 1
+        assert str(info.value) == "user 1 has an all-zero channel and cannot be normalized"
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_energy_rejected(self):
+        data = np.ones((1, 1, 3, 4), dtype=complex)
+        data[0, 0, 2] = 1e200
+        with pytest.raises(InvalidInputError) as info:
+            normalize(ChannelTensor(data, np.zeros(4)))
+        assert str(info.value) == (
+            "user 2's channel energy overflows to inf, so it cannot be normalized"
+        )
+
+    @pytest.mark.filterwarnings("error")
+    def test_underflowing_energy_is_not_called_all_zero(self):
+        data = np.ones((1, 1, 3, 4), dtype=complex)
+        data[0, 0, 1] = 1e-170
+        with pytest.raises(DegenerateUserError) as info:
+            normalize(ChannelTensor(data, np.zeros(4)))
+        assert info.value.user == 1
+        assert str(info.value) == (
+            "user 1's channel energy underflows to 0.0, so it cannot be normalized"
+        )
 
     def test_input_type_checked(self):
         with pytest.raises(InvalidInputError):

@@ -1,5 +1,5 @@
 """Result files: the JSON writer's exact bytes, the bounded memory of writing
-aggregates and of `dmimo cdf`, and the errors of malformed results CSVs."""
+results and aggregates and of `dmimo cdf`, and the errors of malformed results CSVs."""
 
 import json
 import math
@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from dmimo import (
+    ConfigError,
     ExperimentConfig,
     InvalidInputError,
     SceneSource,
@@ -140,6 +141,15 @@ def test_aggregates_and_cdf_tables_are_written_in_bounded_memory(tmp_path, capsy
     assert (tmp_path / "cdf_tables.json").read_bytes() == expected_json(tables)
 
 
+def test_results_csv_is_written_in_bounded_memory(tmp_path):
+    path = tmp_path / "results.csv"
+    synthetic_result(trials=3).write_csv(path)  # first call: numpy's lazy imports
+    # ten times the paper's sweep: 64,000 rows
+    result = synthetic_result(trials=2000)
+    assert traced_peak_mib(lambda: result.write_csv(path)) <= 2.5
+    assert path.read_bytes() == result.to_csv_text().encode()
+
+
 # a complete (M, N, rho, K, trial, metric) grid: M 8 and 4, 2 trials, svs and dpc
 GOOD_ROWS = [
     "0,8,2,2,0.0,svs,3.5,0",
@@ -176,6 +186,7 @@ MALFORMED = {
         f"result row 3 ({ROW_4}) is out of write_csv's order",
     ),
     "missing last row": (with_rows(GOOD_ROWS[:-1]), "result row 8 is missing"),
+    "header only": (with_rows([]), "result row 1 is missing"),
     "swapped pair": (
         with_rows(GOOD_ROWS[:2] + [GOOD_ROWS[3], GOOD_ROWS[2]] + GOOD_ROWS[4:]),
         f"result row 3 ({ROW_4}) is out of write_csv's order",
@@ -220,6 +231,18 @@ def test_malformed_csv_gives_one_message_from_both_entry_points(tmp_path, capsys
     out = tmp_path / "cdfs"
     assert main(["cdf", str(path), "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {expected}\n"
+    assert not out.exists()
+
+
+def test_a_bad_grid_points_comes_before_an_empty_results_file(tmp_path, capsys):
+    path = tmp_path / "results.csv"
+    path.write_bytes(with_rows([]))
+    with pytest.raises(ConfigError) as info:
+        aggregate_result_rows(iter_result_rows(path), grid_points=0)
+    assert str(info.value) == "grid_points must be >= 1, got 0"
+    out = tmp_path / "cdfs"
+    assert main(["cdf", str(path), "--grid-points", "0", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: grid_points must be >= 1, got 0\n"
     assert not out.exists()
 
 

@@ -117,6 +117,14 @@ class TestChannelTensor:
         # contiguous grouping is fine in any id order
         ChannelTensor(data, [1, 1, 0, 0])
 
+    @pytest.mark.parametrize(
+        "ap_map",
+        [[0.5, 0.9, 1.7, 1.2], [True, True, False, False], ["0", "0", "1", "1"], [2**70, 0, 0, 0]],
+    )
+    def test_rejects_non_integer_ap_map(self, ap_map):
+        with pytest.raises(InvalidInputError, match="antenna_ap_map entries must be integers"):
+            ChannelTensor(np.ones((1, 1, 1, 4), dtype=complex), ap_map)
+
 
 class TestRngHandle:
     def test_same_stream_reproduces(self):
