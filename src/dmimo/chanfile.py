@@ -15,14 +15,14 @@ Total size is therefore 16 + M + 8*T*L*K*M bytes. Coefficients are stored in
 float32; reading promotes to the in-memory complex128 representation, so a
 file round-trips to identical bytes.
 
-Memory: every payload check streams the file through one fixed block of
-_BLOCK_ENTRIES float32 pairs. read_channel_file holds one complex128 tensor
-(twice the payload's size) plus that block, and the tensor that comes back
-owns the array it was read into. scan_channel_file runs the same checks but
-keeps only the header and the AP map; its ChannelFile then reads a subset of
-users, each user's row of each (t, l) slab at its own offset, holding their
-float32 pairs and the complex128 tensor made from them; it fails if the file
-has changed since the scan. Writing converts one block at a time in
+Memory: scan_channel_file checks the payload by streaming the file through
+one fixed block of _BLOCK_ENTRIES float32 pairs, and keeps only the header
+and the AP map. Its ChannelFile then reads users by offset: the complex128
+tensor it returns (twice the size of those users' float32 pairs) plus one
+slab's float32 rows of them, and the tensor owns the array it was read
+into. A read fails if the file has changed since the scan.
+read_channel_file is that scan and a read of every user, so every file
+read goes through one reader. Writing converts one block at a time in
 write_channel_blocks, the one payload writer: it takes blocks of rows as a
 generator makes them, so the whole tensor never exists in memory, and
 write_channel_file hands it a tensor cut into blocks.
@@ -138,19 +138,14 @@ def write_channel_blocks(path, dims, antenna_ap_map, blocks) -> None:
 
 
 def read_channel_file(path) -> ChannelTensor:
-    """Parse a channel file back into a ChannelTensor.
+    """Parse a channel file back into a ChannelTensor: its ChannelFile's read
+    of every user.
 
     Malformed files raise FormatError with the byte offset of the problem;
     truncation errors also carry the total size the header promised.
     """
-    with open(path, "rb") as fh:
-        dims, ap_map = _read_header(fh)
-        data = np.empty(dims, dtype=np.complex128)
-        flat = data.reshape(-1)
-        for start, part in _payload_blocks(fh, dims):
-            flat[start : start + part.size] = part
-    data.setflags(write=False)
-    return ChannelTensor(data, ap_map)
+    source = scan_channel_file(path)
+    return source.read_users(np.arange(source.dims[2]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,9 +163,11 @@ class ChannelFile:
         """The (T, L, len(users), M) tensor of the file's users at the strictly
         increasing indices `users`.
 
-        Each user's row of each (t, l) slab is read at its own offset, on a
-        descriptor opened for this call. A file that no longer has its
-        header's size raises the FormatError read_channel_file would; one
+        Each run of consecutive users is one stretch of each (t, l) slab, read
+        with one call at its offset on a descriptor opened for this call, so
+        reading every user takes T*L calls. The slab's rows pass through one
+        float32 buffer into the complex128 tensor. A file that no longer has
+        its header's size raises the FormatError scan_channel_file would; one
         replaced or modified since the scan, even at the same size, raises
         FormatError too.
         """
@@ -181,15 +178,24 @@ class ChannelFile:
             and users[0] >= 0 and users[-1] < k and np.all(users[1:] > users[:-1])
         ):
             raise InvalidInputError(f"users must be strictly increasing indices below {k}")
-        raw = np.empty((t * l, users.size, m), dtype="<c8")
-        skips = [8 * m * user for user in users.tolist()]
+        rows = np.empty((users.size, 8 * m), dtype=np.uint8)
+        # (bytes of `rows`, offset in a slab) of each run of consecutive users
+        bounds = [0, *(np.flatnonzero(np.diff(users) != 1) + 1).tolist(), users.size]
+        runs = [(rows[a:b].reshape(-1), 8 * m * int(users[a])) for a, b in zip(bounds, bounds[1:])]
+        data = np.empty((t, l, users.size, m), dtype=np.complex128)
         with open(self.path, "rb") as fh:
             fd = fh.fileno()
-            for slab, rows in enumerate(raw):
+            for slab, out in enumerate(data.reshape(t * l, users.size, m)):
                 base = HEADER_SIZE + m + slab * 8 * k * m
-                for row, skip in zip(rows, skips):
-                    if os.preadv(fd, [row], base + skip) < row.nbytes:
-                        raise _truncated(self.dims, os.fstat(fd).st_size)
+                for part, skip in runs:
+                    got = os.preadv(fd, [part], base + skip)
+                    # a read stops short at the kernel's ~2 GiB cap, or at EOF
+                    while got < part.size:
+                        more = os.preadv(fd, [part[got:]], base + skip + got)
+                        if not more:
+                            raise _truncated(self.dims, os.fstat(fd).st_size)
+                        got += more
+                out[...] = rows.view("<c8")
             # after the reads, so a change while they ran is caught too
             status = os.fstat(fd)
         _check_size(self.dims, status.st_size)
@@ -197,19 +203,31 @@ class ChannelFile:
             raise FormatError(
                 f"{self.path} changed after it was checked at the start of the run"
             )
-        data = raw.reshape(t, l, users.size, m).astype(np.complex128)
         data.setflags(write=False)
         return ChannelTensor(data, self.antenna_ap_map)
 
 
 def scan_channel_file(path) -> ChannelFile:
-    """Check a channel file as read_channel_file does, with the same errors,
-    in one streaming pass that keeps only its header and AP map."""
+    """Check a channel file in one streaming pass that keeps only its header
+    and AP map: its header, its size, and that its payload is whole and
+    finite, each failure a FormatError at the byte offset of the problem."""
     with open(path, "rb") as fh:
         stamp = _stamp(os.fstat(fh.fileno()))
         dims, ap_map = _read_header(fh)
-        for _ in _payload_blocks(fh, dims):
-            pass
+        payload_offset = HEADER_SIZE + dims[3]
+        total = math.prod(dims)
+        block = np.empty(min(_BLOCK_ENTRIES, total), dtype="<c8")
+        for start in range(0, total, block.size):
+            part = block[: total - start]
+            got = fh.readinto(part)
+            if got < part.nbytes:
+                raise _truncated(dims, payload_offset + 8 * start + got)
+            bad = np.flatnonzero(~np.isfinite(part))
+            if bad.size:
+                raise FormatError(
+                    "payload holds a non-finite coefficient",
+                    byte_offset=payload_offset + 8 * (start + int(bad[0])),
+                )
     ap_map.setflags(write=False)
     return ChannelFile(os.fspath(path), dims, ap_map, stamp)
 
@@ -263,27 +281,6 @@ def _read_header(fh) -> tuple:
             byte_offset=HEADER_SIZE,
         )
     return dims, ap_map
-
-
-def _payload_blocks(fh, dims):
-    """The payload at fh's position, one block of float32 pairs at a time:
-    yields (index of the block's first entry, block), each checked to be
-    complete and finite. The block is reused for the next one."""
-    payload_offset = HEADER_SIZE + int(dims[3])
-    total = math.prod(dims)
-    block = np.empty(min(_BLOCK_ENTRIES, total), dtype="<c8")
-    for start in range(0, total, block.size):
-        part = block[: total - start]
-        got = fh.readinto(part)
-        if got < part.nbytes:
-            raise _truncated(dims, payload_offset + 8 * start + got)
-        bad = np.flatnonzero(~np.isfinite(part))
-        if bad.size:
-            raise FormatError(
-                "payload holds a non-finite coefficient",
-                byte_offset=payload_offset + 8 * (start + int(bad[0])),
-            )
-        yield start, part
 
 
 def _check_size(dims, size: int) -> None:

@@ -18,15 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from .chanfile import write_channel_blocks
-from .config import (
-    ConfigError,
-    SceneSource,
-    _require_keys,
-    load_config,
-    read_json,
-    scene_from_dict,
-)
-from .errors import ToolkitError, check_number
+from .config import SynthConfig, _from_dict, load_config, read_json
+from .errors import ToolkitError
 from .harness import (
     aggregate_result_rows,
     iter_result_rows,
@@ -37,19 +30,6 @@ from .selfcheck import DEFAULT_SEED, run_selfcheck
 from .stats import CDF_GRID_POINTS
 from .synth import gen_trajectory_users, geometric_link_blocks
 from .tensor import RngHandle
-
-
-def _check_synth_keys(obj) -> None:
-    """A synth config is an object with `scene` and `num_users`, and optionally
-    the spacings and `seed` (default 0); unknown keys are rejected."""
-    if not isinstance(obj, dict):
-        raise ConfigError("synth config must be an object")
-    _require_keys(
-        obj,
-        ("scene", "num_users", "min_spacing_m", "max_spacing_m", "seed"),
-        ("scene", "num_users"),
-        "synth config",
-    )
 
 
 @contextmanager
@@ -68,26 +48,17 @@ def _output_dir(path):
 
 
 def _cmd_synth(args) -> int:
-    obj = read_json(args.config)
-    _check_synth_keys(obj)
-    scene = scene_from_dict(obj["scene"])
-    seed = args.seed
-    if seed is None:
-        seed = check_number(obj.get("seed", 0), "synth config 'seed'", int)
-    # the spacing defaults are those of a run config's SceneSource
-    spacing = tuple(
-        check_number(obj.get(key, getattr(SceneSource, key)), f"synth config {key!r}")
-        for key in ("min_spacing_m", "max_spacing_m")
-    )
-    num_users = check_number(obj["num_users"], "synth config 'num_users'", int)
+    cfg = _from_dict(SynthConfig, read_json(args.config), "synth config")
+    seed = cfg.seed if args.seed is None else args.seed
+    spacing = (cfg.min_spacing_m, cfg.max_spacing_m)
     with _output_dir(args.out) as out_dir:
-        users = gen_trajectory_users(scene, num_users, spacing, RngHandle(seed, 0))
+        users = gen_trajectory_users(cfg.scene, cfg.num_users, spacing, RngHandle(seed, 0))
         # the tensor goes to the file block by block, never whole in memory
-        dims, blocks = geometric_link_blocks(scene, users, RngHandle(seed, 1))
+        dims, blocks = geometric_link_blocks(cfg.scene, users, RngHandle(seed, 1))
         path = out_dir / "channel.dmct"
-        write_channel_blocks(path, dims, scene.antenna_ap_map(), blocks)
+        write_channel_blocks(path, dims, cfg.scene.antenna_ap_map(), blocks)
     t, l, k, m = dims
-    print(f"wrote {path} (T={t}, L={l}, K={k}, M={m}, {scene.num_aps} APs)")
+    print(f"wrote {path} (T={t}, L={l}, K={k}, M={m}, {cfg.scene.num_aps} APs)")
     return 0
 
 

@@ -67,6 +67,9 @@ def _require_keys(obj: dict, allowed, required, where: str) -> None:
 
 
 def _as_tuple(values, name: str) -> tuple:
+    # a string or an object iterates as its characters or keys, not a list's items
+    if isinstance(values, (str, bytes, dict)):
+        raise ConfigError(f"{name} must be a list, got {values!r}")
     try:
         return tuple(values)
     except TypeError:
@@ -115,6 +118,22 @@ class SceneSource:
         check_spacing(self.min_spacing_m, self.max_spacing_m, ConfigError)
 
 
+@dataclass(frozen=True, kw_only=True)
+class SynthConfig(SceneSource):
+    """What `dmimo synth` reads: a SceneSource, the number of users to place
+    in its region, and the seed of their placement and channels."""
+
+    num_users: int
+    seed: int = 0
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.num_users < 1:
+            raise ConfigError(f"num_users must be >= 1, got {self.num_users}")
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
+
+
 @dataclass(frozen=True)
 class FileSource:
     """Channel-file source: tensors load from `path` (a str or os.PathLike,
@@ -144,7 +163,8 @@ class ExperimentConfig:
 
     def __post_init__(self):
         check_fields(self, ConfigError)
-        if not isinstance(self.source, (SceneSource, FileSource)):
+        # exact types: a SynthConfig is a SceneSource whose extra fields a run ignores
+        if type(self.source) not in (SceneSource, FileSource):
             raise ConfigError("source must be a SceneSource or FileSource")
 
         for axis in SWEEP_AXES:
@@ -282,9 +302,20 @@ def read_json(path):
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+
+
+def _unique_keys(pairs) -> dict:
+    """A JSON object's dict, unless it repeats a key, which json.loads would
+    otherwise resolve silently to the last value."""
+    seen = set()
+    for key, _ in pairs:
+        if key in seen:
+            raise ConfigError(f"key {key!r} appears more than once in one object")
+        seen.add(key)
+    return dict(pairs)
 
 
 def load_config(path) -> ExperimentConfig:

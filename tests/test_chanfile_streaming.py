@@ -150,6 +150,46 @@ def test_read_users_rejects_bad_indices(tmp_path, users):
         scan_channel_file(path).read_users(np.array(users, dtype=int if len(users) == 0 else None))
 
 
+def counted_preadv(monkeypatch, cap=None):
+    """The list that collects the byte count of each os.preadv call, which
+    reads at most `cap` bytes when one is given."""
+    calls = []
+    preadv = os.preadv
+
+    def count(fd, buffers, offset):
+        (buffer,) = buffers
+        calls.append(buffer.nbytes)
+        return preadv(fd, [buffer[:cap]], offset)
+
+    monkeypatch.setattr(os, "preadv", count)
+    return calls
+
+
+def test_read_users_makes_one_call_per_run_of_users(tmp_path, monkeypatch):
+    # T * L = 6 slabs of 10 users; each run of consecutive users is one read
+    path, _ = two_ap_file(tmp_path, (2, 3, 10, 8))
+    source = scan_channel_file(path)
+    alone = {u: source.read_users([u]).data for u in range(10)}
+    calls = counted_preadv(monkeypatch)
+    whole = read_channel_file(path)
+    assert len(calls) == 6
+    assert whole.data.tobytes() == np.concatenate([alone[u] for u in range(10)], axis=2).tobytes()
+    calls.clear()
+    some = source.read_users([3, 4, 5, 9])
+    assert len(calls) == 2 * 6
+    assert some.data.tobytes() == np.concatenate([alone[u] for u in (3, 4, 5, 9)], axis=2).tobytes()
+
+
+def test_read_users_resumes_short_reads(tmp_path, monkeypatch):
+    # a read may stop short, as one above the kernel's ~2 GiB cap does
+    path, _ = two_ap_file(tmp_path, (2, 3, 10, 8))
+    whole = read_channel_file(path)
+    calls = counted_preadv(monkeypatch, cap=100)
+    assert read_channel_file(path).data.tobytes() == whole.data.tobytes()
+    # each slab is 640 bytes, read 100 bytes a call
+    assert len(calls) == 6 * 7 and calls[:7] == [640, 540, 440, 340, 240, 140, 40]
+
+
 @pytest.mark.parametrize("damage", ["truncated", "trailing", "nan-in-second-block", "bad-magic"])
 def test_scan_raises_what_read_raises(tmp_path, damage):
     path, _ = multi_block_file(tmp_path, 1.5)

@@ -167,7 +167,23 @@ class TestErrors:
         code = main(["synth", "--config", str(path), "--out", str(tmp_path / "o")])
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith("error:") and repr(field) in err
+        assert err.startswith(f"error: synth config.{field} must be")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("num_users", 0, "num_users must be >= 1, got 0"),
+            ("seed", -1, "seed must be an unsigned 64-bit integer, got -1"),
+            ("seed", 2**64, f"seed must be an unsigned 64-bit integer, got {2**64}"),
+        ],
+    )
+    def test_out_of_range_synth_field_exits_2(self, tmp_path, capsys, field, value, message):
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps({"scene": "los", "num_users": 2, field: value}))
+        code = main(["synth", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: synth config.{message}\n"
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
@@ -251,7 +267,26 @@ class TestErrors:
         path.write_text('{"scene": "los", "num_users": 2, "min_spacing_m": NaN}')
         code = main(["synth", "--config", str(path), "--out", str(tmp_path / "o")])
         assert code == 2
-        assert "'min_spacing_m' must be a number" in capsys.readouterr().err
+        assert "synth config.min_spacing_m must be a number, got nan" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["run", "synth"])
+    def test_repeated_key_exits_2(self, tmp_path, capsys, command):
+        if command == "synth":
+            text = '{"scene": "los", "num_users": 2, "seed": 1, "num_users": 3}'
+        else:
+            text = (
+                '{"source": {"type": "scene", "scene": "los"}, "sweeps": {"m_values": [16], '
+                '"n_values": [1], "rho_db_values": [0.0], "k_values": [2], "k_values": [4]}, '
+                '"trials": 2, "seed": 1}'
+            )
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        code = main([command, "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        key = "num_users" if command == "synth" else "k_values"
+        assert capsys.readouterr().err == f"error: key '{key}' appears more than once in one object\n"
+        assert not (tmp_path / "o").exists()
 
     def test_infeasible_sweep_exits_2(self, tmp_path, capsys):
         synth_cfg = write_synth_config(tmp_path)

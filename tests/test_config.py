@@ -18,7 +18,7 @@ from dmimo import (
     scene_from_dict,
     scene_to_dict,
 )
-from dmimo.config import source_to_dict
+from dmimo.config import SynthConfig, source_to_dict
 
 
 def base_dict(**overrides):
@@ -156,6 +156,12 @@ class TestValidation:
         with pytest.raises(ConfigError):
             config_from_dict(base_dict(source={"type": "file", "path": ""}))
 
+    def test_synth_config_is_not_a_run_source(self):
+        # its num_users and seed would be ignored, then echoed as unknown keys
+        synth = SynthConfig(scene=default_scene("los"), num_users=4)
+        with pytest.raises(ConfigError, match="^source must be a SceneSource or FileSource$"):
+            config_from_dict(base_dict()).replace(source=synth)
+
     def test_file_source_path_must_be_a_path(self, tmp_path):
         # str() would turn these into the file names 'None' and "b'x'"
         with pytest.raises(ConfigError, match=r"^source\.path must be a string, got None$"):
@@ -211,6 +217,26 @@ class TestValidation:
             with pytest.raises(ConfigError, match="metrics must be a list"):
                 config_from_dict(base_dict(metrics=metrics))
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("metrics", "svs", "metrics must be a list, got 'svs'"),
+            ("m_values", "16", "sweeps.m_values must be a list, got '16'"),
+            ("k_values", b"4", "sweeps.k_values must be a list, got b'4'"),
+            ("rho_db_values", {"0": 1}, "sweeps.rho_db_values must be a list, got {'0': 1}"),
+        ],
+    )
+    def test_string_or_object_is_not_a_list(self, field, value, message):
+        # each would otherwise be read item by item: characters, bytes or keys
+        obj = base_dict()
+        if field in obj["sweeps"]:
+            obj["sweeps"][field] = value
+        else:
+            obj[field] = value
+        with pytest.raises(ConfigError) as info:
+            config_from_dict(obj)
+        assert str(info.value) == message
+
     def test_replace(self):
         cfg = config_from_dict(base_dict())
         other = cfg.replace(trials=99)
@@ -253,4 +279,22 @@ class TestLoadConfig:
         path = tmp_path / "binary.json"
         path.write_bytes(b'{"trials": "\xff"}')
         with pytest.raises(ConfigError, match="cannot read config"):
+            load_config(path)
+
+    @pytest.mark.parametrize(
+        "original, repeated, key",
+        [
+            ('"trials": 10', '"trials": 2, "trials": 3', "trials"),
+            ('"k_values": [4]', '"k_values": [2], "k_values": [4]', "k_values"),
+            ('"scene": "los"', '"scene": {"antennas_per_ap": 8, "antennas_per_ap": 16}', "antennas_per_ap"),
+        ],
+        ids=["top-level", "sweeps", "scene-object"],
+    )
+    def test_repeated_key_is_rejected(self, tmp_path, original, repeated, key):
+        # json.loads alone keeps the last value of a repeated key
+        text = json.dumps(base_dict())
+        assert original in text
+        path = tmp_path / "exp.json"
+        path.write_text(text.replace(original, repeated))
+        with pytest.raises(ConfigError, match=f"^key '{key}' appears more than once in one object$"):
             load_config(path)

@@ -5,8 +5,8 @@ import re
 from pathlib import Path
 
 import dmimo
-from dmimo import config_from_dict, scene_from_dict
-from dmimo.cli import _check_synth_keys
+from dmimo import config_from_dict, default_scene
+from dmimo.config import SynthConfig, _from_dict
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -27,9 +27,9 @@ def test_experiment_config_block_parses():
 
 
 def test_synth_config_block_parses():
-    obj = json_block('"num_users"')
-    _check_synth_keys(obj)
-    scene_from_dict(obj["scene"])
+    cfg = _from_dict(SynthConfig, json_block('"num_users"'), "synth config")
+    assert (cfg.num_users, cfg.seed) == (12, 7)
+    assert cfg.scene == default_scene("los")
 
 
 def test_library_quick_start_runs(tmp_path, monkeypatch, capsys):
