@@ -200,9 +200,7 @@ class ChannelFile:
             status = os.fstat(fd)
         _check_size(self.dims, status.st_size)
         if _stamp(status) != self.stamp:
-            raise FormatError(
-                f"{self.path} changed after it was checked at the start of the run"
-            )
+            raise FormatError(f"{self.path} changed after it was checked")
         data.setflags(write=False)
         return ChannelTensor(data, self.antenna_ap_map)
 

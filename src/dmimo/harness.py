@@ -6,6 +6,8 @@ slab, then normalized and shared by every (M, N, rho) sweep cell, so
 topologies are compared on the same channel realization. A channel file is
 checked once, before any trial, in one streaming pass that keeps only its
 header and AP map, so a process holds only the users its trials read.
+Before any trial, too, each (M, N) of the sweep is checked once against
+the source's AP blocks, so no draw checks its topology again.
 Trials run in chunks: consecutive trials of one K whose full-size tensors
 hold at most CHUNK_ELEMENTS complex entries together (a larger trial runs
 alone), so the cap bounds the memory a chunk holds. Per (M, N), each trial of a chunk draws its own subarray and
@@ -36,8 +38,8 @@ its chunk's index. The counter is advanced under a POSIX record lock, which
 the kernel drops when its holder dies, so a worker killed at any moment
 hangs no other. Each trial read from a file opens its own descriptor, so
 workers share none. By default W is the number of CPUs the process may run
-on, capped at the number of chunks; W = 1 runs every chunk in-process, in
-order, with no counter.
+on, capped at the number of chunks. W = 1 forks nothing: the calling
+process alone pulls from the counter, so it runs the chunks in order.
 
 Results live in one dense grid with axes (M, N, rho, K, trial, metric), in
 config order (metrics in canonical order): a value per slot, and a reason in
@@ -445,23 +447,23 @@ def _next_chunk(counter: int) -> int:
 def _run_chunks(run_chunk, count: int, workers: int) -> list:
     """(index, *run_chunk(index)) for every chunk index below count, each
     once. Worker w first runs chunk w, then takes the next chunk that nobody
-    has run, until none is left: worker 0 here, the others forked, all
-    sharing one counter when there are several. An error in any worker is
-    raised here, after every worker has ended."""
-    counter = os.memfd_create("dmimo-chunks", os.MFD_CLOEXEC) if workers > 1 else None
+    has run from one shared counter, until none is left: worker 0 here, the
+    others forked. With one worker nothing is forked, and the counter hands
+    this process the chunks in order. An error in any worker is raised
+    here, after every worker has ended."""
+    counter = os.memfd_create("dmimo-chunks", os.MFD_CLOEXEC)
 
     def run_share(index):
         done = []
         while index < count:
             done.append((index, *run_chunk(index)))
-            index = index + 1 if counter is None else _next_chunk(counter)
+            index = _next_chunk(counter)
         return done
 
     running = {}  # worker index -> pid, until the worker is reaped
     readers = {}  # worker index -> its outcome's read end
     try:
-        if counter is not None:
-            os.pwrite(counter, workers.to_bytes(8, "little"), 0)  # chunks below W are taken
+        os.pwrite(counter, workers.to_bytes(8, "little"), 0)  # chunks below W are taken
         for index in range(1, workers):
             running[index], readers[index] = _fork(run_share, index)
         done = run_share(0)
@@ -487,8 +489,7 @@ def _run_chunks(run_chunk, count: int, workers: int) -> list:
             reader.close()
         for pid in running.values():
             os.waitpid(pid, 0)
-        if counter is not None:
-            os.close(counter)
+        os.close(counter)
 
 
 def _aggregate(axes, values, degenerate, grid_points: int = CDF_GRID_POINTS) -> tuple:
@@ -615,7 +616,9 @@ def read_result_rows(path) -> tuple:
 def iter_result_rows(path):
     """Yield the rows of a results CSV written by ExperimentResult.write_csv,
     reading it line by line. An unreadable file, or a row that no run writes,
-    raises InvalidInputError naming its line.
+    raises InvalidInputError naming its line. Each (M, N, K, rho_db, metric)
+    cell's trials must ascend, as write_csv writes them, so only the last
+    trial of each cell is kept.
 
     Each spelling of a row's trial, of its (M, N, K, rho_db, metric) fields and
     of its flag is parsed and checked once, at its first line; later lines
@@ -629,7 +632,7 @@ def iter_result_rows(path):
                     f"{path} does not start with the result header {','.join(RESULT_COLUMNS)}"
                 )
             trials, cells, flags = {}, {}, {}  # spelling -> its checked fields
-            trials_read = {}  # (M, N, K, rho_db, metric) -> the trials read for that cell
+            last_trial = {}  # (M, N, K, rho_db, metric) -> the last trial read for that cell
             for ln, line in enumerate(lines, start=2):
                 if not line:
                     continue
@@ -654,12 +657,17 @@ def iter_result_rows(path):
                     )
                 if value == -math.inf:
                     raise InvalidInputError(f"{path}:{ln}: value must not be -inf, got {value_text!r}")
-                cell_trials = trials_read.setdefault(cell, set())
-                if trial in cell_trials:
+                last = last_trial.get(cell, -1)
+                if trial == last:
                     raise InvalidInputError(
                         f"{path}:{ln}: repeats an earlier (trial, M, N, K, rho_db, metric)"
                     )
-                cell_trials.add(trial)
+                if trial < last:
+                    raise InvalidInputError(
+                        f"{path}:{ln}: trial {trial} follows trial {last} of the same "
+                        "(M, N, K, rho_db, metric); each cell's trials must ascend"
+                    )
+                last_trial[cell] = trial
                 m, n, k, rho_db, metric = cell
                 yield ResultRow(trial, m, n, k, rho_db, metric, value, flags[flag])
     except (OSError, UnicodeDecodeError) as exc:

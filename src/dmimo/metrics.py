@@ -500,7 +500,7 @@ class SliceBatch:
     def _zf(self) -> tuple:
         """(ZF gains (items, T, L, K), reasons): an item fails at every SNR
         where zf_sum_rate raises on it, named by its first faulty slice."""
-        gains, faults = _zf_gains(self.sv, _gram(self.stack))
+        gains, faults = _zf_gains(self.sv, self.stack)
         flat = faults.reshape(self.items, -1)
         t, l = np.unravel_index(np.argmax(flat != 0, axis=1), faults.shape[1:])
         reasons = np.full(self.items, None, dtype=object)

@@ -6,9 +6,10 @@ while keeping every relative variation across antennas, subcarriers, and
 snapshots; the result is a plain ChannelTensor. A user whose energy is
 zero, underflows or overflows cannot be scaled and is rejected. Selection
 slices an (M_sub = W*N)-antenna subarray out of a full tensor by drawing N
-access points and W elements per AP uniformly at random; check_topology is
-the one rule for which (M, N) a channel can serve, applied to every draw
-and, by the harness, to a whole sweep before any trial runs.
+access points and W elements per AP uniformly at random. check_topology is
+the one rule for which (M, N) a channel can serve: select_subarray applies
+it to each call, and the harness to each (M, N) of a sweep once, before any
+trial runs, so draw_subarray_columns, the draw both share, checks nothing.
 Selection never renormalizes: a subarray keeps exactly the energy its
 antennas captured, which is the point of comparing topologies fairly.
 """
@@ -67,12 +68,15 @@ def select_subarray(ch: ChannelTensor, m_total: int, n_aps: int, rng) -> tuple:
     Draws `n_aps` access points uniformly without replacement, then
     W = m_total / n_aps elements uniformly without replacement inside each
     chosen AP. Returns (sliced ChannelTensor, the antenna columns of `ch` it
-    holds, as draw_subarray_columns gives them). No renormalization happens
-    here; the slice keeps the original coefficients.
+    holds, as draw_subarray_columns gives them). Raises as check_topology
+    does for an (m_total, n_aps) that `ch` cannot serve. No renormalization
+    happens here; the slice keeps the original coefficients.
     """
     if not isinstance(ch, ChannelTensor):
         raise InvalidInputError("select_subarray expects a ChannelTensor")
-    cols = draw_subarray_columns(ap_columns(ch.antenna_ap_map), m_total, n_aps, rng)
+    blocks = ap_columns(ch.antenna_ap_map)
+    check_topology(blocks, m_total, n_aps)
+    cols = draw_subarray_columns(blocks, m_total, n_aps, rng)
     return ChannelTensor(ch.data[:, :, :, cols], ch.antenna_ap_map[cols]), cols
 
 
@@ -96,14 +100,15 @@ def check_topology(blocks: dict, m_total: int, n_aps: int) -> int:
 
 def draw_subarray_columns(blocks: dict, m_total: int, n_aps: int, rng) -> np.ndarray:
     """The random draw behind select_subarray, on an AP -> columns map
-    (see tensor.ap_columns).
+    (see tensor.ap_columns), for an (m_total, n_aps) that check_topology
+    has passed on the same map; it is not checked again here.
 
-    Checks the topology with check_topology, then draws the APs uniformly
-    without replacement and W elements of each chosen AP in ascending AP
-    order; this call order fixes the stream. Returns the antenna columns:
-    AP by AP in ascending id order, each AP's own in ascending order.
+    Draws the APs uniformly without replacement, then W = m_total / n_aps
+    elements of each chosen AP in ascending AP order; this call order fixes
+    the stream. Returns the antenna columns: AP by AP in ascending id order,
+    each AP's own in ascending order.
     """
-    w = check_topology(blocks, m_total, n_aps)
+    w = m_total // n_aps
     gen = _generator(rng)
     chosen = np.sort(gen.choice(np.asarray(list(blocks)), size=n_aps, replace=False))
     return np.concatenate([

@@ -1,12 +1,13 @@
 """Reference oracles, and the brute-force validation suite behind `dmimo oracle`.
 
 Each oracle recomputes a quantity with a slow, independent method (Gram
-eigendecomposition for singular values, cofactor inverse, bisection water
-level, grid search over the two-user simplex, counting CDF) and shares no
-code path with the routine it checks. The one self-referential check runs
-per-slice DPC against itself at tol=1e-15 and 20,000 iterations; a slice
-on which the damped step must take over is also checked against the
-joint-mode gradient ascent. The test suite's frozen values were computed by
+eigendecomposition for singular values, cofactor inverse, ZF gains read
+off a matrix built from its own singular value decomposition, bisection
+water level, grid search over the two-user simplex, counting CDF) and
+shares no code path with the routine it checks. The one self-referential
+check runs per-slice DPC against itself at tol=1e-15 and 20,000
+iterations; a slice on which the damped step must take over is also
+checked against the joint-mode gradient ascent. The test suite's frozen values were computed by
 these oracles, and the tests import them from here.
 """
 
@@ -71,6 +72,17 @@ def zf_gains_cofactor(matrix):
     """Diagonal of (H @ H^H)^-1 for a 3-user channel, via cofactor inverse."""
     gram = matrix @ matrix.conj().T
     return np.real(np.diag(inverse_cofactor_3x3(gram)))
+
+
+def conditioned_matrix(gen, k, m, ratio):
+    """(H, its exact ZF gains) for a K x M matrix H = U diag(sigma) V with
+    random unitary U, orthonormal rows V and sigma spaced geometrically from
+    1 down to 1/ratio. The gains sum_j |U_kj|^2 / sigma_j^2 add only positive
+    terms, so they are exact to a few ulps at any ratio."""
+    u = np.linalg.qr(_complex_draw(gen, (k, k)))[0]
+    v = np.linalg.qr(_complex_draw(gen, (m, k)))[0].T
+    sigma = np.geomspace(1.0, 1.0 / ratio, k)
+    return (u * sigma) @ v, np.sum(np.abs(u) ** 2 / sigma**2, axis=1)
 
 
 def dpc_capacity_grid_2user(matrix, rho_linear, step=1e-4):
@@ -220,5 +232,18 @@ def run_selfcheck(report=print, seed: int = DEFAULT_SEED) -> bool:
     b = dpc_capacity(matrix, snr, allocation_mode="joint").sum_rate_bits_per_s_per_hz
     err = abs(a - b) / b
     judge("dpc-damped-step-vs-joint-ascent", err < 1e-6, f"rel dC = {err:.2e}")
+
+    # forming H H^H would square the ratio into the error
+    worst = 0.0
+    for _ in range(50):
+        k = int(gen.integers(2, 13))
+        ratio = 10.0 ** gen.uniform(0.0, 5.0)
+        matrix, ref = conditioned_matrix(gen, k, int(gen.integers(k, 33)), ratio)
+        worst = max(worst, float(np.max(np.abs(zf_effective_gains(matrix) - ref) / ref)))
+    judge(
+        "zf-gains-vs-svd-built-matrix",
+        worst <= 1e-9,
+        f"max rel err = {worst:.2e} over 50 draws, singular-value ratios up to 1e5",
+    )
 
     return all_ok

@@ -17,6 +17,8 @@ from .errors import DimensionError, InvalidInputError, RankDeficiencyError, chec
 
 # condition number at and above which a matrix is treated as singular
 COND_LIMIT = 1e12
+# singular-value ratio from which ZF gains come from a QR of H^H, not the Gram
+_QR_RATIO = 1e3
 
 
 @dataclass(frozen=True)
@@ -195,14 +197,17 @@ def zf_effective_gains(matrix) -> np.ndarray:
     """Diagonal of (H @ H^H)^-1: per-user squared gains under zero-forcing.
 
     Accepts one K x M matrix or a stack with leading dims and returns gains
-    of shape (..., K). Raises RankDeficiencyError when a Gram matrix has
+    of shape (..., K). They come from the Gram inverse, or, for a matrix
+    with sigma_max >= 1e3 sigma_min, from a QR of H^H, whose error grows
+    with the condition number and not with its square. Raises
+    RankDeficiencyError when a Gram matrix has
     condition number >= COND_LIMIT or its inverse is not positive definite;
     on a (T, L, K, M) stack the error names the first offending (t, l) in
     snapshot-major order, a singular one before any other.
     """
     m = _as_snapshot_stack(matrix)
     sv = np.linalg.svd(m, compute_uv=False)
-    (gains,), (faults,) = _zf_gains(sv[None], _gram(m)[None])
+    (gains,), (faults,) = _zf_gains(sv[None], m[None])
     bad = np.flatnonzero(faults)
     if bad.size:
         first = int(bad[0])
@@ -225,22 +230,28 @@ _ZF_FAULTS = (
 )
 
 
-def _zf_gains(sv: np.ndarray, gram: np.ndarray) -> tuple:
+def _zf_gains(sv: np.ndarray, h: np.ndarray) -> tuple:
     """zf_effective_gains of each item of a stack, without raising.
 
-    `sv` (items, ..., K) holds each matrix's descending singular values and
-    `gram` (items, ..., K, K) its Gram matrix. Returns (gains (items, ..., K),
-    faults (items, ...)): an int8 code per matrix, 0 if it is usable, 1 if
-    it is singular, 2 if its inverse is not positive definite. An item with
+    `h` (items, ..., K, M) holds the matrices and `sv` (items, ..., K) their
+    descending singular values. Returns (gains (items, ..., K), faults
+    (items, ...)): an int8 code per matrix, 0 if it is usable, 1 if it is
+    singular, 2 if its Gram inverse is not positive definite. An item with
     a singular matrix keeps NaN gains and never reaches the batched inverse,
     so it cannot fail the other items, and its other matrices read 0.
+    A usable matrix with sigma_max >= _QR_RATIO sigma_min takes the squared
+    row norms of R^-1 from H^H = QR instead, since (H H^H)^-1 = R^-1 R^-H.
     """
     smax, smin = sv[..., 0], sv[..., -1]
     # gram condition is the squared singular-value ratio
     singular = (smin <= 0.0) | (smax * smax >= COND_LIMIT * (smin * smin))
     ok = ~singular.reshape(len(sv), -1).any(axis=1)
     gains = np.full(sv.shape, np.nan)
-    gains[ok] = np.real(np.diagonal(np.linalg.inv(gram[ok]), axis1=-2, axis2=-1))
+    gains[ok] = np.real(np.diagonal(np.linalg.inv(_gram(h)[ok]), axis1=-2, axis2=-1))
+    ill = (smax >= _QR_RATIO * smin) & ok.reshape((-1,) + (1,) * (sv.ndim - 2))
+    if ill.any():
+        r = np.linalg.qr(h[ill].conj().swapaxes(-1, -2), mode="r")
+        gains[ill] = np.sum(np.abs(np.linalg.inv(r)) ** 2, axis=-1)
     faults = singular.astype(np.int8)
     faults[ok] = np.where(np.all(gains[ok] > 0.0, axis=-1), 0, 2)
     return gains, faults

@@ -424,7 +424,7 @@ class TestErrors:
         capsys.readouterr()
         assert main(["run", "--config", str(run_cfg), "--out", str(tmp_path / "o")]) == 2
         err = one_error_line(capsys)
-        assert err == f"error: {channel} changed after it was checked at the start of the run\n"
+        assert err == f"error: {channel} changed after it was checked\n"
         assert not (tmp_path / "o").exists()
 
     def test_negative_oracle_seed_exits_2(self, capsys):
@@ -450,4 +450,5 @@ class TestOracle:
         out = capsys.readouterr().out
         assert "PASS dpc-per-slice-vs-tight-tol" in out
         assert "PASS dpc-damped-step-vs-joint-ascent" in out
+        assert "PASS zf-gains-vs-svd-built-matrix" in out
         assert "FAIL" not in out

@@ -27,7 +27,7 @@ from dmimo import (
     write_channel_file,
     RngHandle,
 )
-from dmimo import cli, harness, synth
+from dmimo import cli, harness, prep, synth
 from dmimo.harness import RESULT_COLUMNS, ResultRow, _stream_id
 
 
@@ -547,6 +547,29 @@ class TestChunking:
             assert len(pids) == 6
             assert len(set(pids)) == min(workers, 6) and os.getpid() in pids, workers
 
+    def test_one_worker_pulls_every_later_chunk_from_the_counter(self, tmp_path, monkeypatch):
+        data = gen_iid_rayleigh((1, 1, 6, 8), RngHandle(97, 0)).data
+        cfg = file_config(tmp_path, data, np.repeat([0, 1], 4), k_values=(2, 5), trials=3)
+        reference = self.outputs(cfg)
+        monkeypatch.setattr(harness, "CHUNK_ELEMENTS", 1)
+        started, taken = [], []  # (K, first trial) of each chunk; each index the counter gave
+        work, take = harness._chunk_worker, harness._next_chunk
+
+        def logged(cfg, draw, blocks, k_idx, trials):
+            started.append((cfg.k_values[k_idx], trials.start))
+            return work(cfg, draw, blocks, k_idx, trials)
+
+        def counted(counter):
+            taken.append(take(counter))
+            return taken[-1]
+
+        monkeypatch.setattr(harness, "_chunk_worker", logged)
+        monkeypatch.setattr(harness, "_next_chunk", counted)
+        assert self.outputs(cfg, workers=1) == reference
+        # chunk 0 first, then chunks 1-5 from the counter, whose next call finds none left
+        assert taken == [1, 2, 3, 4, 5, 6]
+        assert started == [(5, 0), (5, 1), (5, 2), (2, 0), (2, 1), (2, 2)]
+
     def test_chunk_cap_counts_entries_not_slices(self, tmp_path):
         data = gen_iid_rayleigh((1, 1, 2, 8), RngHandle(96, 0)).data
         cfg = file_config(tmp_path, data, np.repeat([0, 1], 4), k_values=(12, 256), trials=200)
@@ -690,6 +713,22 @@ class TestFeasibilityChecks:
             run_experiment(scene_config(m_values=(16,), n_values=(1,)))
         with pytest.raises(ConfigError, match=r"^\(M=18, N=2\) is infeasible: need W=9 elements"):
             run_experiment(scene_config(m_values=(8, 18), n_values=(2,)))
+
+    def test_each_m_n_is_checked_once_per_run(self, monkeypatch):
+        checked = []
+        real = prep.check_topology
+
+        def counted(blocks, m_total, n_aps):
+            checked.append((m_total, n_aps))
+            return real(blocks, m_total, n_aps)
+
+        # the harness's name and prep's own, which select_subarray and any draw would use
+        monkeypatch.setattr(harness, "check_topology", counted)
+        monkeypatch.setattr(prep, "check_topology", counted)
+        cfg = scene_config(trials=3, k_values=(2, 3))
+        run_experiment(cfg, workers=1)
+        # once per (M, N), not once per (K, trial, M, N) draw
+        assert checked == [(8, 1), (8, 2), (4, 1), (4, 2)]
 
     def test_k_beyond_min_m(self):
         with pytest.raises(ConfigError):

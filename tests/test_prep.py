@@ -22,6 +22,7 @@ from dmimo import (
     SnrSpec,
     svs,
 )
+from dmimo import prep
 from dmimo.harness import _STREAM_SELECT, _stream_id, _trial_source
 
 
@@ -220,6 +221,20 @@ class TestSelectSubarray:
             select_subarray(ch, 8.9, True, RngHandle(47, 1))
         with pytest.raises(TopologyError, match="n_aps must be an integer, got True"):
             select_subarray(ch, 8, True, RngHandle(47, 1))
+
+    def test_each_call_checks_its_topology_once(self, monkeypatch):
+        checked = []
+        real = prep.check_topology
+
+        def counted(blocks, m_total, n_aps):
+            checked.append((m_total, n_aps))
+            return real(blocks, m_total, n_aps)
+
+        monkeypatch.setattr(prep, "check_topology", counted)
+        ch = four_ap_tensor(49)
+        select_subarray(ch, 32, 4, RngHandle(49, 1))
+        select_subarray(ch, 16, 2, RngHandle(49, 2))
+        assert checked == [(32, 4), (16, 2)]
 
     def test_normalized_input_slices_to_plain_tensor(self):
         ch = normalize(four_ap_tensor(48))

@@ -181,6 +181,12 @@ MALFORMED = {
         with_rows(GOOD_ROWS[:3] + GOOD_ROWS[2:]),
         "{path}:5: repeats an earlier (trial, M, N, K, rho_db, metric)",
     ),
+    # each cell's trials must ascend, so the reader keeps only the last one
+    "descending trial": (
+        with_rows(GOOD_ROWS[2:4] + GOOD_ROWS[:2] + GOOD_ROWS[4:]),
+        "{path}:4: trial 0 follows trial 1 of the same (M, N, K, rho_db, metric); "
+        "each cell's trials must ascend",
+    ),
     "missing mid-grid row": (
         with_rows(GOOD_ROWS[:2] + GOOD_ROWS[3:]),
         f"result row 3 ({ROW_4}) is out of write_csv's order",

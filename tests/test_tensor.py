@@ -13,7 +13,7 @@ from dmimo import (
     zf_effective_gains,
 )
 
-from dmimo.selfcheck import singular_values_gram, zf_gains_cofactor
+from dmimo.selfcheck import conditioned_matrix, singular_values_gram, zf_gains_cofactor
 from oracles import orthogonal_rows
 
 
@@ -232,6 +232,18 @@ class TestZfEffectiveGains:
         gains = zf_effective_gains(mat)
         expected = 1.0 / norms**2
         assert np.all(np.abs(gains - expected) <= 1e-10 * expected)
+
+    def test_gains_keep_their_accuracy_at_large_condition_numbers(self):
+        # the Gram inverse alone is off by about ratio^2 * eps: 2e-6 at 1e5
+        rng = np.random.default_rng(12)
+        pairs = [conditioned_matrix(rng, 12, 32, ratio) for ratio in (20.0, 1e3, 1e4, 1e5)]
+        stack = np.stack([h for h, _ in pairs])
+        exact = np.stack([g for _, g in pairs])
+        gains = zf_effective_gains(stack)
+        assert np.all(np.abs(gains - exact) <= 1e-9 * exact)
+        # a stack's gains are each matrix's own, on either side of the QR ratio
+        for (h, _), row in zip(pairs, gains):
+            assert np.array_equal(zf_effective_gains(h), row)
 
     def test_trace_eigenvalue_bound(self):
         rng = np.random.default_rng(6)
