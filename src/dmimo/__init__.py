@@ -47,7 +47,6 @@ from .harness import (
     ResultRow,
     RESULT_COLUMNS,
     aggregate_result_rows,
-    iter_result_rows,
     read_result_rows,
     run_experiment,
 )
@@ -135,7 +134,6 @@ __all__ = [
     "gen_geometric",
     "gen_iid_rayleigh",
     "gen_trajectory_users",
-    "iter_result_rows",
     "load_config",
     "normalize",
     "read_channel_file",

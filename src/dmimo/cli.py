@@ -20,12 +20,7 @@ import numpy as np
 from .chanfile import write_channel_blocks
 from .config import SynthConfig, _from_dict, load_config, read_json
 from .errors import ToolkitError
-from .harness import (
-    aggregate_result_rows,
-    iter_result_rows,
-    run_experiment,
-    write_cdf_tables,
-)
+from .harness import aggregate_result_rows, run_experiment, write_cdf_tables
 from .selfcheck import DEFAULT_SEED, run_selfcheck
 from .stats import CDF_GRID_POINTS
 from .synth import gen_trajectory_users, geometric_link_blocks
@@ -87,7 +82,7 @@ def _cmd_run(args) -> int:
 def _cmd_cdf(args) -> int:
     with _output_dir(args.out) as out_dir:
         # the rows go straight into the grid; the file is never held whole
-        cells = aggregate_result_rows(iter_result_rows(args.results), grid_points=args.grid_points)
+        cells = aggregate_result_rows(args.results, grid_points=args.grid_points)
         path = out_dir / "cdf_tables.json"
         write_cdf_tables(cells, path)
     print(f"wrote {path} ({len(cells)} cells)")

@@ -46,10 +46,12 @@ config order (metrics in canonical order): a value per slot, and a reason in
 each degenerate slot. Each chunk's (M, N, rho, trial, metric) results are
 copied into its own (K index, trial) slots. ExperimentResult is that grid,
 written to CSV in C order; its rows, degenerate records and cells are views.
+One reader reads such a CSV back line by line into the compact buffers of
+one grid (axis indices, values and flags) and checks its order once, naming
+the line of each rejection; a file's rows and cells are views of that grid.
 One aggregator turns a grid into cells (mean, median, 512-point CDF; it skips
-degenerate trials and counts them), for a run and for rows read back.
-Result files never sit whole in memory: CSV is written line by line and JSON
-piece by piece, and rows read back go line by line into compact buffers.
+degenerate trials and counts them), for a run and for a file. Result files
+never sit whole in memory: CSV is written line by line and JSON piece by piece.
 """
 
 from __future__ import annotations
@@ -173,6 +175,20 @@ def _axes(cfg: ExperimentConfig) -> tuple:
     )
 
 
+def _grid_slots(axes, values, marks):
+    # slot by slot, so that no list of the whole grid is made
+    return zip(product(*axes), map(float, values.flat), marks.flat)
+
+
+def _rows(axes, values, degenerate) -> tuple:
+    """The ResultRows of a (M, N, rho, K, trial, metric) grid and its
+    degenerate mask, in C order: a run's rows and a results file's."""
+    return tuple(
+        ResultRow(trial, m, n, k, rho_db, metric, value, bool(flag))
+        for (m, n, rho_db, k, trial, metric), value, flag in _grid_slots(axes, values, degenerate)
+    )
+
+
 @dataclass(frozen=True, eq=False)
 class ExperimentResult:
     """One run's read-only grid over _axes(config): a value per slot, and the
@@ -184,15 +200,11 @@ class ExperimentResult:
     reasons: np.ndarray
 
     def _slots(self):
-        # slot by slot, so that no list of the whole grid is made
-        return zip(product(*_axes(self.config)), map(float, self.values.flat), self.reasons.flat)
+        return _grid_slots(_axes(self.config), self.values, self.reasons)
 
     @cached_property
     def rows(self) -> tuple:
-        return tuple(
-            ResultRow(trial, m, n, k, rho_db, metric, value, reason is not None)
-            for (m, n, rho_db, k, trial, metric), value, reason in self._slots()
-        )
+        return _rows(_axes(self.config), self.values, np.not_equal(self.reasons, None))
 
     @cached_property
     def degenerate(self) -> tuple:
@@ -513,52 +525,17 @@ def _aggregate(axes, values, degenerate, grid_points: int = CDF_GRID_POINTS) -> 
     return tuple(cells)
 
 
-def aggregate_result_rows(rows, grid_points: int = CDF_GRID_POINTS) -> tuple:
-    """The cells of rows in write_csv's order, aggregated as ExperimentResult.cells.
+def aggregate_result_rows(path, grid_points: int = CDF_GRID_POINTS) -> tuple:
+    """The cells of the results CSV at path, aggregated as ExperimentResult.cells.
 
-    The rows must fill one (M, N, rho, K, trial, metric) grid in C order, each
-    axis's values in order of first appearance, or the first row out of place
-    or missing (row 1 when there are none) raises InvalidInputError, as does
-    a valid NaN or -inf value or a degenerate -inf one. A grid_points that
-    is not an integer >= 1 raises ConfigError.
-
-    rows may be any iterable, consumed once before grid_points is checked, so
-    an error of a row read from a file comes first. Each row is kept only as
-    its axis indices, value and flag in compact buffers, so an iterator such
-    as iter_result_rows never holds the file.
+    A grid_points that is not an integer >= 1 raises ConfigError before the
+    file is opened. The file is checked as read_result_rows checks it, but
+    its rows go only into compact buffers, so it is never held whole.
     """
-    axes = [{} for _ in range(6)]  # (M, N, rho, K, trial, metric): value -> index
-    m_axis, n_axis, rho_axis, k_axis, trial_axis, metric_axis = axes
-    indices, values, flags = array("q"), array("d"), bytearray()
-    for r in rows:
-        indices.extend((
-            m_axis.setdefault(r.m, len(m_axis)),
-            n_axis.setdefault(r.n, len(n_axis)),
-            rho_axis.setdefault(r.rho_db, len(rho_axis)),
-            k_axis.setdefault(r.k, len(k_axis)),
-            trial_axis.setdefault(r.trial, len(trial_axis)),
-            metric_axis.setdefault(r.metric, len(metric_axis)),
-        ))
-        values.append(r.value)
-        flags.append(r.degenerate)
     grid_points = check_number(grid_points, "grid_points", int, ConfigError)
     if grid_points < 1:
         raise ConfigError(f"grid_points must be >= 1, got {grid_points}")
-    axes = [tuple(axis) for axis in axes]
-    shape = tuple(map(len, axes))
-    slots = np.frombuffer(indices, dtype=np.int64).reshape(-1, len(axes))
-    # row i is in place when its slot is the i-th of the grid in C order
-    misplaced = np.flatnonzero(np.ravel_multi_index(slots.T, shape) != np.arange(len(values)))
-    if misplaced.size or len(values) < max(math.prod(shape), 1):
-        index = int(misplaced[0]) if misplaced.size else len(values)
-        problem = "is missing"
-        if index < len(values):
-            m, n, rho_db, k, trial, metric = (a[i] for a, i in zip(axes, slots[index].tolist()))
-            row = ResultRow(trial, m, n, k, rho_db, metric, values[index], flags[index] == 1)
-            problem = f"({row}) is out of write_csv's order"
-        raise InvalidInputError(f"result row {index + 1} {problem}")
-    grid = np.frombuffer(values).reshape(shape)
-    return _aggregate(axes, grid, np.frombuffer(flags, dtype=np.uint8).reshape(shape) == 1, grid_points)
+    return _aggregate(*_read_results(path), grid_points)
 
 
 def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> ExperimentResult:
@@ -609,20 +586,23 @@ def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> Experim
 
 
 def read_result_rows(path) -> tuple:
-    """Every row of iter_result_rows(path)."""
-    return tuple(iter_result_rows(path))
+    """Every row of a results CSV, as ExperimentResult.rows lists a run's.
+
+    The file must be one that ExperimentResult.write_csv could write, or
+    InvalidInputError names its first line that is blank, has a field no
+    run writes, holds a trial before any row of a smaller one, or is out of
+    the C order of one (M, N, rho, K, trial, metric) grid whose axes run in
+    order of first appearance; a repeated or missing row is out of order.
+    """
+    return _rows(*_read_results(path))
 
 
-def iter_result_rows(path):
-    """Yield the rows of a results CSV written by ExperimentResult.write_csv,
-    reading it line by line. An unreadable file, or a row that no run writes,
-    raises InvalidInputError naming its line. Each (M, N, K, rho_db, metric)
-    cell's trials must ascend, as write_csv writes them, so only the last
-    trial of each cell is kept.
-
-    Each spelling of a row's trial, of its (M, N, K, rho_db, metric) fields and
-    of its flag is parsed and checked once, at its first line; later lines
-    parse only their value."""
+def _read_results(path) -> tuple:
+    """(axes, values, degenerate) of the results CSV at path, read line by
+    line into compact buffers of each row's axis indices, value and flag.
+    Each spelling of a trial, of the (M, N, K, rho_db, metric) fields and of
+    a flag is parsed and checked at its first line; later lines parse only
+    their value. Grid order is checked once, after the last line."""
     try:
         with open(path, encoding="utf-8", newline="") as fh:
             # the lines of str.splitlines, one physical line at a time
@@ -631,11 +611,13 @@ def iter_result_rows(path):
                 raise InvalidInputError(
                     f"{path} does not start with the result header {','.join(RESULT_COLUMNS)}"
                 )
-            trials, cells, flags = {}, {}, {}  # spelling -> its checked fields
-            last_trial = {}  # (M, N, K, rho_db, metric) -> the last trial read for that cell
+            axes = [{} for _ in range(5)]  # (M, N, rho, K, metric): value -> index
+            # spelling -> its checked fields; a cell's are its axis indices
+            trials, cells, flags = {}, {}, {}
+            indices, values, flagged = array("q"), array("d"), bytearray()
+            num_trials = 0  # the trials 0, 1, ... read so far
             for ln, line in enumerate(lines, start=2):
-                if not line:
-                    continue
+                # a blank line fails here too, so row i is line i + 2
                 if line.count(",") != len(RESULT_COLUMNS) - 1:
                     raise InvalidInputError(f"{path}:{ln}: expected {len(RESULT_COLUMNS)} columns")
                 trial_text, rest = line.split(",", 1)
@@ -647,8 +629,11 @@ def iter_result_rows(path):
                     value = None
                 if None in (trial, cell, value, flags.get(flag)) or repr(value) != value_text:
                     # a first spelling, or a bad value: the line's own checks, in column order
-                    trial, *cell, value, flag = _parse_result_line(path, ln, line)
-                    cell = cells[cell_text] = tuple(cell)
+                    trial, m, n, k, rho_db, metric, value, flag = _parse_result_line(path, ln, line)
+                    cell = cells[cell_text] = tuple(
+                        axis.setdefault(field, len(axis))
+                        for axis, field in zip(axes, (m, n, rho_db, k, metric))
+                    )
                     trials[trial_text], flags[flag] = trial, flag == "1"
                 if flag == "0" and not math.isfinite(value):
                     raise InvalidInputError(
@@ -657,21 +642,37 @@ def iter_result_rows(path):
                     )
                 if value == -math.inf:
                     raise InvalidInputError(f"{path}:{ln}: value must not be -inf, got {value_text!r}")
-                last = last_trial.get(cell, -1)
-                if trial == last:
+                if trial > num_trials:
                     raise InvalidInputError(
-                        f"{path}:{ln}: repeats an earlier (trial, M, N, K, rho_db, metric)"
+                        f"{path}:{ln}: trial {trial} comes before any row of trial {num_trials}"
                     )
-                if trial < last:
-                    raise InvalidInputError(
-                        f"{path}:{ln}: trial {trial} follows trial {last} of the same "
-                        "(M, N, K, rho_db, metric); each cell's trials must ascend"
-                    )
-                last_trial[cell] = trial
-                m, n, k, rho_db, metric = cell
-                yield ResultRow(trial, m, n, k, rho_db, metric, value, flags[flag])
+                num_trials += trial == num_trials
+                indices.extend(cell)
+                indices.append(trial)
+                values.append(value)
+                flagged.append(flags[flag])
     except (OSError, UnicodeDecodeError) as exc:
         raise InvalidInputError(f"cannot read results {path}: {exc}") from exc
+    axes = [*map(tuple, axes[:4]), range(num_trials), tuple(axes[4])]
+    shape, count = tuple(map(len, axes)), len(values)
+    # row i must hold slot i in C order; strides capped at count + 1, past
+    # every row index, keep each sum of index × stride within int64
+    strides = [1]
+    for size in shape[:0:-1]:
+        strides.insert(0, min(strides[0] * size, count + 1))
+    slots = np.frombuffer(indices, dtype=np.int64).reshape(-1, 6)  # M, N, rho, K, metric, trial
+    misplaced = np.flatnonzero(slots @ [*strides[:4], strides[5], strides[4]] != np.arange(count))
+    if misplaced.size:
+        raise InvalidInputError(
+            f"{path}:{int(misplaced[0]) + 2}: repeated, moved, or after a missing row: "
+            "out of write_csv's order"
+        )
+    if count < max(math.prod(shape), 1):
+        raise InvalidInputError(
+            f"{path}:{count + 2}: a row is missing: the file ends before its grid is full"
+        )
+    grids = np.frombuffer(values).reshape(shape), np.frombuffer(flagged, dtype=bool).reshape(shape)
+    return axes, *grids
 
 
 def _parse_result_line(path, ln: int, line: str) -> list:

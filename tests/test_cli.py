@@ -345,9 +345,11 @@ class TestErrors:
         capsys.readouterr()
         out = tmp_path / "cdfs"
         assert main(["cdf", str(results), "--out", str(out)]) == 2
-        err = one_error_line(capsys)
-        assert err.startswith("error: result row 5 (ResultRow(trial=1, m=8, n=2, k=2, rho_db=0.0, metric='dpc'")
-        assert err.endswith(") is out of write_csv's order\n")
+        # line 6 now holds row 5, the dpc row of trial 1, which is out of place
+        assert one_error_line(capsys) == (
+            f"error: {results}:6: repeated, moved, or after a missing row: "
+            "out of write_csv's order\n"
+        )
         assert not (out / "cdf_tables.json").exists()
 
     @pytest.mark.parametrize("kind", ["missing", "directory"])
@@ -373,7 +375,7 @@ class TestErrors:
         # an unusable --out fails before any work runs
         monkeypatch.setattr(cli, "run_experiment", work)
         monkeypatch.setattr(cli, "geometric_link_blocks", work)
-        monkeypatch.setattr(cli, "iter_result_rows", work)
+        monkeypatch.setattr(cli, "aggregate_result_rows", work)
         taken = tmp_path / "taken"
         taken.write_text("a file\n")
         args = {

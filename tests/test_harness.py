@@ -15,6 +15,7 @@ from dmimo import (
     ChannelTensor,
     ConfigError,
     ExperimentConfig,
+    ExperimentResult,
     FileSource,
     InvalidInputError,
     Region,
@@ -29,6 +30,17 @@ from dmimo import (
 )
 from dmimo import cli, harness, prep, synth
 from dmimo.harness import RESULT_COLUMNS, ResultRow, _stream_id
+
+
+ORDER = "repeated, moved, or after a missing row: out of write_csv's order"
+MISSING = "a row is missing: the file ends before its grid is full"
+
+
+def write_rows(tmp_path, rows):
+    """The path of a results CSV in tmp_path that holds the header and rows."""
+    path = tmp_path / "results.csv"
+    path.write_text("\n".join([",".join(RESULT_COLUMNS), *rows]) + "\n")
+    return path
 
 
 def small_scene(**overrides):
@@ -199,7 +211,7 @@ class TestRowLayout:
             ("0,8,1,2,0.0,svs,nan,0", "value must be finite when degenerate_flag is 0, got 'nan'"),
             ("0,8,1,2,0.0,svs,-inf,0", "value must be finite when degenerate_flag is 0, got '-inf'"),
             ("0,8,1,2,0.0,svs,-inf,1", "value must not be -inf, got '-inf'"),
-            ("0,8,1,2,0.0,svs,4.5,1", "repeats an earlier (trial, M, N, K, rho_db, metric)"),
+            ("0,8,1,2,0.0,svs,4.5,1", ORDER),
             # a field must be spelled as write_csv writes its value
             ("1_0,8,1,2,0.0,svs,1.0,0", "trial must be written '10', got '1_0'"),
             (" \u0663,8,1,2,0.0,svs,1.0,0", "trial must be written '3', got ' \u0663'"),
@@ -232,16 +244,10 @@ class TestRowLayout:
         assert str(info.value).startswith(f"cannot read results {path}: ")
 
     def test_read_result_rows_parses_well_formed_file(self, tmp_path):
-        path = tmp_path / "results.csv"
-        lines = [
-            ",".join(RESULT_COLUMNS),
-            "0,8,1,2,0.0,svs,inf,1",
-            "1,8,1,2,15.0,fairness,2.0,0",
-        ]
-        path.write_text("\n".join(lines) + "\n")
+        path = write_rows(tmp_path, ["0,8,1,2,15.0,svs,inf,1", "0,8,1,2,15.0,fairness,2.0,0"])
         assert read_result_rows(path) == (
-            ResultRow(0, 8, 1, 2, 0.0, "svs", math.inf, True),
-            ResultRow(1, 8, 1, 2, 15.0, "fairness", 2.0, False),
+            ResultRow(0, 8, 1, 2, 15.0, "svs", math.inf, True),
+            ResultRow(0, 8, 1, 2, 15.0, "fairness", 2.0, False),
         )
 
 
@@ -284,28 +290,25 @@ class TestResultGrid:
         tables = json.loads((tmp_path / "cdf_tables.json").read_text())
         assert tables["cells"] == json.loads(json.dumps(result.aggregates_dict()))["cells"]
 
-    @staticmethod
-    def rejection(rows) -> str:
-        with pytest.raises(InvalidInputError) as info:
-            aggregate_result_rows(rows)
-        return str(info.value)
-
-    def test_rows_must_fill_the_grid_in_write_csv_order(self):
-        rows = list(run_experiment(scene_config(trials=3)).rows)
-        assert len(aggregate_result_rows(rows)) == 2 * 2 * 2 * 4
+    def test_rows_must_fill_the_grid_in_write_csv_order(self, tmp_path):
+        rows = run_experiment(scene_config(trials=3)).to_csv_text().splitlines()[1:]
+        assert len(aggregate_result_rows(write_rows(tmp_path, rows))) == 2 * 2 * 2 * 4
         last = len(rows)
 
-        def misplaced(number, row):
-            return f"result row {number} ({row}) is out of write_csv's order"
+        def rejection(rows) -> str:
+            path = write_rows(tmp_path, rows)
+            with pytest.raises(InvalidInputError) as info:
+                aggregate_result_rows(path)
+            return str(info.value).replace(f"{path}:", "line ")
 
-        # row 6 missing mid-grid, then the last row missing
-        assert self.rejection(rows[:5] + rows[6:]) == misplaced(6, rows[6])
-        assert self.rejection(rows[:-1]) == f"result row {last} is missing"
+        # row 6 missing mid-grid, so row 7 is on line 7; then the last row missing
+        assert rejection(rows[:5] + rows[6:]) == f"line 7: {ORDER}"
+        assert rejection(rows[:-1]) == f"line {last + 1}: {MISSING}"
         # row 6 repeated next to itself, then row 1 repeated at the end
-        assert self.rejection(rows[:6] + rows[5:]) == misplaced(7, rows[5])
-        assert self.rejection(rows + rows[:1]) == misplaced(last + 1, rows[0])
+        assert rejection(rows[:6] + rows[5:]) == f"line 8: {ORDER}"
+        assert rejection(rows + rows[:1]) == f"line {last + 2}: {ORDER}"
         # rows 4 and 5 swapped
-        assert self.rejection(rows[:3] + [rows[4], rows[3]] + rows[5:]) == misplaced(4, rows[4])
+        assert rejection(rows[:3] + [rows[4], rows[3]] + rows[5:]) == f"line 5: {ORDER}"
 
 
 class TestAggregates:
@@ -342,13 +345,9 @@ class TestAggregates:
         assert len(cell["cdf"]["grid"]) == 512
         assert cell["cdf"]["num_samples"] == 2
 
-    def test_cdf_includes_saturated_tail(self):
-        rows = [
-            ResultRow(0, 8, 1, 2, 0.0, "svs", 5.0, False),
-            ResultRow(1, 8, 1, 2, 0.0, "svs", 7.0, False),
-            ResultRow(2, 8, 1, 2, 0.0, "svs", math.inf, True),
-        ]
-        (cell,) = aggregate_result_rows(rows, grid_points=8)
+    def test_cdf_includes_saturated_tail(self, tmp_path):
+        rows = ["0,8,1,2,0.0,svs,5.0,0", "1,8,1,2,0.0,svs,7.0,0", "2,8,1,2,0.0,svs,inf,1"]
+        (cell,) = aggregate_result_rows(write_rows(tmp_path, rows), grid_points=8)
         assert cell.num_valid == 2
         assert cell.num_degenerate == 1
         assert cell.mean == 6.0
@@ -357,27 +356,34 @@ class TestAggregates:
         assert cell.cdf.probs[-1] == pytest.approx(2.0 / 3.0)
 
     @pytest.mark.parametrize("grid_points", [2.5, 0, -3, True, "8"])
-    def test_bad_grid_points_raise(self, grid_points):
-        rows = [ResultRow(0, 8, 1, 2, 0.0, "svs", 5.0, False)]
+    def test_bad_grid_points_raise(self, tmp_path, grid_points):
+        path = write_rows(tmp_path, ["0,8,1,2,0.0,svs,5.0,0"])
         with pytest.raises(ConfigError, match="grid_points"):
-            aggregate_result_rows(rows, grid_points=grid_points)
+            aggregate_result_rows(path, grid_points=grid_points)
 
-    def test_all_nan_cell_has_no_stats(self):
-        rows = [
-            ResultRow(t, 8, 1, 2, 0.0, "zf", math.nan, True) for t in range(3)
-        ]
-        (cell,) = aggregate_result_rows(rows)
+    def test_all_nan_cell_has_no_stats(self, tmp_path):
+        rows = [f"{t},8,1,2,0.0,zf,nan,1" for t in range(3)]
+        (cell,) = aggregate_result_rows(write_rows(tmp_path, rows))
         assert cell.num_valid == 0
         assert cell.mean is None and cell.median is None and cell.cdf is None
 
     @pytest.mark.parametrize("value, name", [(math.nan, "NaN"), (-math.inf, "-inf")])
-    def test_valid_row_without_a_number_raises(self, value, name):
-        rows = [
-            ResultRow(0, 8, 1, 2, 0.0, "zf", 5.0, False),
-            ResultRow(1, 8, 1, 2, 0.0, "zf", value, False),
-        ]
+    def test_valid_row_without_a_number_raises(self, tmp_path, value, name):
+        # a results file names the line
+        path = write_rows(tmp_path, ["0,8,1,2,0.0,zf,5.0,0", f"1,8,1,2,0.0,zf,{value!r},0"])
+        with pytest.raises(InvalidInputError) as info:
+            aggregate_result_rows(path)
+        assert str(info.value) == (
+            f"{path}:3: value must be finite when degenerate_flag is 0, got '{value!r}'"
+        )
+        # the aggregator checks a run's grid itself
+        cfg = scene_config(
+            m_values=(8,), n_values=(1,), rho_db_values=(0.0,), trials=2, metrics=("zf",)
+        )
+        values = np.array([5.0, value]).reshape(1, 1, 1, 1, 2, 1)
+        result = ExperimentResult(cfg, values, np.full(values.shape, None, dtype=object))
         with pytest.raises(InvalidInputError, match=f"must not contain {name}"):
-            aggregate_result_rows(rows)
+            result.cells
 
 
 class TestDegenerateHandling:

@@ -1,6 +1,6 @@
 """Every module of src/dmimo uses each name it imports, every private
-module-level name is read somewhere in the package, and importing the
-package loads nothing heavy.
+module-level name is read somewhere in the package, `dmimo.__all__` is what
+the package imports, and importing the package loads nothing heavy.
 
 A stdlib-only stand-in for a linter's unused-import and dead-code rules.
 `__init__.py` is exempt from the import rule because it imports to
@@ -98,6 +98,21 @@ def test_private_name_check_finds_a_leftover():
     defined = private_definitions(tree)
     assert sorted(defined) == ["_Gone", "_LIMIT", "_a", "_b", "_left", "_used"]
     assert sorted(set(defined) - names_read(tree)) == ["_Gone", "_a", "_b", "_left"]
+
+
+def test_dunder_all_is_what_the_package_imports():
+    # a public name deleted from a module cannot leave a stale export
+    import dmimo
+
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    imported = [
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    assert sorted(dmimo.__all__) == sorted(set(imported)) == sorted(imported)
+    assert [name for name in dmimo.__all__ if not hasattr(dmimo, name)] == []
 
 
 def test_importing_dmimo_leaves_multiprocessing_unloaded():

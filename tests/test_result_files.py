@@ -1,5 +1,6 @@
 """Result files: the JSON writer's exact bytes, the bounded memory of writing
-results and aggregates and of `dmimo cdf`, and the errors of malformed results CSVs."""
+results and aggregates and of `dmimo cdf`, the errors of malformed results
+CSVs, and seeded mutations of a results CSV."""
 
 import json
 import math
@@ -16,8 +17,8 @@ from dmimo import (
     SceneSource,
     aggregate_result_rows,
     default_scene,
-    iter_result_rows,
     read_result_rows,
+    run_experiment,
 )
 from dmimo.cli import main
 from dmimo.harness import RESULT_COLUMNS, ExperimentResult, _write_json
@@ -174,28 +175,35 @@ def replaced(index, row):
 ROW_3 = "ResultRow(trial=1, m=8, n=2, k=2, rho_db=0.0, metric='svs', value=inf, degenerate=True)"
 ROW_4 = "ResultRow(trial=1, m=8, n=2, k=2, rho_db=0.0, metric='dpc', value=4.0, degenerate=False)"
 
-# (content, message with {path} for the file); the messages are those the
-# reader and aggregator gave before rows were streamed
+ORDER = "repeated, moved, or after a missing row: out of write_csv's order"
+MISSING = "a row is missing: the file ends before its grid is full"
+
+# (content, message with {path} for the file)
 MALFORMED = {
-    "repeated row": (
-        with_rows(GOOD_ROWS[:3] + GOOD_ROWS[2:]),
-        "{path}:5: repeats an earlier (trial, M, N, K, rho_db, metric)",
-    ),
-    # each cell's trials must ascend, so the reader keeps only the last one
+    "repeated row": (with_rows(GOOD_ROWS[:3] + GOOD_ROWS[2:]), "{path}:5: " + ORDER),
     "descending trial": (
         with_rows(GOOD_ROWS[2:4] + GOOD_ROWS[:2] + GOOD_ROWS[4:]),
-        "{path}:4: trial 0 follows trial 1 of the same (M, N, K, rho_db, metric); "
-        "each cell's trials must ascend",
+        "{path}:2: trial 1 comes before any row of trial 0",
     ),
-    "missing mid-grid row": (
-        with_rows(GOOD_ROWS[:2] + GOOD_ROWS[3:]),
-        f"result row 3 ({ROW_4}) is out of write_csv's order",
+    # every row of trial 1 gone: trials 0 and 2 would read as a complete grid
+    "missing whole trial": (
+        with_rows([row.replace("1,", "2,", 1) if row[0] == "1" else row for row in GOOD_ROWS]),
+        "{path}:4: trial 2 comes before any row of trial 1",
     ),
-    "missing last row": (with_rows(GOOD_ROWS[:-1]), "result row 8 is missing"),
-    "header only": (with_rows([]), "result row 1 is missing"),
+    "missing mid-grid row": (with_rows(GOOD_ROWS[:2] + GOOD_ROWS[3:]), "{path}:4: " + ORDER),
+    "missing last row": (with_rows(GOOD_ROWS[:-1]), "{path}:9: " + MISSING),
+    "header only": (with_rows([]), "{path}:2: " + MISSING),
     "swapped pair": (
         with_rows(GOOD_ROWS[:2] + [GOOD_ROWS[3], GOOD_ROWS[2]] + GOOD_ROWS[4:]),
-        f"result row 3 ({ROW_4}) is out of write_csv's order",
+        "{path}:4: " + ORDER,
+    ),
+    # write_csv never writes a blank line, so row i is always line i + 2
+    "blank line": (with_rows(GOOD_ROWS[:4] + [""] + GOOD_ROWS[4:]), "{path}:6: expected 8 columns"),
+    "blank last line": (with_rows(GOOD_ROWS + [""]), "{path}:10: expected 8 columns"),
+    # each row a fresh M, N, K and rho, so the axis sizes multiply past int64
+    "axis sizes past int64": (
+        with_rows(f"{i},{2 * (i + 1)},{i + 1},{i + 1},{i / 3 - 1000!r},svs,1.0,0" for i in range(7000)),
+        "{path}:3: " + ORDER,
     ),
     "3.50": (replaced(0, "0,8,2,2,0.0,svs,3.50,0"), "{path}:2: value must be written '3.5', got '3.50'"),
     "degenerate -inf": (
@@ -222,7 +230,7 @@ def test_the_good_rows_read_and_aggregate(tmp_path):
     path = tmp_path / "results.csv"
     path.write_bytes(with_rows(GOOD_ROWS))
     assert [str(row) for row in read_result_rows(path)[2:4]] == [ROW_3, ROW_4]
-    assert len(aggregate_result_rows(iter_result_rows(path))) == 4
+    assert len(aggregate_result_rows(path)) == 4
 
 
 @pytest.mark.parametrize("case", list(MALFORMED))
@@ -231,9 +239,10 @@ def test_malformed_csv_gives_one_message_from_both_entry_points(tmp_path, capsys
     path = tmp_path / "results.csv"
     path.write_bytes(content)
     expected = message.format(path=path)
-    with pytest.raises(InvalidInputError) as info:
-        aggregate_result_rows(read_result_rows(path))
-    assert str(info.value) == expected
+    for read in (read_result_rows, aggregate_result_rows):
+        with pytest.raises(InvalidInputError) as info:
+            read(path)
+        assert str(info.value) == expected
     out = tmp_path / "cdfs"
     assert main(["cdf", str(path), "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {expected}\n"
@@ -244,7 +253,7 @@ def test_a_bad_grid_points_comes_before_an_empty_results_file(tmp_path, capsys):
     path = tmp_path / "results.csv"
     path.write_bytes(with_rows([]))
     with pytest.raises(ConfigError) as info:
-        aggregate_result_rows(iter_result_rows(path), grid_points=0)
+        aggregate_result_rows(path, grid_points=0)
     assert str(info.value) == "grid_points must be >= 1, got 0"
     out = tmp_path / "cdfs"
     assert main(["cdf", str(path), "--grid-points", "0", "--out", str(out)]) == 2
@@ -262,3 +271,69 @@ def test_rows_of_a_topology_no_run_draws_are_rejected(tmp_path, capsys, m, n):
     assert str(info.value) == expected
     assert main(["cdf", str(path), "--out", str(tmp_path / "cdfs")]) == 2
     assert capsys.readouterr().err == f"error: {expected}\n"
+
+
+# a field's replacements in the mutation test: spellings a run writes, and
+# ones it never writes
+FIELD_EDITS = (
+    "", "x", "0", "1", "2", "-1", "4", "8", "08", "1.0", "-0.0", "10.0", "1e3", "nan", "inf",
+    "-inf", "1e999", "3000.5", "99999999999999999999", "svs", "dpc", "zf", "fairness", " 1", "1,",
+)
+
+
+def mutated(lines, rng) -> list:
+    """lines after one seeded mutation: two lines swapped, a line repeated,
+    dropped or blanked, one field of a line edited, or rows with a fresh
+    value on one axis appended."""
+    lines = list(lines)
+    i, j = rng.randrange(1, len(lines)), rng.randrange(1, len(lines))
+    kind = rng.choice(("swap", "repeat", "drop", "blank", "edit", "append"))
+    if kind == "swap":
+        lines[i], lines[j] = lines[j], lines[i]
+    elif kind == "repeat":
+        lines.insert(j, lines[i])
+    elif kind == "drop":
+        del lines[i]
+    elif kind == "blank":
+        lines[i] = ""
+    elif kind == "edit":  # the header too
+        i = rng.randrange(len(lines))
+        fields = lines[i].split(",")
+        fields[rng.randrange(len(fields))] = rng.choice(FIELD_EDITS)
+        lines[i] = ",".join(fields)
+    else:
+        column, fresh = rng.choice(((0, "2"), (1, "32"), (2, "4"), (3, "3"), (4, "-5.5"), (5, "zf")))
+        for line in rng.sample(lines[1:], rng.randint(1, 4)):
+            fields = line.split(",")
+            fields[column] = fresh
+            lines.append(",".join(fields))
+    return lines
+
+
+def test_mutated_results_give_cells_or_a_toolkit_error(tmp_path, capsys):
+    cfg = ExperimentConfig(
+        source=SceneSource(scene=default_scene("los")),
+        m_values=(16, 8),
+        n_values=(1, 2),
+        rho_db_values=(0.0, 10.0),
+        k_values=(2,),
+        trials=2,
+        seed=1,
+        metrics=("svs", "dpc"),
+    )
+    lines = run_experiment(cfg, workers=1).to_csv_text().splitlines()
+    rng = random.Random(29)
+    path, out = tmp_path / "results.csv", tmp_path / "cdfs"
+    outcomes = {0: 0, 2: 0}
+    for _ in range(400):
+        path.write_text("\n".join(mutated(lines, rng)) + "\n")
+        try:
+            aggregate_result_rows(path, grid_points=8)
+        except (InvalidInputError, ConfigError) as exc:
+            expected = 2, f"error: {exc}\n"
+        else:
+            expected = 0, ""
+        code = main(["cdf", str(path), "--grid-points", "8", "--out", str(out)])
+        assert (code, capsys.readouterr().err) == expected
+        outcomes[code] += 1
+    assert min(outcomes.values()) > 0, outcomes
