@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .chanfile import write_channel_blocks
+from .chanfile import _header, write_channel_blocks
 from .config import SynthConfig, _from_dict, load_config, read_json
 from .errors import ToolkitError
 from .harness import aggregate_result_rows, run_experiment, write_cdf_tables
@@ -46,14 +46,18 @@ def _cmd_synth(args) -> int:
     cfg = _from_dict(SynthConfig, read_json(args.config), "synth config")
     seed = cfg.seed if args.seed is None else args.seed
     spacing = (cfg.min_spacing_m, cfg.max_spacing_m)
+    scene = cfg.scene
+    dims = (scene.num_snapshots, scene.num_subcarriers, cfg.num_users, scene.total_antennas)
+    ap_map = scene.antenna_ap_map()
+    _header(dims, ap_map)  # the format's limits, before any work or --out
     with _output_dir(args.out) as out_dir:
-        users = gen_trajectory_users(cfg.scene, cfg.num_users, spacing, RngHandle(seed, 0))
+        users = gen_trajectory_users(scene, cfg.num_users, spacing, RngHandle(seed, 0))
         # the tensor goes to the file block by block, never whole in memory
-        dims, blocks = geometric_link_blocks(cfg.scene, users, RngHandle(seed, 1))
+        _, blocks = geometric_link_blocks(scene, users, RngHandle(seed, 1))
         path = out_dir / "channel.dmct"
-        write_channel_blocks(path, dims, cfg.scene.antenna_ap_map(), blocks)
+        write_channel_blocks(path, dims, ap_map, blocks)
     t, l, k, m = dims
-    print(f"wrote {path} (T={t}, L={l}, K={k}, M={m}, {cfg.scene.num_aps} APs)")
+    print(f"wrote {path} (T={t}, L={l}, K={k}, M={m}, {scene.num_aps} APs)")
     return 0
 
 

@@ -295,16 +295,38 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
 
 
 def read_json(path):
-    """Parse the JSON file at `path`; a file that cannot be read or parsed
-    raises ConfigError."""
+    """Parse the JSON file at `path`; a file that cannot be read or is not
+    standard JSON raises ConfigError. Python's NaN, Infinity and -Infinity
+    are not standard JSON, so a config holding one is rejected, naming it
+    and where it sits."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
-        return json.loads(text, object_pairs_hook=_unique_keys)
+        obj = json.loads(text, object_pairs_hook=_unique_keys, parse_constant=_Constant)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    _reject_constants(obj, path)
+    return obj
+
+
+class _Constant(str):
+    """A NaN, Infinity or -Infinity token as json.loads read it."""
+
+
+def _reject_constants(value, path, where: str = "") -> None:
+    """Raise ConfigError at the first _Constant in the JSON value read from
+    path; `where` is the value's place in the file, as in `sweeps.k_values[0]`."""
+    if isinstance(value, _Constant):
+        where = where.removeprefix(".") or "the whole file"
+        raise ConfigError(f"config {path}: {where} is {value}, which is not standard JSON")
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _reject_constants(item, path, f"{where}.{key}")
+    elif isinstance(value, list):
+        for index, item in enumerate(value):
+            _reject_constants(item, path, f"{where}[{index}]")
 
 
 def _unique_keys(pairs) -> dict:

@@ -92,6 +92,7 @@ from .synth import gen_geometric, gen_trajectory_users
 from .tensor import ChannelTensor, RngHandle, ap_columns
 
 RESULT_COLUMNS = ("trial", "M", "N", "K", "rho_db", "metric", "value", "degenerate_flag")
+_HEADER_LINE = ",".join(RESULT_COLUMNS)
 _COLUMN_TYPES = (int, int, int, int, float, str, float, str)
 _CONTAINERS = (dict, list, tuple)  # what json writes as an object or array
 
@@ -218,7 +219,7 @@ class ExperimentResult:
         return _aggregate(_axes(self.config), self.values, np.not_equal(self.reasons, None))
 
     def _csv_lines(self):
-        yield ",".join(RESULT_COLUMNS) + "\n"
+        yield _HEADER_LINE + "\n"
         for (m, n, rho_db, k, trial, metric), value, reason in self._slots():
             flag = int(reason is not None)
             yield f"{trial},{m},{n},{k},{rho_db!r},{metric},{value!r},{flag}\n"
@@ -227,8 +228,9 @@ class ExperimentResult:
         return "".join(self._csv_lines())
 
     def write_csv(self, path) -> None:
-        """Write to_csv_text() to path line by line, so the text is never held whole."""
-        with open(path, "w", encoding="utf-8") as out:
+        """Write to_csv_text() to path line by line, so the text is never held
+        whole; every line ends in "\n", on any platform, as the reader expects."""
+        with open(path, "w", encoding="utf-8", newline="\n") as out:
             out.writelines(self._csv_lines())
 
     def aggregates_dict(self) -> dict:
@@ -589,27 +591,31 @@ def read_result_rows(path) -> tuple:
     """Every row of a results CSV, as ExperimentResult.rows lists a run's.
 
     The file must be one that ExperimentResult.write_csv could write, or
-    InvalidInputError names its first line that is blank, has a field no
-    run writes, holds a trial before any row of a smaller one, or is out of
-    the C order of one (M, N, rho, K, trial, metric) grid whose axes run in
-    order of first appearance; a repeated or missing row is out of order.
+    InvalidInputError names, as path:line, its first line that is not the
+    header, is blank, has a field no run writes, holds a trial before any
+    row of a smaller one, or is out of the C order of one (M, N, rho, K,
+    trial, metric) grid whose axes run in order of first appearance; a
+    repeated or missing row is out of order. Lines end only at "\n", as
+    write_csv ends them: a "\r" or other control character stays in its
+    field and fails that field's check, so a CRLF file fails at line 1.
     """
     return _rows(*_read_results(path))
 
 
 def _read_results(path) -> tuple:
-    """(axes, values, degenerate) of the results CSV at path, read line by
-    line into compact buffers of each row's axis indices, value and flag.
+    """(axes, values, degenerate) of the results CSV at path, read one
+    physical line at a time, split only at "\n", into compact buffers of
+    each row's axis indices, value and flag.
     Each spelling of a trial, of the (M, N, K, rho_db, metric) fields and of
     a flag is parsed and checked at its first line; later lines parse only
     their value. Grid order is checked once, after the last line."""
     try:
-        with open(path, encoding="utf-8", newline="") as fh:
-            # the lines of str.splitlines, one physical line at a time
-            lines = (line for physical in fh for line in physical.splitlines())
-            if tuple(next(lines, "").split(",")) != RESULT_COLUMNS:
+        with open(path, encoding="utf-8", newline="\n") as fh:
+            # physical lines, split only where write_csv ends one
+            lines = (line.removesuffix("\n") for line in fh)
+            if (header := next(lines, "")) != _HEADER_LINE:
                 raise InvalidInputError(
-                    f"{path} does not start with the result header {','.join(RESULT_COLUMNS)}"
+                    f"{path}:1: expected the header {_HEADER_LINE}, got {header!r}"
                 )
             axes = [{} for _ in range(5)]  # (M, N, rho, K, metric): value -> index
             # spelling -> its checked fields; a cell's are its axis indices

@@ -267,7 +267,61 @@ class TestErrors:
         path.write_text('{"scene": "los", "num_users": 2, "min_spacing_m": NaN}')
         code = main(["synth", "--config", str(path), "--out", str(tmp_path / "o")])
         assert code == 2
-        assert "synth config.min_spacing_m must be a number, got nan" in capsys.readouterr().err
+        expected = f"error: config {path}: min_spacing_m is NaN, which is not standard JSON\n"
+        assert capsys.readouterr().err == expected
+        assert not (tmp_path / "o").exists()
+
+    # Python's json reads these, but no standard JSON parser does, and a run
+    # would copy an infinite spacing into aggregates.json
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("command", ["run", "synth"])
+    def test_non_standard_json_constant_exits_2(self, tmp_path, capsys, command, constant):
+        if command == "synth":
+            text, where = '{"scene": "los", "num_users": 2, "max_spacing_m": %s}', "max_spacing_m"
+        else:
+            text = (
+                '{"source": {"type": "scene", "scene": "los"}, "sweeps": {"m_values": [16], '
+                '"n_values": [1], "rho_db_values": [0.0, %s], "k_values": [2]}, '
+                '"trials": 2, "seed": 1}'
+            )
+            where = "sweeps.rho_db_values[1]"
+        path = tmp_path / "config.json"
+        path.write_text(text % constant)
+        code = main([command, "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        expected = f"error: config {path}: {where} is {constant}, which is not standard JSON\n"
+        assert capsys.readouterr().err == expected
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("num_users", 70000, "dimension K=70000 exceeds the format's u16 limit 65535"),
+            ("num_snapshots", 65536, "dimension T=65536 exceeds the format's u16 limit 65535"),
+            ("num_subcarriers", 65536, "dimension L=65536 exceeds the format's u16 limit 65535"),
+            ("antennas_per_ap", 32768, "dimension M=65536 exceeds the format's u16 limit 65535"),
+            ("num_aps", 257, "AP id 256 exceeds the format's u8 limit 255"),
+        ],
+    )
+    def test_synth_checks_the_file_limits_before_any_work(
+        self, tmp_path, capsys, monkeypatch, field, value, message
+    ):
+        def place_users(*args):
+            raise AssertionError("users were placed before the file limits were checked")
+
+        monkeypatch.setattr(cli, "gen_trajectory_users", place_users)
+        scene = dict(SCENE_OBJ, num_subcarriers=1)
+        cfg = {"scene": scene, "num_users": 2}
+        if field == "num_aps":
+            scene["ap_positions"] = [[0.1 * i, 0.0, 2.0] for i in range(value)]
+            scene["condition_per_ap"] = ["los"] * value
+        else:
+            (cfg if field == "num_users" else scene)[field] = value
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps(cfg))
+        code = main(["synth", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["run", "synth"])

@@ -707,3 +707,41 @@ class TestSliceRates:
             assert np.array_equal(folded.slice_rates[own], single.slice_rates)
             assert np.array_equal(folded.slice_converged[own], single.slice_converged)
             assert float(np.mean(folded.slice_rates[own])) == single.sum_rate_bits_per_s_per_hz
+
+
+FIVE_D = (
+    "expected a ChannelTensor or an array of K x M matrices with at most 2 leading dims, got 5-D"
+)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda h: svs(h), id="svs"),
+        pytest.param(lambda h: dpc_capacity(h, SnrSpec(0.0)), id="dpc_capacity"),
+    ],
+)
+def test_input_checks(call):
+    with pytest.raises(DimensionError) as info:
+        call(np.ones((1, 1, 1, 2, 2)))
+    assert type(info.value) is DimensionError
+    assert str(info.value) == FIVE_D
+
+
+# no step from p ascends, so the ascent stops on its first direction check,
+# and backtracking never meets Armijo: p is the optimum
+@pytest.mark.parametrize(
+    "noise, power, iterations",
+    [
+        pytest.param(np.ones((3, 4)), [0.25] * 4, 1, id="uniform"),
+        pytest.param(np.array([[1.0, np.inf, np.inf]]), [1.0, 0.0, 0.0], 2, id="one usable user"),
+    ],
+)
+def test_joint_zf_ascent_stops_at_an_exact_optimum(noise, power, iterations):
+    result = metrics._zf_joint(noise)
+    assert result.powers.tolist() == [power]
+    assert result.iterations == iterations
+    rates = np.log2(1.0 + result.powers / noise).sum(axis=1)
+    assert result.slice_rates.tolist() == rates.tolist()
+    assert result.sum_rate_bits_per_s_per_hz == np.mean(rates)
+    assert result.converged

@@ -240,3 +240,10 @@ class TestSelectSubarray:
         ch = normalize(four_ap_tensor(48))
         sub, _ = select_subarray(ch, 32, 4, RngHandle(48, 1))
         assert type(sub) is ChannelTensor
+
+
+def test_select_subarray_rejects_a_bare_array():
+    with pytest.raises(InvalidInputError) as info:
+        select_subarray(np.ones((1, 1, 1, 2)), 2, 1, RngHandle(1, 0))
+    assert type(info.value) is InvalidInputError
+    assert str(info.value) == "select_subarray expects a ChannelTensor"

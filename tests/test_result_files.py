@@ -212,7 +212,14 @@ MALFORMED = {
     ),
     "bad header": (
         with_rows(GOOD_ROWS, header="trial,M,N,K,rho,metric,value,degenerate_flag"),
-        "{path} does not start with the result header " + HEADER,
+        "{path}:1: expected the header " + HEADER + ", got 'trial,M,N,K,rho,metric,value,"
+        "degenerate_flag'",
+    ),
+    "empty file": (b"", "{path}:1: expected the header " + HEADER + ", got ''"),
+    # a byte-order mark stays in the header, where the message shows it
+    "BOM": (
+        b"\xef\xbb\xbf" + with_rows(GOOD_ROWS),
+        "{path}:1: expected the header " + HEADER + ", got '\\ufeff" + HEADER + "'",
     ),
     "not UTF-8": (
         with_rows(GOOD_ROWS).replace(b"1.125", b"1.125\xff"),
@@ -236,6 +243,13 @@ def test_the_good_rows_read_and_aggregate(tmp_path):
 @pytest.mark.parametrize("case", list(MALFORMED))
 def test_malformed_csv_gives_one_message_from_both_entry_points(tmp_path, capsys, case):
     content, message = MALFORMED[case]
+    assert_rejected(tmp_path, capsys, content, message)
+
+
+def assert_rejected(tmp_path, capsys, content: bytes, message: str) -> None:
+    """content, as a results file, fails read_result_rows,
+    aggregate_result_rows and `dmimo cdf` with message ({path} for the file),
+    and `dmimo cdf` leaves no --out behind."""
     path = tmp_path / "results.csv"
     path.write_bytes(content)
     expected = message.format(path=path)
@@ -247,6 +261,35 @@ def test_malformed_csv_gives_one_message_from_both_entry_points(tmp_path, capsys
     assert main(["cdf", str(path), "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {expected}\n"
     assert not out.exists()
+
+
+# a character that str.splitlines breaks at stays in its field and fails
+# that field's check on the line an editor shows; a line ends only at "\n"
+@pytest.mark.parametrize("case", ["line 2 ends in x1c", "x0c in line 3's metric", "CRLF"])
+def test_a_line_ends_only_where_write_csv_ends_one(tmp_path, capsys, case):
+    cfg = ExperimentConfig(
+        source=SceneSource(scene=default_scene("los")),
+        m_values=(16,),
+        n_values=(1,),
+        rho_db_values=(0.0,),
+        k_values=(2,),
+        trials=2,
+        seed=1,
+        metrics=("svs", "dpc"),
+    )
+    lines = run_experiment(cfg, workers=1).to_csv_text().splitlines(keepends=True)
+    if case == "CRLF":
+        lines = [line.replace("\n", "\r\n") for line in lines]
+        message = f"{{path}}:1: expected the header {HEADER}, got {HEADER + chr(13)!r}"
+    elif case == "line 2 ends in x1c":
+        flag = lines[1][-2]
+        lines[1] = lines[1][:-1] + "\x1c\n"
+        lines[3] = "x" + lines[3]
+        message = f"{{path}}:2: degenerate_flag must be 0 or 1, got {flag + chr(0x1C)!r}"
+    else:
+        lines[2] = lines[2].replace(",dpc,", ",d\x0cpc,")
+        message = "{path}:3: unknown metric 'd\\x0cpc'"
+    assert_rejected(tmp_path, capsys, "".join(lines).encode(), message)
 
 
 def test_a_bad_grid_points_comes_before_an_empty_results_file(tmp_path, capsys):

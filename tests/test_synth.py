@@ -452,3 +452,52 @@ class TestGeometric:
             spread["one"].append(svs(one.slice_matrix(0, 0)))
             spread["four"].append(svs(four.slice_matrix(0, 0)))
         assert np.median(spread["four"]) < np.median(spread["one"])
+
+
+def _scene(**changes):
+    return dataclasses.replace(default_scene(), **changes)
+
+
+INF_AP = ((0.0, 0.0, math.inf),) + default_scene().ap_positions[1:]
+POSITIVE = "carrier_hz must be positive and finite"
+NON_NEGATIVE = "bandwidth_hz must be non-negative and finite"
+
+
+# input checks no other test reaches
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(
+            lambda: _scene(ap_positions=(), condition_per_ap=()),
+            "ap_positions must hold at least one access point",
+            id="no APs",
+        ),
+        pytest.param(
+            lambda: _scene(ap_positions=INF_AP),
+            "ap_positions must be finite (x, y, z) triples",
+            id="inf AP coordinate",
+        ),
+        pytest.param(
+            lambda: _scene(region=(0.0, 0.0, 2.0)), "region must be a Region", id="region tuple"
+        ),
+        pytest.param(lambda: _scene(carrier_hz=0.0), POSITIVE, id="carrier 0"),
+        pytest.param(lambda: _scene(carrier_hz=math.inf), POSITIVE, id="carrier inf"),
+        pytest.param(lambda: _scene(bandwidth_hz=-1.0), NON_NEGATIVE, id="bandwidth -1"),
+        pytest.param(lambda: _scene(bandwidth_hz=math.inf), NON_NEGATIVE, id="bandwidth inf"),
+        pytest.param(
+            lambda: gen_trajectory_users(default_scene(), 0, (0.1, 5.0), RngHandle(1, 0)),
+            "num_users must be >= 1",
+            id="no users",
+        ),
+        pytest.param(
+            lambda: gen_geometric(default_scene(), np.zeros((2, 3)), RngHandle(1, 0)),
+            "users must be a UserLayout",
+            id="users array",
+        ),
+    ],
+)
+def test_input_checks(call, message):
+    with pytest.raises(InvalidInputError) as info:
+        call()
+    assert type(info.value) is InvalidInputError
+    assert str(info.value) == message

@@ -252,3 +252,27 @@ class TestZfEffectiveGains:
             gains = zf_effective_gains(mat)
             lam_max = float(singular_values(mat)[0] ** 2)
             assert gains.sum() >= 4.0 / lam_max - 1e-12
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        pytest.param(
+            lambda: ChannelTensor(np.ones((1, 1, 1, 2)), [0, -1]),
+            InvalidInputError,
+            "antenna_ap_map entries must be non-negative",
+            id="negative AP id",
+        ),
+        pytest.param(
+            lambda: singular_values(np.ones(3)),
+            DimensionError,
+            "snapshot matrix must be (..., K, M), got 1-D",
+            id="1-D matrix",
+        ),
+    ],
+)
+def test_input_checks(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error
+    assert str(info.value) == message
