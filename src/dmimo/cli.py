@@ -3,7 +3,7 @@
 Subcommands:
     synth   scene description -> binary channel file
     run     experiment config -> results.csv + aggregates.json
-    cdf     results.csv -> per-cell CDF tables (JSON)
+    cdf     results.csv + the aggregates.json beside it -> per-cell CDF tables (JSON)
     oracle  brute-force validation suite (slow reference recomputations)
 """
 
@@ -18,8 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from .chanfile import _header, write_channel_blocks
-from .config import SynthConfig, _from_dict, load_config, read_json
-from .errors import ToolkitError
+from .config import SynthConfig, _from_dict, config_from_dict, load_config, read_json
+from .errors import ConfigError, ToolkitError
 from .harness import aggregate_result_rows, run_experiment, write_cdf_tables
 from .selfcheck import DEFAULT_SEED, run_selfcheck
 from .stats import CDF_GRID_POINTS
@@ -83,10 +83,21 @@ def _cmd_run(args) -> int:
     return 0
 
 
+def _run_config(results):
+    """The config of the run that wrote `results`, as the aggregates.json
+    beside it echoes it; only the config outlives this call."""
+    path = Path(results).with_name("aggregates.json")
+    payload = read_json(path)
+    if not isinstance(payload, dict) or "config" not in payload:
+        raise ConfigError(f"{path} must be a JSON object with the run's \"config\"")
+    return config_from_dict(payload["config"])
+
+
 def _cmd_cdf(args) -> int:
+    cfg = _run_config(args.results)
     with _output_dir(args.out) as out_dir:
         # the rows go straight into the grid; the file is never held whole
-        cells = aggregate_result_rows(args.results, grid_points=args.grid_points)
+        cells = aggregate_result_rows(args.results, cfg, grid_points=args.grid_points)
         path = out_dir / "cdf_tables.json"
         write_cdf_tables(cells, path)
     print(f"wrote {path} ({len(cells)} cells)")
@@ -135,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out", required=True, help="output directory")
     p_run.set_defaults(func=_cmd_run)
 
-    p_cdf = sub.add_parser("cdf", help="compute CDF tables from a results CSV")
+    p_cdf = sub.add_parser("cdf", help="compute CDF tables from results.csv and aggregates.json")
     p_cdf.add_argument("results", help="results.csv from the run subcommand")
     p_cdf.add_argument("--grid-points", type=int, default=CDF_GRID_POINTS)
     p_cdf.add_argument("--out", required=True, help="output directory")

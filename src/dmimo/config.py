@@ -307,7 +307,8 @@ def read_json(path):
         obj = json.loads(text, object_pairs_hook=_unique_keys, parse_constant=_Constant)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    _reject_constants(obj, path)
+    if "NaN" in text or "Infinity" in text:  # no such token is read without its spelling
+        _reject_constants(obj, path)
     return obj
 
 

@@ -46,9 +46,9 @@ config order (metrics in canonical order): a value per slot, and a reason in
 each degenerate slot. Each chunk's (M, N, rho, trial, metric) results are
 copied into its own (K index, trial) slots. ExperimentResult is that grid,
 written to CSV in C order; its rows, degenerate records and cells are views.
-One reader reads such a CSV back line by line into the compact buffers of
-one grid (axis indices, values and flags) and checks its order once, naming
-the line of each rejection; a file's rows and cells are views of that grid.
+One reader reads such a CSV back against the run's config, walking its
+slots in step with the file's lines, so each line must be its slot's row as
+write_csv spells it; a file's rows and cells are views of the grid it fills.
 One aggregator turns a grid into cells (mean, median, 512-point CDF; it skips
 degenerate trials and counts them), for a run and for a file. Result files
 never sit whole in memory: CSV is written line by line and JSON piece by piece.
@@ -70,12 +70,7 @@ from itertools import product
 import numpy as np
 
 from .chanfile import scan_channel_file
-from .config import (
-    METRIC_NAMES,
-    ExperimentConfig,
-    SceneSource,
-    config_to_dict,
-)
+from .config import ExperimentConfig, SceneSource, config_to_dict
 from .errors import (
     ConfigError,
     DegenerateUserError,
@@ -85,7 +80,7 @@ from .errors import (
     TopologyError,
     check_number,
 )
-from .metrics import MAX_ABS_RHO_DB, SliceBatch, SnrSpec
+from .metrics import SliceBatch, SnrSpec
 from .prep import check_topology, draw_subarray_columns, normalize
 from .stats import CDF_GRID_POINTS, compute_cdf
 from .synth import gen_geometric, gen_trajectory_users
@@ -93,7 +88,6 @@ from .tensor import ChannelTensor, RngHandle, ap_columns
 
 RESULT_COLUMNS = ("trial", "M", "N", "K", "rho_db", "metric", "value", "degenerate_flag")
 _HEADER_LINE = ",".join(RESULT_COLUMNS)
-_COLUMN_TYPES = (int, int, int, int, float, str, float, str)
 _CONTAINERS = (dict, list, tuple)  # what json writes as an object or array
 
 _STREAM_USERS = 1
@@ -527,8 +521,9 @@ def _aggregate(axes, values, degenerate, grid_points: int = CDF_GRID_POINTS) -> 
     return tuple(cells)
 
 
-def aggregate_result_rows(path, grid_points: int = CDF_GRID_POINTS) -> tuple:
-    """The cells of the results CSV at path, aggregated as ExperimentResult.cells.
+def aggregate_result_rows(path, config: ExperimentConfig, grid_points=CDF_GRID_POINTS) -> tuple:
+    """The cells of the results CSV of a run of config, aggregated as the
+    run's ExperimentResult.cells.
 
     A grid_points that is not an integer >= 1 raises ConfigError before the
     file is opened. The file is checked as read_result_rows checks it, but
@@ -537,7 +532,7 @@ def aggregate_result_rows(path, grid_points: int = CDF_GRID_POINTS) -> tuple:
     grid_points = check_number(grid_points, "grid_points", int, ConfigError)
     if grid_points < 1:
         raise ConfigError(f"grid_points must be >= 1, got {grid_points}")
-    return _aggregate(*_read_results(path), grid_points)
+    return _aggregate(_axes(config), *_read_results(path, config), grid_points)
 
 
 def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> ExperimentResult:
@@ -587,28 +582,21 @@ def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> Experim
     return ExperimentResult(config=cfg, values=values, reasons=reasons)
 
 
-def read_result_rows(path) -> tuple:
-    """Every row of a results CSV, as ExperimentResult.rows lists a run's.
-
-    The file must be one that ExperimentResult.write_csv could write, or
-    InvalidInputError names, as path:line, its first line that is not the
-    header, is blank, has a field no run writes, holds a trial before any
-    row of a smaller one, or is out of the C order of one (M, N, rho, K,
-    trial, metric) grid whose axes run in order of first appearance; a
-    repeated or missing row is out of order. Lines end only at "\n", as
-    write_csv ends them: a "\r" or other control character stays in its
-    field and fails that field's check, so a CRLF file fails at line 1.
+def read_result_rows(path, config: ExperimentConfig) -> tuple:
+    """Every row of the results CSV of a run of config, as the run's
+    ExperimentResult.rows lists them. The file must hold, line for line,
+    what ExperimentResult.write_csv writes for config, split only at "\n";
+    else InvalidInputError names, as path:line, the first line that differs.
     """
-    return _rows(*_read_results(path))
+    return _rows(_axes(config), *_read_results(path, config))
 
 
-def _read_results(path) -> tuple:
-    """(axes, values, degenerate) of the results CSV at path, read one
-    physical line at a time, split only at "\n", into compact buffers of
-    each row's axis indices, value and flag.
-    Each spelling of a trial, of the (M, N, K, rho_db, metric) fields and of
-    a flag is parsed and checked at its first line; later lines parse only
-    their value. Grid order is checked once, after the last line."""
+def _read_results(path, cfg: ExperimentConfig) -> tuple:
+    """(values, degenerate) grids of the results CSV at path, read one
+    physical line at a time, split only at "\n", in step with the slots of
+    _axes(cfg) in the C order write_csv writes them in."""
+    axes = _axes(cfg)
+    values, flagged = array("d"), bytearray()
     try:
         with open(path, encoding="utf-8", newline="\n") as fh:
             # physical lines, split only where write_csv ends one
@@ -617,100 +605,44 @@ def _read_results(path) -> tuple:
                 raise InvalidInputError(
                     f"{path}:1: expected the header {_HEADER_LINE}, got {header!r}"
                 )
-            axes = [{} for _ in range(5)]  # (M, N, rho, K, metric): value -> index
-            # spelling -> its checked fields; a cell's are its axis indices
-            trials, cells, flags = {}, {}, {}
-            indices, values, flagged = array("q"), array("d"), bytearray()
-            num_trials = 0  # the trials 0, 1, ... read so far
-            for ln, line in enumerate(lines, start=2):
-                # a blank line fails here too, so row i is line i + 2
-                if line.count(",") != len(RESULT_COLUMNS) - 1:
-                    raise InvalidInputError(f"{path}:{ln}: expected {len(RESULT_COLUMNS)} columns")
-                trial_text, rest = line.split(",", 1)
-                cell_text, value_text, flag = rest.rsplit(",", 2)
-                trial, cell = trials.get(trial_text), cells.get(cell_text)
-                try:
-                    value = float(value_text)
-                except ValueError:
-                    value = None
-                if None in (trial, cell, value, flags.get(flag)) or repr(value) != value_text:
-                    # a first spelling, or a bad value: the line's own checks, in column order
-                    trial, m, n, k, rho_db, metric, value, flag = _parse_result_line(path, ln, line)
-                    cell = cells[cell_text] = tuple(
-                        axis.setdefault(field, len(axis))
-                        for axis, field in zip(axes, (m, n, rho_db, k, metric))
-                    )
-                    trials[trial_text], flags[flag] = trial, flag == "1"
-                if flag == "0" and not math.isfinite(value):
-                    raise InvalidInputError(
-                        f"{path}:{ln}: value must be finite when degenerate_flag is 0, "
-                        f"got {value_text!r}"
-                    )
-                if value == -math.inf:
-                    raise InvalidInputError(f"{path}:{ln}: value must not be -inf, got {value_text!r}")
-                if trial > num_trials:
-                    raise InvalidInputError(
-                        f"{path}:{ln}: trial {trial} comes before any row of trial {num_trials}"
-                    )
-                num_trials += trial == num_trials
-                indices.extend(cell)
-                indices.append(trial)
+            for ln, (m, n, rho_db, k, trial, metric) in enumerate(product(*axes), start=2):
+                slot = f"{trial},{m},{n},{k},{rho_db!r},{metric},"
+                value, flag = _row_value(next(lines, None), slot, f"{path}:{ln}")
                 values.append(value)
-                flagged.append(flags[flag])
+                flagged.append(flag)
+            if next(lines, None) is not None:
+                raise InvalidInputError(f"{path}:{ln + 1}: a line past the config's grid")
     except (OSError, UnicodeDecodeError) as exc:
         raise InvalidInputError(f"cannot read results {path}: {exc}") from exc
-    axes = [*map(tuple, axes[:4]), range(num_trials), tuple(axes[4])]
-    shape, count = tuple(map(len, axes)), len(values)
-    # row i must hold slot i in C order; strides capped at count + 1, past
-    # every row index, keep each sum of index × stride within int64
-    strides = [1]
-    for size in shape[:0:-1]:
-        strides.insert(0, min(strides[0] * size, count + 1))
-    slots = np.frombuffer(indices, dtype=np.int64).reshape(-1, 6)  # M, N, rho, K, metric, trial
-    misplaced = np.flatnonzero(slots @ [*strides[:4], strides[5], strides[4]] != np.arange(count))
-    if misplaced.size:
-        raise InvalidInputError(
-            f"{path}:{int(misplaced[0]) + 2}: repeated, moved, or after a missing row: "
-            "out of write_csv's order"
-        )
-    if count < max(math.prod(shape), 1):
-        raise InvalidInputError(
-            f"{path}:{count + 2}: a row is missing: the file ends before its grid is full"
-        )
-    grids = np.frombuffer(values).reshape(shape), np.frombuffer(flagged, dtype=bool).reshape(shape)
-    return axes, *grids
+    shape = tuple(map(len, axes))
+    return np.frombuffer(values).reshape(shape), np.frombuffer(flagged, dtype=bool).reshape(shape)
 
 
-def _parse_result_line(path, ln: int, line: str) -> list:
-    """The eight fields of results line ln, each spelled as write_csv writes
-    it, after every check of the line that needs neither its value nor
-    another line."""
-    where, parts = f"{path}:{ln}", line.split(",")
-    fields = []
-    for name, kind, field in zip(RESULT_COLUMNS, _COLUMN_TYPES, parts):
-        try:
-            fields.append(kind(field))
-        except ValueError:
-            noun = "an integer" if kind is int else "a number"
-            raise InvalidInputError(f"{where}: {name} must be {noun}, got {field!r}") from None
-        # only write_csv's own spelling of the value: no '08', '+0.0' or 'INF'
-        written = repr(fields[-1]) if kind is float else str(fields[-1])
-        if written != field:
-            raise InvalidInputError(f"{where}: {name} must be written {written!r}, got {field!r}")
-    trial, m, n, k, rho_db, metric, _, flag = fields
-    if metric not in METRIC_NAMES:
-        raise InvalidInputError(f"{where}: unknown metric {metric!r}")
+def _row_value(line, slot: str, where: str) -> tuple:
+    """(value, degenerate flag) of results line `where` (None past the end of
+    the file), which must be `slot` ("trial,M,N,K,rho_db,metric,"), the repr
+    of a value, finite if the flag is 0 and never -inf, "," and a 0 or 1 flag."""
+    if line is None:
+        raise InvalidInputError(f"{where}: a row is missing: the file ends before its grid is full")
+    # a blank line fails here too, so row i is line i + 2
+    if not line.startswith(slot):
+        got = ",".join(line.split(",")[:6])
+        raise InvalidInputError(f"{where}: expected the config's row {slot[:-1]!r}, got {got!r}")
+    # a comma past the value's stays in the flag, and fails its check
+    text, _, flag = line[len(slot):].partition(",")
+    try:
+        value = float(text)
+    except ValueError:
+        raise InvalidInputError(f"{where}: value must be a number, got {text!r}") from None
+    # only write_csv's own spelling: no '3.50', ' 2.5 ' or 'INF'
+    if repr(value) != text:
+        raise InvalidInputError(f"{where}: value must be written {repr(value)!r}, got {text!r}")
     if flag not in ("0", "1"):
         raise InvalidInputError(f"{where}: degenerate_flag must be 0 or 1, got {flag!r}")
-    for name, number, low in (("trial", trial, 0), ("M", m, 1), ("N", n, 1), ("K", k, 1)):
-        if number < low:
-            raise InvalidInputError(f"{where}: {name} must be >= {low}, got {number}")
-    if m % n:
-        raise InvalidInputError(f"{where}: N={n} does not divide M={m}, so no run draws it")
-    if not math.isfinite(rho_db):
-        raise InvalidInputError(f"{where}: rho_db must be finite, got {parts[4]!r}")
-    if abs(rho_db) > MAX_ABS_RHO_DB:
+    if flag == "0" and not math.isfinite(value):
         raise InvalidInputError(
-            f"{where}: rho_db must lie within ±{MAX_ABS_RHO_DB:g} dB, got {parts[4]!r}"
+            f"{where}: value must be finite when degenerate_flag is 0, got {text!r}"
         )
-    return fields
+    if value == -math.inf:
+        raise InvalidInputError(f"{where}: value must not be -inf, got {text!r}")
+    return value, flag == "1"

@@ -36,6 +36,10 @@ NLOS = "nlos"
 # rejection budget for constrained user placement
 _MAX_PLACEMENT_REJECTS = 100_000
 
+# user pairs that one block of UserLayout's spacing check holds at most, so
+# its memory does not grow as K^2 (1.5 MiB per temporary); K <= 256 is one block
+_SPACING_BLOCK_PAIRS = 2**16
+
 # complex phase entries (L * S * W per link) that one block of the geometry
 # pass of gen_geometric holds at most: the 48 links of the paper's scene
 # (12 users x 4 APs, L = 1 subcarrier, S = 24 scatterers, W = 32 elements).
@@ -236,12 +240,15 @@ class UserLayout:
         check_fields(self)
         min_s, max_s = self.min_spacing_m, self.max_spacing_m
         check_spacing(min_s, max_s)
-        i, j = np.triu_indices(pos.shape[0], k=1)
-        if not _within_spacing(pos[i], pos[j], min_s, max_s).all():
-            raise PlacementError(
-                "positions have pairwise distances outside the spacing bounds "
-                f"[{min_s}, {max_s}]"
-            )
+        rows = max(1, _SPACING_BLOCK_PAIRS // len(pos))
+        for lo in range(0, len(pos) - 1, rows):
+            # users lo... against users lo...; np.tri drops the pairs with j <= i
+            ok = _within_spacing(pos[lo : lo + rows, None], pos[None, lo:], min_s, max_s)
+            if not (ok | np.tri(*ok.shape, dtype=bool)).all():
+                raise PlacementError(
+                    "positions have pairwise distances outside the spacing bounds "
+                    f"[{min_s}, {max_s}]"
+                )
         pos.setflags(write=False)
         object.__setattr__(self, "positions", pos)
 

@@ -6,7 +6,17 @@ import os
 
 import pytest
 
-from dmimo import cli, harness, read_channel_file, read_result_rows
+from dmimo import (
+    ExperimentConfig,
+    SceneSource,
+    cli,
+    config_from_dict,
+    config_to_dict,
+    default_scene,
+    harness,
+    read_channel_file,
+    read_result_rows,
+)
 from dmimo.cli import main
 
 
@@ -62,6 +72,19 @@ def synth_and_run(tmp_path):
     return synth_cfg, run_cfg, tmp_path / "results" / "results.csv"
 
 
+def run_config(results):
+    """The config echoed by the aggregates.json beside results."""
+    return config_from_dict(json.loads((results.parent / "aggregates.json").read_text())["config"])
+
+
+def write_aggregates(directory, **sweep):
+    """An aggregates.json in directory whose config has a scene source and
+    the given m_values, n_values, k_values and trials, rho 0 dB and svs."""
+    scene = SceneSource(scene=default_scene())
+    cfg = ExperimentConfig(scene, rho_db_values=(0.0,), seed=1, metrics=("svs",), **sweep)
+    (directory / "aggregates.json").write_text(json.dumps({"config": config_to_dict(cfg)}))
+
+
 def one_error_line(capsys) -> str:
     """The stderr of a command that failed with one `error:` line and no traceback."""
     err = capsys.readouterr().err
@@ -83,7 +106,7 @@ class TestPipeline:
         run_cfg = write_run_config(tmp_path, channel)
         out2 = tmp_path / "results"
         assert main(["run", "--config", str(run_cfg), "--out", str(out2)]) == 0
-        rows = read_result_rows(out2 / "results.csv")
+        rows = read_result_rows(out2 / "results.csv", run_config(out2 / "results.csv"))
         assert len(rows) == 2 * 3 * 4  # rho cells x trials x metrics
         payload = json.loads((out2 / "aggregates.json").read_text())
         assert payload["version"] == 1
@@ -118,7 +141,10 @@ class TestPipeline:
             ]
         )
         assert code == 0
-        rows = read_result_rows(out2 / "results.csv")
+        # aggregates.json echoes the config the overrides made
+        cfg = run_config(out2 / "results.csv")
+        assert (cfg.trials, cfg.seed) == (2, 99)
+        rows = read_result_rows(out2 / "results.csv", cfg)
         assert max(r.trial for r in rows) == 1
         capsys.readouterr()
 
@@ -368,6 +394,7 @@ class TestErrors:
         results.write_text(
             "trial,M,N,K,rho_db,metric,value,degenerate_flag\n0,8,2,2,0.0,svs,3.5,0\n"
         )
+        write_aggregates(tmp_path, m_values=(8,), n_values=(2,), k_values=(2,), trials=1)
         out = tmp_path / "o"
         code = main(["cdf", str(results), "--grid-points", grid_points, "--out", str(out)])
         assert code == 2
@@ -378,13 +405,27 @@ class TestErrors:
         results = tmp_path / "results.csv"
         out = tmp_path / "o"
         header = "trial,M,N,K,rho_db,metric,value,degenerate_flag\n"
-        for rows, message in (
-            ("abc,16,4,12,0.0,svs,1.0,0\n", "2: trial must be an integer, got 'abc'"),
+        for sweep, rows, message in (
+            (
+                (16, 4, 12, 1),
+                "abc,16,4,12,0.0,svs,1.0,0\n",
+                "2: expected the config's row '0,16,4,12,0.0,svs', got 'abc,16,4,12,0.0,svs'",
+            ),
             # a degenerate row with a -inf value, which no run writes
-            ("0,8,1,2,0.0,svs,3.5,0\n1,8,1,2,0.0,svs,-inf,1\n", "3: value must not be -inf, got '-inf'"),
+            (
+                (8, 1, 2, 2),
+                "0,8,1,2,0.0,svs,3.5,0\n1,8,1,2,0.0,svs,-inf,1\n",
+                "3: value must not be -inf, got '-inf'",
+            ),
             # a value no run spells this way
-            ("0,8,1,2,0.0,svs,3.50,0\n", "2: value must be written '3.5', got '3.50'"),
+            (
+                (8, 1, 2, 1),
+                "0,8,1,2,0.0,svs,3.50,0\n",
+                "2: value must be written '3.5', got '3.50'",
+            ),
         ):
+            m, n, k, trials = sweep
+            write_aggregates(tmp_path, m_values=(m,), n_values=(n,), k_values=(k,), trials=trials)
             results.write_text(header + rows)
             assert main(["cdf", str(results), "--out", str(out)]) == 2
             err = capsys.readouterr().err
@@ -399,10 +440,10 @@ class TestErrors:
         capsys.readouterr()
         out = tmp_path / "cdfs"
         assert main(["cdf", str(results), "--out", str(out)]) == 2
-        # line 6 now holds row 5, the dpc row of trial 1, which is out of place
+        # line 6 now holds row 6, the dpc row of trial 1, where row 5 belongs
         assert one_error_line(capsys) == (
-            f"error: {results}:6: repeated, moved, or after a missing row: "
-            "out of write_csv's order\n"
+            f"error: {results}:6: expected the config's row '1,8,2,2,0.0,svs', "
+            "got '1,8,2,2,0.0,dpc'\n"
         )
         assert not (out / "cdf_tables.json").exists()
 

@@ -32,8 +32,13 @@ from dmimo import cli, harness, prep, synth
 from dmimo.harness import RESULT_COLUMNS, ResultRow, _stream_id
 
 
-ORDER = "repeated, moved, or after a missing row: out of write_csv's order"
 MISSING = "a row is missing: the file ends before its grid is full"
+PAST = "a line past the config's grid"
+
+
+def not_the_slot(want: str, got: str) -> str:
+    """The message for a line that is not the row of its grid slot."""
+    return f"expected the config's row {want!r}, got {got!r}"
 
 
 def write_rows(tmp_path, rows):
@@ -72,6 +77,17 @@ def scene_config(**overrides):
     )
     fields.update(overrides)
     return ExperimentConfig(**fields)
+
+
+def grid_config(**overrides):
+    """A config of one (M, N, rho, K) cell, M 8, N 1, rho 0 dB and K 2, with
+    one trial of svs: the grid of the hand-written results files below."""
+    fields = dict(m_values=(8,), n_values=(1,), rho_db_values=(0.0,), trials=1, metrics=("svs",))
+    return scene_config(**{**fields, **overrides})
+
+
+# the slot of line 3 in a file of grid_config(trials=2)
+SLOT = "1,8,1,2,0.0,svs"
 
 
 def mixed_file_config(tmp_path):
@@ -176,21 +192,24 @@ class TestRowLayout:
         result = run_experiment(scene_config(trials=2))
         path = tmp_path / "results.csv"
         result.write_csv(path)
-        back = read_result_rows(path)
+        back = read_result_rows(path, result.config)
         assert back == result.rows
 
     def test_read_result_rows_validation(self, tmp_path):
+        cfg = scene_config()
         bad = tmp_path / "bad.csv"
         bad.write_text("not,the,header\n")
         with pytest.raises(InvalidInputError):
-            read_result_rows(bad)
+            read_result_rows(bad, cfg)
         short = tmp_path / "short.csv"
         short.write_text(",".join(RESULT_COLUMNS) + "\n1,2,3\n")
         with pytest.raises(InvalidInputError):
-            read_result_rows(short)
+            read_result_rows(short, cfg)
 
+    # each row's fault; line 3 must be the row of SLOT, so a row of any other
+    # slot fails as that, whatever its fault, and the slot's own row for it
     @pytest.mark.parametrize(
-        "row, message",
+        "row, fault",
         [
             ("0,8,1,2,0.0,capacity,1.5,0", "unknown metric 'capacity'"),
             ("0,8,1,2,0.0,dpc,1.5,2", "degenerate_flag must be 0 or 1, got '2'"),
@@ -211,7 +230,20 @@ class TestRowLayout:
             ("0,8,1,2,0.0,svs,nan,0", "value must be finite when degenerate_flag is 0, got 'nan'"),
             ("0,8,1,2,0.0,svs,-inf,0", "value must be finite when degenerate_flag is 0, got '-inf'"),
             ("0,8,1,2,0.0,svs,-inf,1", "value must not be -inf, got '-inf'"),
-            ("0,8,1,2,0.0,svs,4.5,1", ORDER),
+            ("0,8,1,2,0.0,svs,4.5,1", "repeated, moved, or after a missing row: out of write_csv's order"),
+            # the same value and flag faults in the row of SLOT
+            ("1,8,1,2,0.0,svs,1.5,2", "degenerate_flag must be 0 or 1, got '2'"),
+            ("1,8,1,2,0.0,svs,1.5,", "degenerate_flag must be 0 or 1, got ''"),
+            ("1,8,1,2,0.0,svs,x,0", "value must be a number, got 'x'"),
+            ("1,8,1,2,0.0,svs,x,1", "value must be a number, got 'x'"),
+            ("1,8,1,2,0.0,svs,nan,0", "value must be finite when degenerate_flag is 0, got 'nan'"),
+            ("1,8,1,2,0.0,svs,-inf,0", "value must be finite when degenerate_flag is 0, got '-inf'"),
+            ("1,8,1,2,0.0,svs,-inf,1", "value must not be -inf, got '-inf'"),
+            # a column too few or too many
+            ("1,8,1,2,0.0,svs,1.5", "degenerate_flag must be 0 or 1, got ''"),
+            ("1,8,1,2,0.0,svs,1.5,0,", "degenerate_flag must be 0 or 1, got '0,'"),
+            ("1,8,1,2,0.0,svs,1,5,0", "value must be written '1.0', got '1'"),
+            ("1,8,1,2,0.0", "expected 8 columns"),
             # a field must be spelled as write_csv writes its value
             ("1_0,8,1,2,0.0,svs,1.0,0", "trial must be written '10', got '1_0'"),
             (" \u0663,8,1,2,0.0,svs,1.0,0", "trial must be written '3', got ' \u0663'"),
@@ -226,12 +258,14 @@ class TestRowLayout:
             ("1,8,1,2,0.0,svs,1_5,0", "value must be written '15.0', got '1_5'"),
         ],
     )
-    def test_read_result_rows_rejects_bad_fields(self, tmp_path, row, message):
+    def test_read_result_rows_rejects_bad_fields(self, tmp_path, row, fault):
         path = tmp_path / "results.csv"
         good = "0,8,1,2,0.0,svs,3.25,0"
         path.write_text("\n".join([",".join(RESULT_COLUMNS), good, row]) + "\n")
         with pytest.raises(InvalidInputError) as info:
-            read_result_rows(path)
+            read_result_rows(path, grid_config(trials=2))
+        first_six = ",".join(row.split(",")[:6])
+        message = fault if row.startswith(SLOT + ",") else not_the_slot(SLOT, first_six)
         assert str(info.value) == f"{path}:3: {message}"
 
     @pytest.mark.parametrize("content", [None, b"\xff\xfe"])
@@ -240,12 +274,13 @@ class TestRowLayout:
         if content is not None:
             path.write_bytes(content)
         with pytest.raises(InvalidInputError) as info:
-            read_result_rows(path)
+            read_result_rows(path, grid_config())
         assert str(info.value).startswith(f"cannot read results {path}: ")
 
     def test_read_result_rows_parses_well_formed_file(self, tmp_path):
         path = write_rows(tmp_path, ["0,8,1,2,15.0,svs,inf,1", "0,8,1,2,15.0,fairness,2.0,0"])
-        assert read_result_rows(path) == (
+        cfg = grid_config(rho_db_values=(15.0,), metrics=("svs", "fairness"))
+        assert read_result_rows(path, cfg) == (
             ResultRow(0, 8, 1, 2, 15.0, "svs", math.inf, True),
             ResultRow(0, 8, 1, 2, 15.0, "fairness", 2.0, False),
         )
@@ -285,30 +320,38 @@ class TestResultGrid:
         assert any(c.cdf is not None and c.cdf.num_saturated for c in result.cells)
         assert any(c.num_degenerate > (c.cdf.num_saturated if c.cdf else 0) for c in result.cells)
         result.write_csv(tmp_path / "results.csv")
+        result.write_aggregates(tmp_path / "aggregates.json")
         assert cli.main(["cdf", str(tmp_path / "results.csv"), "--out", str(tmp_path)]) == 0
         capsys.readouterr()
         tables = json.loads((tmp_path / "cdf_tables.json").read_text())
         assert tables["cells"] == json.loads(json.dumps(result.aggregates_dict()))["cells"]
 
     def test_rows_must_fill_the_grid_in_write_csv_order(self, tmp_path):
-        rows = run_experiment(scene_config(trials=3)).to_csv_text().splitlines()[1:]
-        assert len(aggregate_result_rows(write_rows(tmp_path, rows))) == 2 * 2 * 2 * 4
+        cfg = scene_config(trials=3)
+        rows = run_experiment(cfg).to_csv_text().splitlines()[1:]
+        assert len(aggregate_result_rows(write_rows(tmp_path, rows), cfg)) == 2 * 2 * 2 * 4
         last = len(rows)
 
         def rejection(rows) -> str:
             path = write_rows(tmp_path, rows)
             with pytest.raises(InvalidInputError) as info:
-                aggregate_result_rows(path)
+                aggregate_result_rows(path, cfg)
             return str(info.value).replace(f"{path}:", "line ")
 
+        def slot(row) -> str:
+            return row.rsplit(",", 2)[0]
+
         # row 6 missing mid-grid, so row 7 is on line 7; then the last row missing
-        assert rejection(rows[:5] + rows[6:]) == f"line 7: {ORDER}"
+        moved = not_the_slot(slot(rows[5]), slot(rows[6]))
+        assert rejection(rows[:5] + rows[6:]) == f"line 7: {moved}"
         assert rejection(rows[:-1]) == f"line {last + 1}: {MISSING}"
         # row 6 repeated next to itself, then row 1 repeated at the end
-        assert rejection(rows[:6] + rows[5:]) == f"line 8: {ORDER}"
-        assert rejection(rows + rows[:1]) == f"line {last + 2}: {ORDER}"
+        repeated = not_the_slot(slot(rows[6]), slot(rows[5]))
+        assert rejection(rows[:6] + rows[5:]) == f"line 8: {repeated}"
+        assert rejection(rows + rows[:1]) == f"line {last + 2}: {PAST}"
         # rows 4 and 5 swapped
-        assert rejection(rows[:3] + [rows[4], rows[3]] + rows[5:]) == f"line 5: {ORDER}"
+        swapped = not_the_slot(slot(rows[3]), slot(rows[4]))
+        assert rejection(rows[:3] + [rows[4], rows[3]] + rows[5:]) == f"line 5: {swapped}"
 
 
 class TestAggregates:
@@ -347,7 +390,7 @@ class TestAggregates:
 
     def test_cdf_includes_saturated_tail(self, tmp_path):
         rows = ["0,8,1,2,0.0,svs,5.0,0", "1,8,1,2,0.0,svs,7.0,0", "2,8,1,2,0.0,svs,inf,1"]
-        (cell,) = aggregate_result_rows(write_rows(tmp_path, rows), grid_points=8)
+        (cell,) = aggregate_result_rows(write_rows(tmp_path, rows), grid_config(trials=3), 8)
         assert cell.num_valid == 2
         assert cell.num_degenerate == 1
         assert cell.mean == 6.0
@@ -359,11 +402,12 @@ class TestAggregates:
     def test_bad_grid_points_raise(self, tmp_path, grid_points):
         path = write_rows(tmp_path, ["0,8,1,2,0.0,svs,5.0,0"])
         with pytest.raises(ConfigError, match="grid_points"):
-            aggregate_result_rows(path, grid_points=grid_points)
+            aggregate_result_rows(path, grid_config(), grid_points=grid_points)
 
     def test_all_nan_cell_has_no_stats(self, tmp_path):
         rows = [f"{t},8,1,2,0.0,zf,nan,1" for t in range(3)]
-        (cell,) = aggregate_result_rows(write_rows(tmp_path, rows))
+        cfg = grid_config(trials=3, metrics=("zf",))
+        (cell,) = aggregate_result_rows(write_rows(tmp_path, rows), cfg)
         assert cell.num_valid == 0
         assert cell.mean is None and cell.median is None and cell.cdf is None
 
@@ -372,7 +416,7 @@ class TestAggregates:
         # a results file names the line
         path = write_rows(tmp_path, ["0,8,1,2,0.0,zf,5.0,0", f"1,8,1,2,0.0,zf,{value!r},0"])
         with pytest.raises(InvalidInputError) as info:
-            aggregate_result_rows(path)
+            aggregate_result_rows(path, grid_config(trials=2, metrics=("zf",)))
         assert str(info.value) == (
             f"{path}:3: value must be finite when degenerate_flag is 0, got '{value!r}'"
         )
@@ -418,7 +462,7 @@ class TestDegenerateHandling:
         result.write_csv(path)
         text = path.read_text()
         assert "inf" in text and "nan" in text
-        back = read_result_rows(path)
+        back = read_result_rows(path, cfg)
         assert sum(1 for r in back if r.degenerate) == len(result.degenerate)
         svs_rows = [r for r in back if r.metric == "svs"]
         assert all(r.value == math.inf for r in svs_rows)

@@ -1,6 +1,7 @@
 """Result files: the JSON writer's exact bytes, the bounded memory of writing
 results and aggregates and of `dmimo cdf`, the errors of malformed results
-CSVs, and seeded mutations of a results CSV."""
+CSVs and of the aggregates.json `dmimo cdf` reads the run's config from, and
+seeded mutations of a results CSV."""
 
 import json
 import math
@@ -16,11 +17,12 @@ from dmimo import (
     InvalidInputError,
     SceneSource,
     aggregate_result_rows,
+    config_to_dict,
     default_scene,
     read_result_rows,
     run_experiment,
 )
-from dmimo.cli import main
+from dmimo.cli import _run_config, main
 from dmimo.harness import RESULT_COLUMNS, ExperimentResult, _write_json
 
 HEADER = ",".join(RESULT_COLUMNS)
@@ -151,7 +153,17 @@ def test_results_csv_is_written_in_bounded_memory(tmp_path):
     assert path.read_bytes() == result.to_csv_text().encode()
 
 
-# a complete (M, N, rho, K, trial, metric) grid: M 8 and 4, 2 trials, svs and dpc
+# the complete (M, N, rho, K, trial, metric) grid of GOOD_CONFIG
+GOOD_CONFIG = ExperimentConfig(
+    source=SceneSource(scene=default_scene("los")),
+    m_values=(8, 4),
+    n_values=(2,),
+    rho_db_values=(0.0,),
+    k_values=(2,),
+    trials=2,
+    seed=1,
+    metrics=("svs", "dpc"),
+)
 GOOD_ROWS = [
     "0,8,2,2,0.0,svs,3.5,0",
     "0,8,2,2,0.0,dpc,2.25,0",
@@ -175,35 +187,50 @@ def replaced(index, row):
 ROW_3 = "ResultRow(trial=1, m=8, n=2, k=2, rho_db=0.0, metric='svs', value=inf, degenerate=True)"
 ROW_4 = "ResultRow(trial=1, m=8, n=2, k=2, rho_db=0.0, metric='dpc', value=4.0, degenerate=False)"
 
-ORDER = "repeated, moved, or after a missing row: out of write_csv's order"
 MISSING = "a row is missing: the file ends before its grid is full"
+PAST = "a line past the config's grid"
+
+
+def not_the_slot(want: str, got: str) -> str:
+    """The message for a line that is not the row of its grid slot."""
+    return f"expected the config's row {want!r}, got {got!r}"
+
 
 # (content, message with {path} for the file)
 MALFORMED = {
-    "repeated row": (with_rows(GOOD_ROWS[:3] + GOOD_ROWS[2:]), "{path}:5: " + ORDER),
+    "repeated row": (
+        with_rows(GOOD_ROWS[:3] + GOOD_ROWS[2:]),
+        "{path}:5: " + not_the_slot("1,8,2,2,0.0,dpc", "1,8,2,2,0.0,svs"),
+    ),
     "descending trial": (
         with_rows(GOOD_ROWS[2:4] + GOOD_ROWS[:2] + GOOD_ROWS[4:]),
-        "{path}:2: trial 1 comes before any row of trial 0",
+        "{path}:2: " + not_the_slot("0,8,2,2,0.0,svs", "1,8,2,2,0.0,svs"),
     ),
     # every row of trial 1 gone: trials 0 and 2 would read as a complete grid
     "missing whole trial": (
         with_rows([row.replace("1,", "2,", 1) if row[0] == "1" else row for row in GOOD_ROWS]),
-        "{path}:4: trial 2 comes before any row of trial 1",
+        "{path}:4: " + not_the_slot("1,8,2,2,0.0,svs", "2,8,2,2,0.0,svs"),
     ),
-    "missing mid-grid row": (with_rows(GOOD_ROWS[:2] + GOOD_ROWS[3:]), "{path}:4: " + ORDER),
+    "missing mid-grid row": (
+        with_rows(GOOD_ROWS[:2] + GOOD_ROWS[3:]),
+        "{path}:4: " + not_the_slot("1,8,2,2,0.0,svs", "1,8,2,2,0.0,dpc"),
+    ),
     "missing last row": (with_rows(GOOD_ROWS[:-1]), "{path}:9: " + MISSING),
     "header only": (with_rows([]), "{path}:2: " + MISSING),
     "swapped pair": (
         with_rows(GOOD_ROWS[:2] + [GOOD_ROWS[3], GOOD_ROWS[2]] + GOOD_ROWS[4:]),
-        "{path}:4: " + ORDER,
+        "{path}:4: " + not_the_slot("1,8,2,2,0.0,svs", "1,8,2,2,0.0,dpc"),
     ),
     # write_csv never writes a blank line, so row i is always line i + 2
-    "blank line": (with_rows(GOOD_ROWS[:4] + [""] + GOOD_ROWS[4:]), "{path}:6: expected 8 columns"),
-    "blank last line": (with_rows(GOOD_ROWS + [""]), "{path}:10: expected 8 columns"),
-    # each row a fresh M, N, K and rho, so the axis sizes multiply past int64
+    "blank line": (
+        with_rows(GOOD_ROWS[:4] + [""] + GOOD_ROWS[4:]),
+        "{path}:6: " + not_the_slot("0,4,2,2,0.0,svs", ""),
+    ),
+    "blank last line": (with_rows(GOOD_ROWS + [""]), "{path}:10: " + PAST),
+    # each row a fresh M, N, K and rho: a grid far larger than the config's
     "axis sizes past int64": (
         with_rows(f"{i},{2 * (i + 1)},{i + 1},{i + 1},{i / 3 - 1000!r},svs,1.0,0" for i in range(7000)),
-        "{path}:3: " + ORDER,
+        "{path}:2: " + not_the_slot("0,8,2,2,0.0,svs", "0,2,1,1,-1000.0,svs"),
     ),
     "3.50": (replaced(0, "0,8,2,2,0.0,svs,3.50,0"), "{path}:2: value must be written '3.5', got '3.50'"),
     "degenerate -inf": (
@@ -226,18 +253,24 @@ MALFORMED = {
         "cannot read results {path}: 'utf-8' codec can't decode byte 0xff in position 180: "
         "invalid start byte",
     ),
+    # the first line that differs is named, not a later one
     "out of order after a later line error": (
         with_rows(GOOD_ROWS[:2] + GOOD_ROWS[3:5] + ["1,4,2,2,0.0,dpc,x,0"]),
-        "{path}:6: value must be a number, got 'x'",
+        "{path}:4: " + not_the_slot("1,8,2,2,0.0,svs", "1,8,2,2,0.0,dpc"),
     ),
 }
+
+
+def write_aggregates(directory, cfg) -> None:
+    """An aggregates.json in directory that echoes cfg, as `dmimo run` writes it."""
+    (directory / "aggregates.json").write_text(json.dumps({"config": config_to_dict(cfg)}))
 
 
 def test_the_good_rows_read_and_aggregate(tmp_path):
     path = tmp_path / "results.csv"
     path.write_bytes(with_rows(GOOD_ROWS))
-    assert [str(row) for row in read_result_rows(path)[2:4]] == [ROW_3, ROW_4]
-    assert len(aggregate_result_rows(path)) == 4
+    assert [str(row) for row in read_result_rows(path, GOOD_CONFIG)[2:4]] == [ROW_3, ROW_4]
+    assert len(aggregate_result_rows(path, GOOD_CONFIG)) == 4
 
 
 @pytest.mark.parametrize("case", list(MALFORMED))
@@ -246,16 +279,17 @@ def test_malformed_csv_gives_one_message_from_both_entry_points(tmp_path, capsys
     assert_rejected(tmp_path, capsys, content, message)
 
 
-def assert_rejected(tmp_path, capsys, content: bytes, message: str) -> None:
-    """content, as a results file, fails read_result_rows,
+def assert_rejected(tmp_path, capsys, content: bytes, message: str, cfg=GOOD_CONFIG) -> None:
+    """content, as the results file of a run of cfg, fails read_result_rows,
     aggregate_result_rows and `dmimo cdf` with message ({path} for the file),
     and `dmimo cdf` leaves no --out behind."""
     path = tmp_path / "results.csv"
     path.write_bytes(content)
+    write_aggregates(tmp_path, cfg)
     expected = message.format(path=path)
     for read in (read_result_rows, aggregate_result_rows):
         with pytest.raises(InvalidInputError) as info:
-            read(path)
+            read(path, cfg)
         assert str(info.value) == expected
     out = tmp_path / "cdfs"
     assert main(["cdf", str(path), "--out", str(out)]) == 2
@@ -288,15 +322,16 @@ def test_a_line_ends_only_where_write_csv_ends_one(tmp_path, capsys, case):
         message = f"{{path}}:2: degenerate_flag must be 0 or 1, got {flag + chr(0x1C)!r}"
     else:
         lines[2] = lines[2].replace(",dpc,", ",d\x0cpc,")
-        message = "{path}:3: unknown metric 'd\\x0cpc'"
-    assert_rejected(tmp_path, capsys, "".join(lines).encode(), message)
+        message = "{path}:3: " + not_the_slot("0,16,1,2,0.0,dpc", "0,16,1,2,0.0,d\x0cpc")
+    assert_rejected(tmp_path, capsys, "".join(lines).encode(), message, cfg)
 
 
 def test_a_bad_grid_points_comes_before_an_empty_results_file(tmp_path, capsys):
     path = tmp_path / "results.csv"
     path.write_bytes(with_rows([]))
+    write_aggregates(tmp_path, GOOD_CONFIG)
     with pytest.raises(ConfigError) as info:
-        aggregate_result_rows(path, grid_points=0)
+        aggregate_result_rows(path, GOOD_CONFIG, grid_points=0)
     assert str(info.value) == "grid_points must be >= 1, got 0"
     out = tmp_path / "cdfs"
     assert main(["cdf", str(path), "--grid-points", "0", "--out", str(out)]) == 2
@@ -308,9 +343,10 @@ def test_a_bad_grid_points_comes_before_an_empty_results_file(tmp_path, capsys):
 def test_rows_of_a_topology_no_run_draws_are_rejected(tmp_path, capsys, m, n):
     path = tmp_path / "results.csv"
     path.write_bytes(with_rows([GOOD_ROWS[0], f"0,{m},{n},2,0.0,svs,3.5,0"]))
-    expected = f"{path}:3: N={n} does not divide M={m}, so no run draws it"
+    write_aggregates(tmp_path, GOOD_CONFIG)
+    expected = f"{path}:3: " + not_the_slot("0,8,2,2,0.0,dpc", f"0,{m},{n},2,0.0,svs")
     with pytest.raises(InvalidInputError) as info:
-        read_result_rows(path)
+        read_result_rows(path, GOOD_CONFIG)
     assert str(info.value) == expected
     assert main(["cdf", str(path), "--out", str(tmp_path / "cdfs")]) == 2
     assert capsys.readouterr().err == f"error: {expected}\n"
@@ -326,11 +362,11 @@ FIELD_EDITS = (
 
 def mutated(lines, rng) -> list:
     """lines after one seeded mutation: two lines swapped, a line repeated,
-    dropped or blanked, one field of a line edited, or rows with a fresh
-    value on one axis appended."""
+    dropped or blanked, one field of a line edited, rows with a fresh value
+    on one axis appended, or every row of one sweep value dropped."""
     lines = list(lines)
     i, j = rng.randrange(1, len(lines)), rng.randrange(1, len(lines))
-    kind = rng.choice(("swap", "repeat", "drop", "blank", "edit", "append"))
+    kind = rng.choice(("swap", "repeat", "drop", "blank", "edit", "append", "drop value"))
     if kind == "swap":
         lines[i], lines[j] = lines[j], lines[i]
     elif kind == "repeat":
@@ -344,6 +380,10 @@ def mutated(lines, rng) -> list:
         fields = lines[i].split(",")
         fields[rng.randrange(len(fields))] = rng.choice(FIELD_EDITS)
         lines[i] = ",".join(fields)
+    elif kind == "drop value":  # of M, N, K or rho: the rest is a smaller grid
+        column = rng.randrange(1, 5)
+        value = lines[i].split(",")[column]
+        lines = lines[:1] + [line for line in lines[1:] if line.split(",")[column] != value]
     else:
         column, fresh = rng.choice(((0, "2"), (1, "32"), (2, "4"), (3, "3"), (4, "-5.5"), (5, "zf")))
         for line in rng.sample(lines[1:], rng.randint(1, 4)):
@@ -365,13 +405,14 @@ def test_mutated_results_give_cells_or_a_toolkit_error(tmp_path, capsys):
         metrics=("svs", "dpc"),
     )
     lines = run_experiment(cfg, workers=1).to_csv_text().splitlines()
+    write_aggregates(tmp_path, cfg)
     rng = random.Random(29)
     path, out = tmp_path / "results.csv", tmp_path / "cdfs"
     outcomes = {0: 0, 2: 0}
     for _ in range(400):
         path.write_text("\n".join(mutated(lines, rng)) + "\n")
         try:
-            aggregate_result_rows(path, grid_points=8)
+            aggregate_result_rows(path, cfg, grid_points=8)
         except (InvalidInputError, ConfigError) as exc:
             expected = 2, f"error: {exc}\n"
         else:
@@ -380,3 +421,79 @@ def test_mutated_results_give_cells_or_a_toolkit_error(tmp_path, capsys):
         assert (code, capsys.readouterr().err) == expected
         outcomes[code] += 1
     assert min(outcomes.values()) > 0, outcomes
+
+
+# a seed-1 run with 24 rows: M 16 then 8, 3 trials, 4 metrics
+SWEEP_CONFIG = ExperimentConfig(
+    source=SceneSource(scene=default_scene()),
+    m_values=(16, 8),
+    n_values=(1,),
+    rho_db_values=(0.0,),
+    k_values=(2,),
+    trials=3,
+    seed=1,
+    metrics=("svs", "dpc", "zf", "fairness"),
+)
+
+
+@pytest.fixture
+def sweep_run(tmp_path):
+    """The results.csv of SWEEP_CONFIG's run, beside its aggregates.json."""
+    result = run_experiment(SWEEP_CONFIG, workers=1)
+    result.write_csv(tmp_path / "results.csv")
+    result.write_aggregates(tmp_path / "aggregates.json")
+    return tmp_path / "results.csv"
+
+
+def test_cdf_of_a_csv_missing_every_row_of_one_m_exits_2(sweep_run, capsys):
+    # without its 12 M = 16 rows, the file is the complete grid of an M = 8 sweep
+    lines = sweep_run.read_text().splitlines(keepends=True)
+    kept = [line for line in lines if line.split(",")[1] != "16"]
+    assert len(lines) - len(kept) == 12
+    sweep_run.write_text("".join(kept))
+    out = sweep_run.parent / "cdfs"
+    assert main(["cdf", str(sweep_run), "--out", str(out)]) == 2
+    expected = not_the_slot("0,16,1,2,0.0,svs", "0,8,1,2,0.0,svs")
+    assert capsys.readouterr().err == f"error: {sweep_run}:2: {expected}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (None, "cannot read config {agg}: [Errno 2] No such file or directory: '{agg}'"),
+        ("[1]", "{agg} must be a JSON object with the run's \"config\""),
+        ('{"version": 1}', "{agg} must be a JSON object with the run's \"config\""),
+    ],
+)
+def test_cdf_without_the_run_config_exits_2(sweep_run, capsys, content, message):
+    agg = sweep_run.parent / "aggregates.json"
+    if content is None:
+        agg.unlink()
+    else:
+        agg.write_text(content)
+    with pytest.raises(ConfigError):
+        _run_config(sweep_run)
+    out = sweep_run.parent / "cdfs"
+    assert main(["cdf", str(sweep_run), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message.format(agg=agg)}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        # trial 3 of M = 16 comes after trial 2
+        ({"trials": 4}, "{path}:14: " + not_the_slot("3,16,1,2,0.0,svs", "0,8,1,2,0.0,svs")),
+        ({"trials": 2}, "{path}:10: " + not_the_slot("0,8,1,2,0.0,svs", "2,16,1,2,0.0,svs")),
+        # the rows of M = 4 would come after the file's last line
+        ({"m_values": (16, 8, 4)}, "{path}:26: " + MISSING),
+        ({"m_values": (16,)}, "{path}:14: " + PAST),
+    ],
+)
+def test_cdf_against_another_runs_config_exits_2(sweep_run, capsys, changes, message):
+    write_aggregates(sweep_run.parent, SWEEP_CONFIG.replace(**changes))
+    out = sweep_run.parent / "cdfs"
+    assert main(["cdf", str(sweep_run), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message.format(path=sweep_run)}\n"
+    assert not out.exists()

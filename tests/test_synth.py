@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -142,6 +143,56 @@ class TestUserLayout:
         with pytest.raises(PlacementError):
             UserLayout(pts2, min_spacing_m=0.1, max_spacing_m=5.0)
         UserLayout(pts2 / 3.0, min_spacing_m=0.1, max_spacing_m=5.0)
+
+    def test_large_layout_is_checked_in_bounded_memory(self):
+        # 2,000 users on a 0.5 m grid; all-pairs temporaries would take ~180 MiB
+        grid = np.meshgrid(np.arange(50) * 0.5, np.arange(40) * 0.5, [0.8], indexing="ij")
+        pos = np.stack(grid, axis=-1).reshape(-1, 3)
+        UserLayout(pos[:20], min_spacing_m=0.05, max_spacing_m=100.0)  # numpy's lazy imports
+        tracemalloc.start()
+        try:
+            UserLayout(pos, min_spacing_m=0.05, max_spacing_m=100.0)
+            peak = tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16
+        # a pair too close in the last block is still found
+        pos[-1] = pos[-2] + [0.0, 0.01, 0.0]
+        with pytest.raises(PlacementError):
+            UserLayout(pos, min_spacing_m=0.05, max_spacing_m=100.0)
+
+    @pytest.mark.parametrize("block_pairs", [1, 7, 64, 2**16])
+    def test_blocked_check_matches_all_pairs(self, monkeypatch, block_pairs):
+        def all_pairs_ok(pos, min_s, max_s):
+            i, j = np.triu_indices(len(pos), k=1)
+            dist = np.sqrt(((pos[i] - pos[j]) ** 2).sum(axis=-1))
+            return bool(((min_s <= dist) & (dist <= max_s)).all()), dist
+
+        monkeypatch.setattr(synth, "_SPACING_BLOCK_PAIRS", block_pairs)
+        rng = np.random.default_rng(64)
+        # exact distances: 1 at the lower bound and 5 at the upper one
+        layouts = [np.array([[0.0, 0.0, 0.8], [1.0, 0.0, 0.8], [3.0, 4.0, 0.8]])]
+        layouts += [rng.uniform(0.0, 3.0, (rng.integers(2, 30), 3)) for _ in range(40)]
+        outcomes = set()
+        for pos in layouts:
+            _, dist = all_pairs_ok(pos, 0.0, math.inf)
+            low, high = dist.min(), dist.max()
+            # both bounds met exactly, then each missed by one ulp, then random bounds
+            for min_s, max_s in [
+                (low, high),
+                (np.nextafter(low, math.inf), high),
+                (low, np.nextafter(high, 0.0)),
+                tuple(sorted(rng.uniform(0.0, 1.5 * high, 2))),
+            ]:
+                ok, _ = all_pairs_ok(pos, min_s, max_s)
+                try:
+                    UserLayout(pos, min_spacing_m=float(min_s), max_spacing_m=float(max_s))
+                except PlacementError:
+                    assert not ok, (pos, min_s, max_s)
+                else:
+                    assert ok, (pos, min_s, max_s)
+                outcomes.add(ok)
+        assert outcomes == {True, False}
 
     def test_validation(self):
         with pytest.raises(InvalidInputError):
