@@ -10,7 +10,6 @@ from dmimo import (
     ExperimentConfig,
     SceneSource,
     cli,
-    config_from_dict,
     config_to_dict,
     default_scene,
     harness,
@@ -72,11 +71,6 @@ def synth_and_run(tmp_path):
     return synth_cfg, run_cfg, tmp_path / "results" / "results.csv"
 
 
-def run_config(results):
-    """The config echoed by the aggregates.json beside results."""
-    return config_from_dict(json.loads((results.parent / "aggregates.json").read_text())["config"])
-
-
 def write_aggregates(directory, **sweep):
     """An aggregates.json in directory whose config has a scene source and
     the given m_values, n_values, k_values and trials, rho 0 dB and svs."""
@@ -106,7 +100,7 @@ class TestPipeline:
         run_cfg = write_run_config(tmp_path, channel)
         out2 = tmp_path / "results"
         assert main(["run", "--config", str(run_cfg), "--out", str(out2)]) == 0
-        rows = read_result_rows(out2 / "results.csv", run_config(out2 / "results.csv"))
+        rows = read_result_rows(out2 / "results.csv", cli._run_config(out2 / "results.csv"))
         assert len(rows) == 2 * 3 * 4  # rho cells x trials x metrics
         payload = json.loads((out2 / "aggregates.json").read_text())
         assert payload["version"] == 1
@@ -142,7 +136,7 @@ class TestPipeline:
         )
         assert code == 0
         # aggregates.json echoes the config the overrides made
-        cfg = run_config(out2 / "results.csv")
+        cfg = cli._run_config(out2 / "results.csv")
         assert (cfg.trials, cfg.seed) == (2, 99)
         rows = read_result_rows(out2 / "results.csv", cfg)
         assert max(r.trial for r in rows) == 1
